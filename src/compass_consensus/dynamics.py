@@ -8,14 +8,18 @@ The feasibility validator replays a trajectory and checks, sample by sample
 and agent by agent, that the active field at the agent's state lies in the
 required cone over the supporting hyperrectangle of the agent's local hull
 (the agent's own state together with its in-neighbors' states, sign-flipped
-on antagonistic arcs when the signed condition is requested).
+on antagonistic arcs when the signed condition is requested). The boxes are
+reduced over each graph's in-neighbor lists, a bounded chunk of samples at a
+time: O(m * nnz * d) time for m samples, nnz hull members (arcs plus self)
+and d axes, with working memory bounded per chunk rather than n^2 per sample.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Iterator
 
 import numpy as np
 from scipy.linalg import expm
@@ -112,11 +116,12 @@ def _bound_field(spec: ProtocolSpec, p: Any, d: int):
         raise DomainError(f"rotation built for d={R.shape[1]} but state has d={d}")
 
     def f(y: np.ndarray) -> np.ndarray:
-        X = y.reshape(n, d)
+        # y is one stacked state, or a stack of them evaluated in one call
+        X = y.reshape(y.shape[:-1] + (n, d))
         base = M @ X - rs * X
         if R is not None:
-            base = np.einsum("aij,aj->ai", R, base)
-        return base.reshape(-1)
+            base = np.einsum("aij,...aj->...ai", R, base)
+        return base.reshape(y.shape)
 
     return f
 
@@ -207,57 +212,80 @@ def simulate(scenario: "ScenarioConfig") -> Trajectory:
     return traj
 
 
+def _sample_groups(traj: Trajectory, spec: ProtocolSpec) -> dict[Any, np.ndarray]:
+    """Sample indices of each active graph label, grouped in one pass.
+
+    Rejects with DomainError a trajectory the protocol cannot have produced.
+    """
+    if traj.n != spec.n:
+        raise DomainError(f"trajectory has n={traj.n} but the protocol has n={spec.n}")
+    groups: dict[Any, list[int]] = {}
+    for s, p in enumerate(traj.active_index):
+        groups.setdefault(p, []).append(s)
+    for p in groups:
+        if p not in spec.family:
+            raise DomainError(f"active index {p!r} is not in the graph family")
+    return {p: np.asarray(sel) for p, sel in groups.items()}
+
+
+def _fields(traj: Trajectory, spec: ProtocolSpec, groups: dict) -> np.ndarray:
+    F = np.empty_like(traj.states)
+    for p, sel in groups.items():
+        f = _bound_field(spec, p, traj.d)
+        if spec.kind is ProtocolKind.CUSTOM:
+            F[sel] = [f(y) for y in traj.states[sel]]
+        else:
+            F[sel] = f(traj.states[sel])
+    return F.reshape(traj.blocks().shape)
+
+
 def fields_along(traj: Trajectory, spec: ProtocolSpec) -> np.ndarray:
     """Active vector field evaluated at every sample, shaped (m, n, d)."""
-    m = traj.num_samples
-    X = traj.blocks()
-    F = np.empty_like(X)
-    for p in _distinct(traj.active_index):
-        sel = np.fromiter(
-            (s for s, q in enumerate(traj.active_index) if q == p), dtype=int
-        )
-        if spec.kind is ProtocolKind.CUSTOM:
-            for s in sel:
-                F[s] = spec.field(p, traj.states[s]).reshape(traj.n, traj.d)
-        else:
-            W, S, rs = spec._W[p], spec._S[p], spec._rowsum[p]
-            Xs = X[sel]
-            if spec.kind is ProtocolKind.SIGNED_CONSENSUS:
-                base = np.einsum("ij,sjk->sik", W * S, Xs) - rs[None, :, None] * Xs
-            else:
-                base = np.einsum("ij,sjk->sik", W, Xs) - rs[None, :, None] * Xs
-            if spec.kind is ProtocolKind.ROTATED_CONSENSUS:
-                base = np.einsum("aij,saj->sai", spec._R, base)
-            F[sel] = base
-    return F
+    return _fields(traj, spec, _sample_groups(traj, spec))
 
 
-def _distinct(seq: Sequence) -> list:
-    seen = []
-    for item in seq:
-        if item not in seen:
-            seen.append(item)
-    return seen
+# Float64 elements in one gathered (samples, nnz, d) block of hull candidates:
+# bounds the validator's working set whatever the trajectory length, and at
+# 512 KB keeps a chunk cache-resident (larger budgets measured slower).
+_CHUNK_ELEMENTS = 1 << 16
+# Supporting-box bounds and facet masks of a sample chunk, each (samples, n, d).
+_Facets = namedtuple("_Facets", "lo hi width at_lower at_upper degen active")
 
 
-def _local_hull_bounds(
-    X: np.ndarray, spec: ProtocolSpec, p: Any, signed: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-agent supporting-box bounds over the local hull, vectorized.
+def _facet_chunks(
+    traj: Trajectory, spec: ProtocolSpec, signed: bool, ftol: float
+) -> Iterator[tuple[Any, np.ndarray, np.ndarray, _Facets]]:
+    """Yield (p, samples, fields, facets) per active graph and sample chunk.
 
-    X is (m, n, d); returns lo, hi of shape (m, n, d) where row i bounds the
-    set {x_i} union {sign_ij x_j : j in N_i(p)}.
+    Row i of the bounds is the supporting box of {x_i} union
+    {sign_ij x_j : j in N_i(p)}, reduced over the in-neighbor lists of p, so
+    a sample costs O(nnz * d) and a chunk holds about _CHUNK_ELEMENTS floats.
     """
-    mask = spec.neighbor_mask(p)  # (n, n) incl. self
-    if signed:
-        sgn = spec.sign_matrix(p)
-        cand = sgn[None, :, :, None] * X[:, None, :, :]  # (m, n, n, d)
-    else:
-        cand = np.broadcast_to(X[:, None, :, :], (X.shape[0], spec.n) + X.shape[1:])
-    sel = mask[None, :, :, None]
-    lo = np.where(sel, cand, np.inf).min(axis=2)
-    hi = np.where(sel, cand, -np.inf).max(axis=2)
-    return lo, hi
+    groups = _sample_groups(traj, spec)
+    X = traj.blocks()
+    F = _fields(traj, spec, groups)
+    for p, sel in groups.items():
+        rows, cols = np.nonzero(spec.neighbor_mask(p))
+        # The mask includes self, so every agent owns a nonempty segment of
+        # cols: reduceat would return the next segment's first entry for an
+        # empty one instead of failing.
+        starts = np.searchsorted(rows, np.arange(spec.n))
+        signs = spec.sign_matrix(p)[rows, cols][:, None]
+        step = max(1, _CHUNK_ELEMENTS // (cols.size * traj.d))
+        for k in range(0, sel.size, step):
+            idx = sel[k : k + step]
+            Xs = X[idx]
+            cand = Xs[:, cols, :]
+            if signed:
+                cand *= signs
+            lo = np.minimum.reduceat(cand, starts, axis=1)
+            hi = np.maximum.reduceat(cand, starts, axis=1)
+            width = hi - lo
+            at_lower = np.abs(Xs - lo) <= ftol
+            at_upper = np.abs(Xs - hi) <= ftol
+            degen = width <= 2 * ftol
+            active = (at_lower | at_upper) & ~degen
+            yield p, idx, F[idx], _Facets(lo, hi, width, at_lower, at_upper, degen, active)
 
 
 def validate_feasibility(
@@ -285,34 +313,21 @@ def validate_feasibility(
     if ftol < 0 or stol < 0:
         raise DomainError("tolerances must be nonnegative")
 
-    X = traj.blocks()
-    F = fields_along(traj, spec)
     signed = assumption is Assumption.SIGNED_GAMMA_STRICT
     violations: list[FeasibilityViolation] = []
-    for p in _distinct(traj.active_index):
-        sel = np.fromiter(
-            (s for s, q in enumerate(traj.active_index) if q == p), dtype=int
-        )
-        Xs, Fs = X[sel], F[sel]
-        lo, hi = _local_hull_bounds(Xs, spec, p, signed)
-        width = hi - lo
-        at_lower = np.abs(Xs - lo) <= ftol
-        at_upper = np.abs(Xs - hi) <= ftol
-        degen = width <= 2 * ftol
-        active = (at_lower | at_upper) & ~degen
-
-        bad_degen = degen & (np.abs(Fs) > stol)
+    for p, sel, Fs, f in _facet_chunks(traj, spec, signed, ftol):
+        bad_degen = f.degen & (np.abs(Fs) > stol)
         if assumption is Assumption.RELATIVE_INTERIOR:
-            bad_sign = active & (
-                (at_lower & (Fs < stol)) | (at_upper & (Fs > -stol))
+            bad_sign = f.active & (
+                (f.at_lower & (Fs < stol)) | (f.at_upper & (Fs > -stol))
             )
             bad = bad_degen | bad_sign
             kinds = [(bad_degen, "carrier"), (bad_sign, "strict-sign")]
         else:
-            bad_sign = active & (
-                (at_lower & (Fs < -stol)) | (at_upper & (Fs > stol))
+            bad_sign = f.active & (
+                (f.at_lower & (Fs < -stol)) | (f.at_upper & (Fs > stol))
             )
-            bad_margin = active & ~bad_sign & (np.abs(Fs) < gamma * width - stol)
+            bad_margin = f.active & ~bad_sign & (np.abs(Fs) < gamma * f.width - stol)
             bad = bad_degen | bad_sign | bad_margin
             kinds = [
                 (bad_degen, "carrier"),
@@ -320,20 +335,19 @@ def validate_feasibility(
                 (bad_margin, "margin"),
             ]
         for s_loc, i, k in np.argwhere(bad):
-            s = int(sel[s_loc])
             reason = next(name for arr, name in kinds if arr[s_loc, i, k])
             fval = Fs[s_loc, i, k]
             if reason == "carrier":
                 detail = f"carrier subspace: |f_k|={abs(fval):.3g} > {stol:.3g} on a flat axis"
             elif reason in ("sign", "strict-sign"):
-                side = "lower" if at_lower[s_loc, i, k] else "upper"
+                side = "lower" if f.at_lower[s_loc, i, k] else "upper"
                 detail = f"{reason}: f_k={fval:.3g} points outward at the {side} facet"
             else:
-                need = gamma * width[s_loc, i, k]
+                need = gamma * f.width[s_loc, i, k]
                 detail = f"margin: |f_k|={abs(fval):.3g} < gamma*D_k={need:.3g}"
             violations.append(
                 FeasibilityViolation(
-                    time=float(traj.times[s]),
+                    time=float(traj.times[sel[s_loc]]),
                     agent=int(i) + 1,
                     axis=int(k) + 1,
                     active_p=p,
@@ -357,28 +371,11 @@ def empirical_gamma_margin(
     the field points outward at some facet, +inf when no facet is ever
     active. No numeric slack is applied.
     """
-    ftol = float(face_tolerance)
-    X = traj.blocks()
-    F = fields_along(traj, spec)
     best = np.inf
-    for p in _distinct(traj.active_index):
-        sel = np.fromiter(
-            (s for s, q in enumerate(traj.active_index) if q == p), dtype=int
-        )
-        Xs, Fs = X[sel], F[sel]
-        lo, hi = _local_hull_bounds(Xs, spec, p, signed)
-        width = hi - lo
-        degen = width <= 2 * ftol
-        at_lower = np.abs(Xs - lo) <= ftol
-        at_upper = np.abs(Xs - hi) <= ftol
-        active = (at_lower | at_upper) & ~degen
-        if not active.any():
-            continue
-        sign_ok = np.where(at_lower, Fs >= 0, Fs <= 0)
-        margins = np.where(sign_ok, np.abs(Fs), -np.abs(Fs)) / np.where(
-            active, width, 1.0
-        )
-        best = min(best, float(margins[active].min()))
+    for _p, _sel, Fs, f in _facet_chunks(traj, spec, signed, float(face_tolerance)):
+        sign_ok = np.where(f.at_lower, Fs >= 0, Fs <= 0)
+        margins = np.where(sign_ok, np.abs(Fs), -np.abs(Fs))[f.active] / f.width[f.active]
+        best = min(best, float(margins.min(initial=np.inf)))
     return best
 
 

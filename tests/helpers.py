@@ -74,3 +74,90 @@ def signed_ring_family_4():
     g1 = SignedDigraph(4, [(1, 2, -1), (3, 4, 1)])
     g2 = SignedDigraph(4, [(2, 3, 1), (4, 1, -1)])
     return {"g1": g1, "g2": g2}
+
+
+def dense_local_hull_bounds(X, spec, p, signed):
+    """Reference supporting-box bounds over dense (m, n, n, d) masked arrays.
+
+    X is (m, n, d); returns lo, hi of shape (m, n, d) where row i bounds the
+    set {x_i} union {sign_ij x_j : j in N_i(p)}. O(m n^2 d) time and memory:
+    the oracle the sparse validator kernel is compared against.
+    """
+    mask = spec.neighbor_mask(p)  # (n, n) incl. self
+    if signed:
+        sgn = spec.sign_matrix(p)
+        cand = sgn[None, :, :, None] * X[:, None, :, :]  # (m, n, n, d)
+    else:
+        cand = np.broadcast_to(X[:, None, :, :], (X.shape[0], spec.n) + X.shape[1:])
+    sel = mask[None, :, :, None]
+    lo = np.where(sel, cand, np.inf).min(axis=2)
+    hi = np.where(sel, cand, -np.inf).max(axis=2)
+    return lo, hi
+
+
+def _dense_facet_groups(traj, spec, signed, ftol):
+    """Per active graph: samples, fields, dense bounds and facet masks."""
+    from compass_consensus.dynamics import fields_along
+
+    X, F = traj.blocks(), fields_along(traj, spec)
+    for p in dict.fromkeys(traj.active_index):
+        sel = np.array([s for s, q in enumerate(traj.active_index) if q == p])
+        Xs = X[sel]
+        lo, hi = dense_local_hull_bounds(Xs, spec, p, signed)
+        width = hi - lo
+        at_lower = np.abs(Xs - lo) <= ftol
+        at_upper = np.abs(Xs - hi) <= ftol
+        degen = width <= 2 * ftol
+        active = (at_lower | at_upper) & ~degen
+        yield p, sel, F[sel], width, at_lower, at_upper, degen, active
+
+
+def dense_validate_feasibility(traj, spec, assumption, face_tolerance=0.0,
+                               strictness_tolerance=1e-12):
+    """The cone verdicts over dense bounds, as the validator reports them."""
+    from compass_consensus.dynamics import Assumption, FeasibilityViolation
+
+    gamma, ftol, stol = spec.gamma, face_tolerance, strictness_tolerance
+    signed = assumption is Assumption.SIGNED_GAMMA_STRICT
+    violations = []
+    for p, sel, Fs, width, at_lower, at_upper, degen, active in _dense_facet_groups(
+        traj, spec, signed, ftol
+    ):
+        bad_degen = degen & (np.abs(Fs) > stol)
+        if assumption is Assumption.RELATIVE_INTERIOR:
+            bad_sign = active & ((at_lower & (Fs < stol)) | (at_upper & (Fs > -stol)))
+            bad_margin = np.zeros_like(bad_sign)
+            sign_name = "strict-sign"
+        else:
+            bad_sign = active & ((at_lower & (Fs < -stol)) | (at_upper & (Fs > stol)))
+            bad_margin = active & ~bad_sign & (np.abs(Fs) < gamma * width - stol)
+            sign_name = "sign"
+        for s_loc, i, k in np.argwhere(bad_degen | bad_sign | bad_margin):
+            fval = Fs[s_loc, i, k]
+            if bad_degen[s_loc, i, k]:
+                detail = f"carrier subspace: |f_k|={abs(fval):.3g} > {stol:.3g} on a flat axis"
+            elif bad_sign[s_loc, i, k]:
+                side = "lower" if at_lower[s_loc, i, k] else "upper"
+                detail = f"{sign_name}: f_k={fval:.3g} points outward at the {side} facet"
+            else:
+                need = gamma * width[s_loc, i, k]
+                detail = f"margin: |f_k|={abs(fval):.3g} < gamma*D_k={need:.3g}"
+            violations.append(FeasibilityViolation(
+                float(traj.times[sel[s_loc]]), int(i) + 1, int(k) + 1, p, detail
+            ))
+    violations.sort(key=lambda v: (v.time, v.agent, v.axis))
+    return violations
+
+
+def dense_gamma_margin(traj, spec, signed=False, face_tolerance=0.0):
+    """Smallest |f_k| / D_k over active facets, negated where f_k points out."""
+    best = np.inf
+    for _p, _sel, Fs, width, at_lower, _u, _deg, active in _dense_facet_groups(
+        traj, spec, signed, face_tolerance
+    ):
+        if not active.any():
+            continue
+        sign_ok = np.where(at_lower, Fs >= 0, Fs <= 0)
+        margins = np.where(sign_ok, np.abs(Fs), -np.abs(Fs)) / np.where(active, width, 1.0)
+        best = min(best, float(margins[active].min()))
+    return best

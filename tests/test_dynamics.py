@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from compass_consensus import dynamics
 from compass_consensus.dynamics import (
     Assumption,
+    Trajectory,
     empirical_gamma_margin,
     fields_along,
     linear_oracle_solution,
@@ -25,6 +29,11 @@ from compass_consensus.graphs import SignedDigraph, SwitchingSignal, complete_gr
 from compass_consensus.metrics import lyapunov_series, square_max_series
 from compass_consensus.protocols import ProtocolKind, ProtocolSpec
 from compass_consensus.scenario import ScenarioConfig
+from helpers import (
+    dense_gamma_margin,
+    dense_local_hull_bounds,
+    dense_validate_feasibility,
+)
 
 
 def static_signal(index="g", horizon=10.0):
@@ -386,3 +395,126 @@ class TestEmpiricalGammaMargin:
         # agents 2, 3 are isolated singleton hulls (degenerate, excluded);
         # agent 1 is interior, so no facet is ever active
         assert empirical_gamma_margin(traj, spec) == np.inf
+
+
+def sampled_trajectory(states, labels):
+    """Trajectory with the given (m, n, d) states and active labels, 0.1 apart."""
+    m, n, d = states.shape
+    return Trajectory(times=0.1 * np.arange(m), states=states.reshape(m, n * d),
+                      n=n, d=d, active_index=list(labels))
+
+
+def random_signed_case(seed):
+    """A signed digraph family and a trajectory full of facet ties.
+
+    Agents 1 and n have no in-neighbors in any graph (self-only hull rows).
+    States come from a coarse grid, so duplicates and x_j = -x_i ties are
+    common; one axis is constant across agents in the first graph's samples,
+    which makes every box on it zero-width there.
+    """
+    rng = np.random.default_rng(seed)
+    n, d, m = int(rng.integers(3, 8)), int(rng.integers(1, 4)), 40
+    family = {}
+    for name in ("a", "b", "c"):
+        arcs = [
+            (j, i, int(rng.choice([-1, 1])))
+            for i in range(2, n)
+            for j in range(1, n + 1)
+            if j != i and rng.random() < 0.45
+        ]
+        family[name] = SignedDigraph(n, arcs)
+    X = rng.integers(-2, 3, size=(m, n, d)) * 0.5
+    X[rng.random((m, n, d)) < 0.2] += rng.normal(scale=0.1)
+    labels = rng.choice(list(family), size=m)
+    X[labels == "a", :, 0] = 0.5
+    return family, sampled_trajectory(X, labels)
+
+
+class TestSparseKernelMatchesDense:
+    @pytest.mark.parametrize("one_sample_chunks", [False, True])
+    @pytest.mark.parametrize("kind", ["SignedConsensus", "Custom"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bounds_violations_and_margin(self, seed, kind, one_sample_chunks, monkeypatch):
+        if one_sample_chunks:
+            monkeypatch.setattr(dynamics, "_CHUNK_ELEMENTS", 1)
+        family, traj = random_signed_case(seed)
+        # The custom field rounds to 0.5, so it hits zero and facet ties often.
+        custom = (lambda p, x: np.round(2 * np.sin(3 * x)) / 2) if kind == "Custom" else None
+        spec = ProtocolSpec(kind=kind, family=family, gamma=0.5, field_fn=custom)
+        X = traj.blocks()
+        for ftol in (0.0, 0.3):
+            for signed in (False, True):
+                lo, hi = np.full_like(X, np.nan), np.full_like(X, np.nan)
+                for p, sel, _F, f in dynamics._facet_chunks(traj, spec, signed, ftol):
+                    lo[sel], hi[sel] = f.lo, f.hi
+                for p in family:
+                    sel = np.flatnonzero(np.asarray(traj.active_index) == p)
+                    ref_lo, ref_hi = dense_local_hull_bounds(X[sel], spec, p, signed)
+                    assert np.array_equal(lo[sel], ref_lo)
+                    assert np.array_equal(hi[sel], ref_hi)
+                assert empirical_gamma_margin(
+                    traj, spec, signed=signed, face_tolerance=ftol
+                ) == dense_gamma_margin(traj, spec, signed=signed, face_tolerance=ftol)
+            for assumption in Assumption:
+                got = validate_feasibility(traj, spec, assumption, face_tolerance=ftol)
+                want = dense_validate_feasibility(traj, spec, assumption, face_tolerance=ftol)
+                assert got == want
+
+
+class TestValidatorInputs:
+    """Mismatched trajectories are rejected as DomainError at every entry point."""
+
+    @staticmethod
+    def entry_points(traj, spec):
+        return [
+            lambda: fields_along(traj, spec),
+            lambda: validate_feasibility(traj, spec, Assumption.GAMMA_STRICT),
+            lambda: empirical_gamma_margin(traj, spec),
+        ]
+
+    def test_active_label_outside_family(self):
+        spec = spiral_protocol()
+        traj = sampled_trajectory(np.ones((3, 2, 1)), ["g", "zz", "g"])
+        for call in self.entry_points(traj, spec):
+            with pytest.raises(DomainError, match="'zz'"):
+                call()
+
+    def test_agent_count_mismatch(self):
+        spec = ProtocolSpec(kind="SignedConsensus", family={"g": complete_graph(3)}, gamma=1.0)
+        traj = sampled_trajectory(np.ones((3, 4, 2)), ["g"] * 3)
+        for call in self.entry_points(traj, spec):
+            with pytest.raises(DomainError, match="n=4"):
+                call()
+
+    def test_rotation_dimension_mismatch(self):
+        spec = ProtocolSpec(
+            kind="RotatedConsensus", family={"g": complete_graph(3)}, gamma=1.0,
+            rotation=[[0.1, 0.2, 0.3]] * 3,
+        )
+        assert spec.rotation_dim == 3
+        traj = sampled_trajectory(np.ones((3, 3, 2)), ["g"] * 3)
+        for call in self.entry_points(traj, spec):
+            with pytest.raises(DomainError, match="rotation built for d=3"):
+                call()
+
+
+def test_validator_memory_grows_with_arcs_not_n_squared():
+    # A dense (samples, n, n, d) hull would take 200 * 200 * 200 * 3 * 8 B
+    # = 192 MB for one gathered copy; in-neighbor lists need about 1/50 of it.
+    rng = np.random.default_rng(12)
+    n, d, m = 200, 3, 200
+    arcs = [
+        (int(j), i, int(rng.choice([-1, 1])))
+        for i in range(1, n + 1)
+        for j in rng.choice([j for j in range(1, n + 1) if j != i], size=3, replace=False)
+    ]
+    spec = ProtocolSpec(kind="SignedConsensus", family={"g": SignedDigraph(n, arcs)}, gamma=1.0)
+    traj = sampled_trajectory(rng.normal(size=(m, n, d)), ["g"] * m)
+    tracemalloc.start()
+    try:
+        violations = validate_feasibility(traj, spec, Assumption.SIGNED_GAMMA_STRICT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert violations == []
+    assert peak < 24e6

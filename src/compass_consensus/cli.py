@@ -169,6 +169,8 @@ def cmd_run(args) -> int:
     configs = args.config
     if args.batch:
         jobs = [(c, args.out_dir, args.strict, args.seed) for c in configs]
+        if len(jobs) == 1:  # same layout, no worker process to start
+            return _run_one(jobs[0])
         with concurrent.futures.ProcessPoolExecutor() as pool:
             codes = list(pool.map(_run_one, jobs))
         return max(codes, default=EXIT_OK)

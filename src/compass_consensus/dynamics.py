@@ -1,8 +1,10 @@
 """Switched-system integration and per-sample feasibility validation.
 
 The state obeys dx/dt = f_p(x) with p chosen by a piecewise-constant
-switching signal. Integration uses classical fixed-step RK4 with steps split
-at switching instants so the active field is constant within every step.
+switching signal. Integration uses classical fixed-step RK4 over the signal's
+compiled segments, with steps split at their ends so the active field is
+constant within every step; each segment's graph and each sample's label come
+from the same segment list.
 
 The feasibility validator replays a trajectory and checks, sample by sample
 and agent by agent, that the active field at the agent's state lies in the
@@ -164,20 +166,21 @@ def simulate(scenario: "ScenarioConfig") -> Trajectory:
     t_end = float(scenario.t_end)
     if t_end <= t0:
         raise DomainError("t_end must exceed the signal start")
-    if t_end > signal.horizon_end and not signal.periodic:
-        raise DomainError("t_end exceeds the horizon of an aperiodic signal")
 
     x = np.asarray(scenario.initial_states, dtype=float).reshape(-1).copy()
     if x.size != scenario.n * scenario.d:
         raise DomainError("initial states must have n*d entries")
 
-    boundaries = [t0] + signal.switch_times_until(t_end) + [t_end]
     times = [t0]
     states = [x.copy()]
-    for a, b in zip(boundaries[:-1], boundaries[1:]):
+    labels: list[Any] = [None]
+    for a, b, p in signal.segments(t_end):
+        # Right-continuous: the sample at a, which ended the previous
+        # segment, is labelled with the segment that starts there.
+        labels[-1] = p
+        b = min(b, t_end)
         if b <= a:
             continue
-        p = signal.active_index(a)
         f = _bound_field(spec, p, scenario.d)
         t = a
         for target in _segment_targets(a, b, h):
@@ -187,13 +190,14 @@ def simulate(scenario: "ScenarioConfig") -> Trajectory:
                 raise DivergenceError(t)
             times.append(t)
             states.append(x.copy())
+            labels.append(p)
 
     traj = Trajectory(
         times=np.asarray(times),
         states=np.vstack(states),
         n=scenario.n,
         d=scenario.d,
-        active_index=[signal.active_index(t) for t in times],
+        active_index=labels,
     )
     if getattr(scenario, "assumption", None) is not None:
         violations = validate_feasibility(
@@ -423,7 +427,7 @@ def linear_oracle_solution(
         raise DomainError("oracle time must be nonnegative")
     if signal is not None:
         start = signal.t0 if t_start is None else float(t_start)
-        if any(start < s < start + t for s in signal.switch_times_until(start + t)):
+        if any(start < a < start + t for a, _b, _p in signal.segments(start + t)):
             raise OracleScopeError(
                 f"switching occurs inside [{start}, {start + t}); the constant-"
                 "matrix oracle does not apply"

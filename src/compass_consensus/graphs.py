@@ -2,11 +2,11 @@
 
 Nodes are numbered 1..n. An arc (j, i, sign) means node j influences node i;
 sign -1 marks an antagonistic interaction. A switching signal is a
-piecewise-constant map from time to an index of a finite graph family; its
-uniform joint connectivity over windows of a given length is decided exactly
-by evaluating the union graph at window starts where the union can change
-(piece boundaries, piece boundaries shifted by the window length, and a grid
-of the minimum piece duration).
+piecewise-constant map from time to an index of a finite graph family,
+tiled into segments (a, b, label) that the simulator, the union graph and
+the connectivity checker all read. Uniform joint connectivity over windows
+of a given length is decided exactly by one sweep over the segments that
+tests the union graph at the window starts where it can lose arcs.
 """
 
 from __future__ import annotations
@@ -103,24 +103,29 @@ def _reachable_from(adj: list[list[int]], root: int) -> int:
     return count
 
 
+def _quasi_strong(adj: list[list[int]]) -> bool:
+    return any(_reachable_from(adj, r) == len(adj) for r in range(len(adj)))
+
+
+def _strong(adj: list[list[int]]) -> bool:
+    n = len(adj)
+    if _reachable_from(adj, 0) != n:
+        return False
+    radj: list[list[int]] = [[] for _ in range(n)]
+    for u, outs in enumerate(adj):
+        for w in outs:
+            radj[w].append(u)
+    return _reachable_from(radj, 0) == n
+
+
 def is_quasi_strongly_connected(g: SignedDigraph) -> bool:
     """True iff some node has a directed path to every other node."""
-    adj = g.out_adjacency()
-    return any(_reachable_from(adj, r) == g.n for r in range(g.n))
+    return _quasi_strong(g.out_adjacency())
 
 
 def is_strongly_connected(g: SignedDigraph) -> bool:
     """True iff every node is reachable from every other node."""
-    if g.n == 1:
-        return True
-    adj = g.out_adjacency()
-    if _reachable_from(adj, 0) != g.n:
-        return False
-    radj: list[list[int]] = [[] for _ in range(g.n)]
-    for u, outs in enumerate(adj):
-        for w in outs:
-            radj[w].append(u)
-    return _reachable_from(radj, 0) == g.n
+    return _strong(g.out_adjacency())
 
 
 # Simple presets. Ring and chain are directed; star and complete use mutual arcs.
@@ -154,9 +159,13 @@ class ConnectivityMode(Enum):
     STRONG = "Strong"
 
     def test(self, g: SignedDigraph) -> bool:
+        return self.holds(g.out_adjacency())
+
+    def holds(self, adj: list[list[int]]) -> bool:
+        """The test on 0-based successor lists (self-loops ignored)."""
         if self is ConnectivityMode.QUASI_STRONG:
-            return is_quasi_strongly_connected(g)
-        return is_strongly_connected(g)
+            return _quasi_strong(adj)
+        return _strong(adj)
 
 
 @dataclass(frozen=True)
@@ -218,25 +227,30 @@ class SwitchingSignal:
         pos = bisect.bisect_right(starts, t) - 1
         return self.pieces[pos][1]
 
-    def switch_times_until(self, t_end: float) -> list[float]:
-        """All switching instants in (t0, t_end), tiling periodically if needed."""
+    def segments(self, t_end: float) -> list[tuple[float, float, Any]]:
+        """Constant pieces (a, b, label) in time order, through the one active at t_end.
+
+        ``b`` is the next segment's start (``horizon_end`` for the last piece
+        of an aperiodic signal), so a segment starting exactly at t_end is
+        included. Periodic copy k starts at ``start_l + k * period``: integer
+        period counts, so no rounding accumulates over periods.
+        """
+        if not t_end < float("inf"):
+            raise DomainError(f"t_end must be finite, got {t_end}")
         if t_end > self.horizon_end and not self.periodic:
             raise DomainError("t_end exceeds the horizon of an aperiodic signal")
-        times: set[float] = set()
-        offset = 0.0
-        while self.t0 + offset < t_end:
-            for t, _ in self.pieces:
-                shifted = t + offset
-                if self.t0 < shifted < t_end:
-                    times.add(shifted)
-            if not self.periodic:
-                break
-            # The wrap back to the first piece is a switching instant too.
-            offset += self.period
-            wrap = self.t0 + offset
-            if self.t0 < wrap < t_end:
-                times.add(wrap)
-        return sorted(times)
+        times = self.start_times()
+        if any(b < a for a, b in zip(times, times[1:])):
+            raise DomainError("piece start times must be nondecreasing")
+        labels = [p for _, p in self.pieces]
+        segs: list[tuple[float, float, Any]] = []
+        k = 0
+        while not segs or (self.periodic and segs[-1][1] <= t_end):
+            tiled = [t + k * self.period for t in times]
+            end = self.t0 + (k + 1) * self.period if self.periodic else self.horizon_end
+            segs.extend(zip(tiled, tiled[1:] + [end], labels))
+            k += 1
+        return segs[: bisect.bisect_right(segs, t_end, key=lambda seg: seg[0])]
 
 
 @dataclass(frozen=True)
@@ -253,46 +267,43 @@ class DwellViolation:
         )
 
 
+# Relative slack of the dwell check. A gap is a difference of two rounded
+# times, so a schedule that is exact in decimal (starts 0.2 and 0.3 with
+# tau_d = 0.1) can come out an ulp short; 1e-9 * tau_d absorbs that for times
+# up to about 1e6 * tau_d and still rejects any gap shorter by a real amount.
+_DWELL_RTOL = 1e-9
+
+
 def validate_switching_signal(signal: SwitchingSignal) -> list[DwellViolation]:
     """Empty list iff piece times are strictly increasing with gaps >= tau_d.
 
-    For periodic signals the wrap-around gap (horizon_end back to the first
+    Gaps are compared with a relative slack of ``_DWELL_RTOL`` (1e-9). For
+    periodic signals the wrap-around gap (horizon_end back to the first
     piece) is checked as well.
     """
-    violations = []
+    required = signal.tau_d * (1.0 - _DWELL_RTOL)
     starts = signal.start_times()
-    for idx in range(1, len(starts)):
-        gap = starts[idx] - starts[idx - 1]
-        if gap < signal.tau_d:
-            violations.append(DwellViolation(idx, gap, signal.tau_d))
+    gaps = [b - a for a, b in zip(starts, starts[1:])]
     if signal.periodic:
-        wrap_gap = signal.horizon_end - starts[-1]
-        if wrap_gap < signal.tau_d:
-            violations.append(DwellViolation(len(starts), wrap_gap, signal.tau_d))
-    return violations
+        gaps.append(signal.horizon_end - starts[-1])
+    return [
+        DwellViolation(idx, gap, signal.tau_d)
+        for idx, gap in enumerate(gaps, start=1)
+        if gap < required
+    ]
 
 
-def _pieces_overlapping(
-    signal: SwitchingSignal, t1: float, t2: float
-) -> list[Any]:
-    """Indices of pieces active at some point of [t1, t2), tiling if periodic."""
-    idxs: list[Any] = []
-    if signal.periodic:
-        # Tile piece list far enough to cover [t1, t2).
-        tiled: list[tuple[float, Any]] = []
-        offset = 0.0
-        while signal.t0 + offset < t2:
-            tiled.extend((t + offset, p) for t, p in signal.pieces)
-            offset += signal.period
-        pieces = tiled
-        ends = [t for t, _ in pieces[1:]] + [signal.t0 + offset]
-    else:
-        pieces = list(signal.pieces)
-        ends = [t for t, _ in pieces[1:]] + [signal.horizon_end]
-    for (start, p), end in zip(pieces, ends):
-        if start < t2 and end > t1:
-            idxs.append(p)
-    return idxs
+def _node_count(signal: SwitchingSignal, family: Mapping[Any, SignedDigraph]) -> int:
+    """Node count of the graphs the signal uses; DomainError if a label is
+    missing or two sizes differ, whether or not some window mixes them."""
+    ns = set()
+    for _t, p in signal.pieces:
+        if p not in family:
+            raise DomainError(f"signal label {p!r} is not in the graph family")
+        ns.add(family[p].n)
+    if len(ns) > 1:
+        raise DomainError(f"family graphs disagree on node count: {sorted(ns)}")
+    return ns.pop()
 
 
 def union_graph(
@@ -304,7 +315,8 @@ def union_graph(
     """Union of the arc sets of all graphs active on [t1, t2), signs dropped.
 
     Connectivity of the joint graph does not depend on arc signs, so an arc
-    present under either sign is present (with sign +1) in the union.
+    present under either sign is present (with sign +1) in the union. The
+    segments with start < t2 and end > t1 are found by bisection.
     """
     if not t1 < t2:
         raise DomainError("need t1 < t2")
@@ -312,16 +324,13 @@ def union_graph(
         raise DomainError(
             f"[{t1}, {t2}) outside signal horizon [{signal.t0}, {signal.horizon_end}]"
         )
-    ns = {family[p].n for p in _pieces_overlapping(signal, t1, t2)}
-    if len(ns) > 1:
-        raise DomainError("family graphs disagree on node count")
-    n = ns.pop()
-    arcs = set()
-    loops = False
-    for p in _pieces_overlapping(signal, t1, t2):
-        g = family[p]
-        loops = loops or g.allow_self_loops
-        arcs.update((j, i, 1) for (j, i, _s) in g.arcs)
+    n = _node_count(signal, family)
+    segs = signal.segments(t2)
+    first = bisect.bisect_right(segs, t1, key=lambda seg: seg[1])
+    last = bisect.bisect_left(segs, t2, key=lambda seg: seg[0])
+    labels = {p for _a, _b, p in segs[first:last]}
+    arcs = {(j, i, 1) for p in labels for (j, i, _s) in family[p].arcs}
+    loops = any(family[p].allow_self_loops for p in labels)
     return SignedDigraph(n, arcs, allow_self_loops=loops)
 
 
@@ -349,15 +358,24 @@ def check_uniform_joint_connectivity(
 ) -> ConnectivityVerdict:
     """Decide whether every length-T window's union graph is connected.
 
-    Window starts are discretized to piece boundaries, piece boundaries
-    shifted left by T, and a grid of the minimum piece duration; this is exact
-    because the union over [t, t+T) only changes when t or t+T crosses a
-    switching instant. For a periodic signal one period of starts suffices and
-    the verdict extends to all times; for an aperiodic finite signal the
-    verdict is scoped to the supplied horizon.
+    The union over [t, t+T) loses segments only where t crosses a segment
+    end, which is the next segment's start, and otherwise only gains them as
+    t + T passes segment starts. So between consecutive candidates
+    {t0, last start} and {s : s a segment start} the union never shrinks
+    and contains the union at the left candidate. Connectivity only grows
+    with the arc set, so the candidates decide every window and the first
+    failing one is the earliest failing start. One two-pointer sweep keeps
+    per-arc multiplicities and re-runs the BFS test only when an arc enters
+    or leaves the union: O(segments * arcs), plus O(n * (n + arcs)) per
+    change.
+    A periodic signal needs one period of starts and its verdict extends to
+    all times; an aperiodic verdict is scoped to the supplied horizon. A
+    label missing from the family, or graphs of different sizes, raise
+    DomainError before the sweep.
     """
-    if T <= 0:
-        raise DomainError("window length T must be positive")
+    if not 0 < T < float("inf"):
+        raise DomainError(f"window length T must be positive and finite, got {T}")
+    n = _node_count(signal, family)
     t0 = signal.t0
     if signal.periodic:
         last_start = t0 + signal.period
@@ -370,40 +388,40 @@ def check_uniform_joint_connectivity(
         last_start = signal.horizon_end - T
         scope = f"horizon [{t0}, {signal.horizon_end})"
 
-    starts = signal.start_times()
-    durations = [b - a for a, b in zip(starts, starts[1:])]
-    durations.append(signal.horizon_end - starts[-1])
-    delta = min(durations)
-
+    # last_start + T can round past an aperiodic horizon_end.
+    segs = signal.segments(last_start + T if signal.periodic else signal.horizon_end)
     candidates = {t0, last_start}
-    boundary_points = list(starts)
-    if signal.periodic:
-        boundary_points += [s + signal.period for s in starts]
-    for s in boundary_points:
-        for c in (s, s - T):
-            if t0 <= c <= last_start:
-                candidates.add(c)
-    grid = t0
-    while grid <= last_start:
-        candidates.add(grid)
-        grid += delta
+    candidates.update(a for a, _b, _p in segs if t0 <= a <= last_start)
+    arcs = {p: [(j - 1, i - 1) for j, i, _s in g.arcs if j != i] for p, g in family.items()}
 
+    count: dict[tuple[int, int], int] = {}
+    lo = hi = 0
+    ok = None
     checked = []
-    witness = None
     for start in sorted(candidates):
-        g = union_graph(signal, family, start, start + T)
-        ok = mode.test(g)
-        checked.append((start, start + T, ok))
-        if not ok and witness is None:
-            witness = (start, start + T)
+        end = start + T
+        changed = ok is None
+        while hi < len(segs) and segs[hi][0] < end:
+            for arc in arcs[segs[hi][2]]:
+                count[arc] = count.get(arc, 0) + 1
+                changed |= count[arc] == 1
+            hi += 1
+        while lo < hi and segs[lo][1] <= start:
+            for arc in arcs[segs[lo][2]]:
+                count[arc] -= 1
+                changed |= count[arc] == 0
+            lo += 1
+        if changed:
+            adj: list[list[int]] = [[] for _ in range(n)]
+            for (j, i), c in count.items():
+                if c:
+                    adj[j].append(i)
+            ok = mode.holds(adj)
+        checked.append((start, end, ok))
+    witness = next(((a, b) for a, b, good in checked if not good), None)
     return ConnectivityVerdict(
-        ok=witness is None,
-        mode=mode,
-        window=T,
-        scope=scope,
-        windows_checked=len(checked),
-        witness=witness,
-        checked_windows=tuple(checked),
+        ok=witness is None, mode=mode, window=T, scope=scope,
+        windows_checked=len(checked), witness=witness, checked_windows=tuple(checked),
     )
 
 

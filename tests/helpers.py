@@ -161,3 +161,66 @@ def dense_gamma_margin(traj, spec, signed=False, face_tolerance=0.0):
         margins = np.where(sign_ok, np.abs(Fs), -np.abs(Fs)) / np.where(active, width, 1.0)
         best = min(best, float(margins[active].min()))
     return best
+
+
+def v0_pieces_overlapping(signal, t1, t2):
+    """Labels of pieces active on [t1, t2), re-tiling from t0 by repeated addition."""
+    if signal.periodic:
+        tiled = []
+        offset = 0.0
+        while signal.t0 + offset < t2:
+            tiled.extend((t + offset, p) for t, p in signal.pieces)
+            offset += signal.period
+        pieces = tiled
+        ends = [t for t, _ in pieces[1:]] + [signal.t0 + offset]
+    else:
+        pieces = list(signal.pieces)
+        ends = [t for t, _ in pieces[1:]] + [signal.horizon_end]
+    return [p for (start, p), end in zip(pieces, ends) if start < t2 and end > t1]
+
+
+def v0_union_graph(signal, family, t1, t2):
+    """Union graph rebuilt from scratch for one window, signs dropped."""
+    labels = v0_pieces_overlapping(signal, t1, t2)
+    arcs = {(j, i, 1) for p in labels for (j, i, _s) in family[p].arcs}
+    loops = any(family[p].allow_self_loops for p in labels)
+    return SignedDigraph(family[labels[0]].n, arcs, allow_self_loops=loops)
+
+
+def v0_check_uniform_joint_connectivity(signal, family, T, mode):
+    """The per-window checker the sweep replaced: the candidate starts plus a
+    grid of the minimum piece duration, each window's union rebuilt.
+
+    Returns (ok, witness, {start: connected}).
+    """
+    t0 = signal.t0
+    if signal.periodic:
+        last_start = t0 + signal.period
+    else:
+        last_start = signal.horizon_end - T
+    starts = signal.start_times()
+    durations = [b - a for a, b in zip(starts, starts[1:])]
+    durations.append(signal.horizon_end - starts[-1])
+    delta = min(durations)
+
+    candidates = {t0, last_start}
+    boundary_points = list(starts)
+    if signal.periodic:
+        boundary_points += [s + signal.period for s in starts]
+    for s in boundary_points:
+        for c in (s, s - T):
+            if t0 <= c <= last_start:
+                candidates.add(c)
+    grid = t0
+    while grid <= last_start:
+        candidates.add(grid)
+        grid += delta
+
+    verdicts = {}
+    witness = None
+    for start in sorted(candidates):
+        ok = mode.test(v0_union_graph(signal, family, start, start + T))
+        verdicts[start] = ok
+        if not ok and witness is None:
+            witness = (start, start + T)
+    return witness is None, witness, verdicts

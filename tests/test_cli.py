@@ -129,6 +129,19 @@ class TestRun:
         assert (tmp_path / "a" / "traj.csv").exists()
         assert (tmp_path / "b" / "traj.csv").exists()
 
+    def test_batch_of_one_runs_in_process(self, tmp_path, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a single config must not start a process pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        p1 = write_json(tmp_path / "a.json", consensus_config(t_end=1.0))
+        code = main(["run", p1, "--batch", "--out-dir", str(tmp_path / "out")])
+        assert code == 0
+        assert (tmp_path / "out" / "a" / "traj.csv").exists()
+        assert (tmp_path / "out" / "a" / "metrics.json").exists()
+
     def test_seed_flag_changes_sampled_states(self, tmp_path):
         cfg = consensus_config(t_end=1.0)
         cfg["agents"] = {
@@ -210,6 +223,30 @@ class TestCheckGraphs:
     def test_parse_error_exit_2(self, tmp_path, capsys):
         f = write_json(tmp_path / "bad.json", {"graphs": {}})
         assert main(["check-graphs", f, "--window", "1.0"]) == 2
+
+    def test_label_missing_from_graphs_exit_2(self, tmp_path, capsys):
+        obj = json.loads(open(graphs_file(tmp_path), encoding="utf-8").read())
+        obj["signal"]["pieces"][1][1] = "zz"
+        f = write_json(tmp_path / "g.json", obj)
+        assert main(["check-graphs", f, "--window", "2.0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error:") and "'zz'" in err
+
+    def test_graphs_of_different_sizes_exit_2(self, tmp_path, capsys):
+        # no window of length 1 starting at a candidate mixes the two graphs
+        obj = {
+            "graphs": {
+                "a": {"n": 2, "arcs": [[1, 2, 1], [2, 1, 1]]},
+                "b": {"n": 3, "arcs": [[1, 2, 1], [2, 3, 1], [3, 1, 1]]},
+            },
+            "signal": {
+                "tau_d": 1.0, "pieces": [[0.0, "a"], [5.0, "b"]], "horizon_end": 10.0
+            },
+        }
+        f = write_json(tmp_path / "g.json", obj)
+        assert main(["check-graphs", f, "--window", "1.0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error:") and "node count" in err
 
 
 class TestRateBound:

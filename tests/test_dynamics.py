@@ -217,6 +217,30 @@ class TestSwitchingIntegration:
         for t, p in zip(traj.times, traj.active_index):
             assert p == ("a" if (t % 2.0) < 1.0 else "b")
 
+    def test_periodic_tiling_integrates_the_active_graph(self):
+        # Boundaries k * 0.3 + {0, 0.1, 0.2} land an ulp either side of
+        # where active_index's modulo wraps; each step must still use, and
+        # each sample be labelled with, the graph active inside the step.
+        fam = {name: SignedDigraph(2, [(1, 2), (2, 1)]) for name in "abc"}
+        used = []
+
+        def field(p, x):
+            used.append(p)
+            return -x
+
+        spec = ProtocolSpec(kind="Custom", family=fam, gamma=1.0, field_fn=field)
+        sig = SwitchingSignal(
+            [(0.0, "a"), (0.1, "b"), (0.2, "c")], tau_d=0.05, horizon_end=0.3,
+            periodic=True,
+        )
+        traj = simulate(scenario(spec, [1.0, 2.0], h=0.1, t_end=60.0, signal=sig))
+        steps = traj.num_samples - 1
+        assert steps >= 600 and len(used) == 4 * steps
+        for k in range(steps):
+            expect = sig.active_index(0.5 * (traj.times[k] + traj.times[k + 1]))
+            assert used[4 * k : 4 * k + 4] == [expect] * 4, traj.times[k]
+            assert traj.active_index[k] == expect
+
     def test_aperiodic_t_end_beyond_horizon_rejected(self):
         sig = SwitchingSignal([(0.0, "g")], tau_d=1.0, horizon_end=2.0)
         with pytest.raises(DomainError):

@@ -1,5 +1,9 @@
+import bisect
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compass_consensus.errors import DomainError, InsufficientHorizonError
 from compass_consensus.graphs import (
@@ -20,6 +24,7 @@ from compass_consensus.graphs import (
     union_graph,
     validate_switching_signal,
 )
+from helpers import v0_check_uniform_joint_connectivity, v0_union_graph
 
 
 def closure_oracle(g: SignedDigraph) -> np.ndarray:
@@ -194,12 +199,66 @@ class TestSwitchingSignalValidation:
         bad = validate_switching_signal(sig)
         assert len(bad) == 1 and bad[0].index == 2
 
+    def test_decimal_schedule_meets_its_dwell(self):
+        # 0.3 - 0.2 is 0.09999999999999998 in binary floating point
+        sig = SwitchingSignal(
+            [(0.0, "a"), (0.1, "b"), (0.2, "c")], tau_d=0.1, horizon_end=0.3,
+            periodic=True,
+        )
+        assert validate_switching_signal(sig) == []
+
+    def test_really_short_gap_still_rejected(self):
+        sig = SwitchingSignal(
+            [(0.0, "a"), (0.1, "b"), (0.199, "c")], tau_d=0.1, horizon_end=0.3,
+            periodic=True,
+        )
+        bad = validate_switching_signal(sig)
+        assert [v.index for v in bad] == [2]
+
     def test_active_index_lookup(self):
         sig = alternating_signal()
         assert sig.active_index(0.0) == "a"
         assert sig.active_index(0.999) == "a"
         assert sig.active_index(1.0) == "b"
         assert sig.active_index(3.5) == "b"
+
+
+class TestCompiledSchedule:
+    def test_aperiodic_segments_are_the_pieces(self):
+        sig = alternating_signal()
+        assert sig.segments(4.0) == [
+            (0.0, 1.0, "a"), (1.0, 2.0, "b"), (2.0, 3.0, "a"), (3.0, 4.0, "b")
+        ]
+        # through the segment active at t_end, right-continuously
+        assert sig.segments(2.0) == [(0.0, 1.0, "a"), (1.0, 2.0, "b"), (2.0, 3.0, "a")]
+
+    def test_periodic_copies_use_integer_period_counts(self):
+        sig = SwitchingSignal(
+            [(0.0, "a"), (0.1, "b"), (0.2, "c")], tau_d=0.1, horizon_end=0.3,
+            periodic=True,
+        )
+        segs = sig.segments(1000.0)
+        for k, (a, b, p) in enumerate(segs):
+            assert a == [0.0, 0.1, 0.2][k % 3] + (k // 3) * 0.3
+            assert p == sig.active_index(0.5 * (a + b))
+        assert all(b == a2 for (_a, b, _p), (a2, _b, _p2) in zip(segs, segs[1:]))
+        assert segs[-1][0] <= 1000.0 < segs[-1][1]
+
+    def test_segment_starts_and_horizon_checks(self):
+        sig = SwitchingSignal(
+            [(0.0, "a"), (1.0, "b")], tau_d=1.0, horizon_end=2.0, periodic=True
+        )
+        assert [a for a, _b, _p in sig.segments(5.0)] == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        with pytest.raises(DomainError):
+            alternating_signal().segments(5.0)
+        with pytest.raises(DomainError, match="finite"):
+            sig.segments(float("inf"))
+
+    def test_pieces_out_of_order_rejected(self):
+        sig = SwitchingSignal([(0.0, "a"), (2.0, "b"), (1.0, "a")], tau_d=1.0,
+                              horizon_end=3.0)
+        with pytest.raises(DomainError, match="nondecreasing"):
+            check_uniform_joint_connectivity(sig, ALT_FAMILY, 1.0)
 
 
 class TestUniformJointConnectivity:
@@ -257,6 +316,101 @@ class TestUniformJointConnectivity:
         assert ok3.ok
         bad2 = check_uniform_joint_connectivity(sig, fam, 1.5, ConnectivityMode.STRONG)
         assert not bad2.ok
+
+
+    @pytest.mark.parametrize("T", [0.0, -1.0, float("inf"), float("nan")])
+    def test_window_must_be_positive_and_finite(self, T):
+        sig = SwitchingSignal([(0.0, "a"), (1.0, "b")], tau_d=1.0, horizon_end=2.0,
+                              periodic=True)
+        with pytest.raises(DomainError, match="positive and finite"):
+            check_uniform_joint_connectivity(sig, ALT_FAMILY, T)
+
+    def test_label_missing_from_family(self):
+        sig = SwitchingSignal([(0.0, "a"), (1.0, "zz")], tau_d=1.0, horizon_end=2.0)
+        with pytest.raises(DomainError, match="'zz'"):
+            check_uniform_joint_connectivity(sig, ALT_FAMILY, 1.0)
+
+    def test_node_counts_checked_even_when_no_window_mixes_them(self):
+        fam = {"a": complete_graph(2), "b": complete_graph(3)}
+        sig = SwitchingSignal([(0.0, "a"), (5.0, "b")], tau_d=1.0, horizon_end=10.0)
+        with pytest.raises(DomainError, match="node count"):
+            check_uniform_joint_connectivity(sig, fam, 1.0)
+
+    def test_last_window_end_rounding_past_horizon(self):
+        # (86.099 - 20.067) + 20.067 rounds above 86.099
+        fam = {"a": complete_graph(2), "b": complete_graph(2)}
+        sig = SwitchingSignal([(0.0, "a"), (40.0, "b")], tau_d=1.0, horizon_end=86.099)
+        v = check_uniform_joint_connectivity(sig, fam, 20.067)
+        assert v.ok and v.checked_windows[-1][0] == 86.099 - 20.067
+
+    def test_candidates_are_segment_starts(self):
+        # No grid of the shortest piece (0.5) and no start s - T (here 1.0).
+        # The window [0.5, 2.5) ends where the next "a" starts, so holds only "b".
+        sig = SwitchingSignal([(0.0, "a"), (0.5, "b"), (2.5, "a"), (3.0, "b")],
+                              tau_d=0.5, horizon_end=6.0)
+        v = check_uniform_joint_connectivity(sig, ALT_FAMILY, 2.0, ConnectivityMode.STRONG)
+        assert [w[0] for w in v.checked_windows] == [0.0, 0.5, 2.5, 3.0, 4.0]
+        assert [w[2] for w in v.checked_windows] == [True, False, True, False, False]
+        assert v.witness == (0.5, 2.5)
+
+
+EIGHTHS = st.integers(1, 16).map(lambda k: k / 8)
+
+
+@st.composite
+def signed_families(draw):
+    n = draw(st.integers(1, 4))
+    names = ["a", "b", "c"][: draw(st.integers(1, 3))]
+    family = {}
+    for name in names:
+        arcs = draw(st.lists(
+            st.tuples(st.integers(1, n), st.integers(1, n), st.sampled_from([1, -1])),
+            max_size=2 * n,
+            unique_by=lambda arc: arc[:2],
+        ))
+        family[name] = SignedDigraph(n, arcs, allow_self_loops=True)
+    return family
+
+
+@st.composite
+def dyadic_signals(draw, names):
+    t0 = draw(st.integers(0, 16)) / 8
+    durations = draw(st.lists(EIGHTHS, min_size=1, max_size=6))
+    starts = np.cumsum([t0] + durations).tolist()
+    labels = draw(st.lists(st.sampled_from(names), min_size=len(durations),
+                           max_size=len(durations)))
+    return SwitchingSignal(
+        list(zip(starts[:-1], labels)), tau_d=1 / 8, horizon_end=starts[-1],
+        periodic=draw(st.booleans()),
+    )
+
+
+class TestSweepMatchesPerWindowChecker:
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_same_verdict_witness_and_windows(self, data):
+        """Dyadic times keep both tilings exact, so every comparison must agree."""
+        family = data.draw(signed_families())
+        sig = data.draw(dyadic_signals(list(family)))
+        span = 3 * sig.period if sig.periodic else sig.period
+        T = data.draw(st.integers(1, int(span * 8))) / 8
+        mode = data.draw(st.sampled_from(list(ConnectivityMode)))
+
+        v = check_uniform_joint_connectivity(sig, family, T, mode)
+        ok, witness, verdicts = v0_check_uniform_joint_connectivity(sig, family, T, mode)
+        assert (v.ok, v.witness) == (ok, witness)
+        for start, end, good in v.checked_windows:
+            assert good == mode.test(v0_union_graph(sig, family, start, end))
+            assert union_graph(sig, family, start, end) == v0_union_graph(
+                sig, family, start, end
+            )
+        # Exactness: every start the v0 checker tried (grid and s - T included)
+        # has a union containing the union at the nearest checked start before it.
+        starts = [w[0] for w in v.checked_windows]
+        for c in verdicts:
+            s = starts[bisect.bisect_right(starts, c) - 1]
+            assert (v0_union_graph(sig, family, s, s + T).arcs
+                    <= v0_union_graph(sig, family, c, c + T).arcs)
 
 
 class TestJsonRoundTrip:

@@ -4,7 +4,11 @@ The state obeys dx/dt = f_p(x) with p chosen by a piecewise-constant
 switching signal. Integration uses classical fixed-step RK4 over the signal's
 compiled segments, with steps split at their ends so the active field is
 constant within every step; each segment's graph and each sample's label come
-from the same segment list.
+from the same segment list. For the linear built-ins, f_p(x) = A_p x, an RK4
+step is exactly T4(hA_p) = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24: they step
+with T4(hA_p), built once per graph and call, and take each segment's last
+(possibly short) step as the same polynomial in Horner form, matching generic
+RK4 up to rounding. Custom fields keep the generic RK4 loop.
 
 The feasibility validator replays a trajectory and checks, sample by sample
 and agent by agent, that the active field at the agent's state lies in the
@@ -21,6 +25,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import TYPE_CHECKING, Any, Iterator
 
 import numpy as np
@@ -100,32 +105,12 @@ def _rk4_step(f, x: np.ndarray, dt: float) -> np.ndarray:
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _bound_field(spec: ProtocolSpec, p: Any, d: int):
-    """Field closure for a fixed active index, hoisted out of the step loop."""
-    if spec.kind is ProtocolKind.CUSTOM:
-        def f_custom(y: np.ndarray) -> np.ndarray:
-            out = np.asarray(spec.field_fn(p, y), dtype=float)
-            if out.shape != y.shape:
-                raise DomainError("custom field must return a vector shaped like x")
-            return out
-
-        return f_custom
-    n = spec.n
-    M = spec._W[p] * spec._S[p] if spec.kind is ProtocolKind.SIGNED_CONSENSUS else spec._W[p]
-    rs = spec._rowsum[p][:, None]
-    R = spec._R if spec.kind is ProtocolKind.ROTATED_CONSENSUS else None
-    if R is not None and R.shape[1] != d:
-        raise DomainError(f"rotation built for d={R.shape[1]} but state has d={d}")
-
-    def f(y: np.ndarray) -> np.ndarray:
-        # y is one stacked state, or a stack of them evaluated in one call
-        X = y.reshape(y.shape[:-1] + (n, d))
-        base = M @ X - rs * X
-        if R is not None:
-            base = np.einsum("aij,...aj->...ai", R, base)
-        return base.reshape(y.shape)
-
-    return f
+def _taylor4(A: np.ndarray, dt: float, X: np.ndarray) -> np.ndarray:
+    """T4(dt A) X in Horner form: X + dt A (X + dt/2 A (X + dt/3 A (X + dt/4 A X)))."""
+    Y = X
+    for c in (4.0, 3.0, 2.0, 1.0):
+        Y = X + (dt / c) * (A @ Y)
+    return Y
 
 
 def _segment_targets(a: float, b: float, h: float) -> list[float]:
@@ -167,12 +152,12 @@ def simulate(scenario: "ScenarioConfig") -> Trajectory:
     if t_end <= t0:
         raise DomainError("t_end must exceed the signal start")
 
-    x = np.asarray(scenario.initial_states, dtype=float).reshape(-1).copy()
-    if x.size != scenario.n * scenario.d:
+    x0 = np.asarray(scenario.initial_states, dtype=float).reshape(-1)
+    if x0.size != scenario.n * scenario.d:
         raise DomainError("initial states must have n*d entries")
 
-    times = [t0]
-    states = [x.copy()]
+    # Every segment's step end times, so the sample arrays are allocated once.
+    plan: list[tuple[Any, float, list[float]]] = []
     labels: list[Any] = [None]
     for a, b, p in signal.segments(t_end):
         # Right-continuous: the sample at a, which ended the previous
@@ -181,20 +166,47 @@ def simulate(scenario: "ScenarioConfig") -> Trajectory:
         b = min(b, t_end)
         if b <= a:
             continue
-        f = _bound_field(spec, p, scenario.d)
-        t = a
-        for target in _segment_targets(a, b, h):
-            x = _rk4_step(f, x, target - t)
-            t = target
-            if not np.all(np.isfinite(x)):
-                raise DivergenceError(t)
-            times.append(t)
-            states.append(x.copy())
-            labels.append(p)
+        targets = _segment_targets(a, b, h)
+        plan.append((p, a, targets))
+        labels.extend([p] * len(targets))
+    times = np.array([t0] + [t for _p, _a, targets in plan for t in targets])
+    states = np.empty((times.size, x0.size))
+    states[0] = x0
+
+    custom = spec.kind is ProtocolKind.CUSTOM
+    propagators: dict[Any, tuple] = {}
+    s = 0
+    for p, a, targets in plan:
+        k = len(targets)
+        block = states[s : s + k + 1]
+        if custom:
+            f, t = partial(spec.field, p), a
+            for j, target in enumerate(targets, 1):
+                block[j] = _rk4_step(f, block[j - 1], target - t)
+                t = target
+                if not np.isfinite(block[j]).all():
+                    break
+        else:
+            if p not in propagators:
+                # A_p acts on (n, d) blocks, or on the stacked state under a rotation.
+                if spec.rotation_dim is None:
+                    A, shape = spec.operator(p), (spec.n, scenario.d)
+                else:
+                    A, shape = linear_system_matrix(spec, p, scenario.d), (x0.size, 1)
+                propagators[p] = (A, _taylor4(A, h, np.eye(shape[0])), shape)
+            A, P, shape = propagators[p]
+            X = block.reshape((k + 1,) + shape)
+            for j in range(1, k):
+                np.matmul(P, X[j - 1], out=X[j])
+            X[k] = _taylor4(A, targets[-1] - (targets[-2] if k > 1 else a), X[k - 1])
+        finite = np.isfinite(block[1:]).all(axis=1)
+        if not finite.all():
+            raise DivergenceError(float(times[s + 1 + np.argmin(finite)]))
+        s += k
 
     traj = Trajectory(
-        times=np.asarray(times),
-        states=np.vstack(states),
+        times=times,
+        states=states,
         n=scenario.n,
         d=scenario.d,
         active_index=labels,
@@ -208,9 +220,8 @@ def simulate(scenario: "ScenarioConfig") -> Trajectory:
             strictness_tolerance=scenario.strictness_tolerance,
         )
         flags = np.ones((traj.num_samples, traj.n), dtype=bool)
-        sample_of_time = {t: s for s, t in enumerate(times)}
         for v in violations:
-            flags[sample_of_time[v.time], v.agent - 1] = False
+            flags[np.searchsorted(times, v.time), v.agent - 1] = False
         traj.feasibility_flags = flags
         traj.feasibility_violations = violations
     return traj
@@ -233,14 +244,14 @@ def _sample_groups(traj: Trajectory, spec: ProtocolSpec) -> dict[Any, np.ndarray
 
 
 def _fields(traj: Trajectory, spec: ProtocolSpec, groups: dict) -> np.ndarray:
-    F = np.empty_like(traj.states)
+    X = traj.blocks()
+    F = np.empty_like(X)
     for p, sel in groups.items():
-        f = _bound_field(spec, p, traj.d)
         if spec.kind is ProtocolKind.CUSTOM:
-            F[sel] = [f(y) for y in traj.states[sel]]
+            F[sel] = [spec.field(p, y).reshape(traj.n, traj.d) for y in traj.states[sel]]
         else:
-            F[sel] = f(traj.states[sel])
-    return F.reshape(traj.blocks().shape)
+            F[sel] = spec.linear_field(p, X[sel])
+    return F
 
 
 def fields_along(traj: Trajectory, spec: ProtocolSpec) -> np.ndarray:
@@ -384,26 +395,14 @@ def empirical_gamma_margin(
 
 
 def linear_system_matrix(spec: ProtocolSpec, p: Any, d: int) -> np.ndarray:
-    """Stacked (n*d, n*d) matrix A with f_p(x) = A x, for the linear built-ins."""
+    """Stacked (n*d, n*d) matrix A with f_p(x) = A x: block (i, j) is (L_p)_ij R_i."""
     if spec.kind is ProtocolKind.CUSTOM:
         raise DomainError("custom protocols have no generic linear form")
+    R = np.eye(d)[None] if spec.rotation_dim is None else spec._R
+    if R.shape[1] != d:
+        raise DomainError(f"rotation built for d={spec.rotation_dim}, not {d}")
     n = spec.n
-    if spec.kind is ProtocolKind.ROTATED_CONSENSUS:
-        if spec.rotation_dim != d:
-            raise DomainError(f"rotation built for d={spec.rotation_dim}, not {d}")
-    A = np.zeros((n * d, n * d))
-    eye = np.eye(d)
-    W, S = spec._W[p], spec._S[p]
-    for i in range(n):
-        Ri = spec._R[i] if spec.kind is ProtocolKind.ROTATED_CONSENSUS else eye
-        for j in range(n):
-            if W[i, j] <= 0:
-                continue
-            sij = S[i, j] if spec.kind is ProtocolKind.SIGNED_CONSENSUS else 1.0
-            blk = W[i, j] * Ri
-            A[i * d : (i + 1) * d, j * d : (j + 1) * d] += sij * blk
-            A[i * d : (i + 1) * d, i * d : (i + 1) * d] -= blk
-    return A
+    return (spec.operator(p)[:, None, :, None] * R[:, :, None, :]).reshape(n * d, n * d)
 
 
 def linear_oracle_solution(

@@ -45,46 +45,73 @@ class MonitorMode(Enum):
 # Per-sample series -----------------------------------------------------------
 
 
+class _Series:
+    """Per-axis max/min over agents of x and of |x|, each (samples, d), and V.
+
+    Four reductions of one contiguous (samples, d, agents) copy of the
+    states; every series, verdict and monitor is derived from them.
+    """
+
+    def __init__(self, traj: Trajectory):
+        X = traj.blocks()
+        Y = np.ascontiguousarray(X.transpose(0, 2, 1))
+        self.hi, self.lo = Y.max(axis=2), Y.min(axis=2)
+        # Which zero an all-zero tie returns, +0.0 or -0.0, depends on the
+        # reduction order: redo such samples in agent order, as X.max(axis=1).
+        for out, reduce in ((self.hi, np.maximum.reduce), (self.lo, np.minimum.reduce)):
+            rows = np.flatnonzero((out == 0).any(axis=1))
+            out[rows] = reduce(X[rows], axis=1)
+        A = np.abs(Y)
+        self.abs_hi, self.abs_lo = A.max(axis=2), A.min(axis=2)
+        self.abs_spread = self.abs_hi - self.abs_lo
+        self.diameters = self.hi - self.lo
+        self.v = self.diameters.max(axis=1)
+        self.times = traj.times
+
+    def tol(self, tol_monotone: float | None) -> float:
+        """``tol_monotone``, by default 1e-8 * max(1, V(t0))."""
+        return 1e-8 * max(1.0, float(self.v[0])) if tol_monotone is None else float(tol_monotone)
+
+
 def max_series(traj: Trajectory) -> np.ndarray:
     """M_k(t): per-axis maxima over agents, shape (samples, d)."""
-    return traj.blocks().max(axis=1)
+    return _Series(traj).hi
 
 
 def min_series(traj: Trajectory) -> np.ndarray:
     """m_k(t): per-axis minima over agents, shape (samples, d)."""
-    return traj.blocks().min(axis=1)
+    return _Series(traj).lo
 
 
 def diameters_series(traj: Trajectory) -> np.ndarray:
     """D_k(t) = M_k - m_k, shape (samples, d)."""
-    return max_series(traj) - min_series(traj)
+    return _Series(traj).diameters
 
 
 def lyapunov_series(traj: Trajectory) -> np.ndarray:
     """V(t): maximum side length of the supporting box of the agent states."""
-    return diameters_series(traj).max(axis=1)
+    return _Series(traj).v
 
 
 def abs_max_series(traj: Trajectory) -> np.ndarray:
     """Per-axis max_i |x_ik|, shape (samples, d)."""
-    return np.abs(traj.blocks()).max(axis=1)
+    return _Series(traj).abs_hi
 
 
 def square_max_series(traj: Trajectory) -> np.ndarray:
-    """y_k(t) = max_i x_ik^2, shape (samples, d)."""
-    return (traj.blocks() ** 2).max(axis=1)
+    """y_k(t) = max_i x_ik^2, shape (samples, d): exactly (max_i |x_ik|)^2,
+    since rounding x^2 is monotone in |x|."""
+    return _Series(traj).abs_hi ** 2
 
 
 def abs_spread_series(traj: Trajectory) -> np.ndarray:
     """Per-axis max_i |x_ik| - min_i |x_ik|, shape (samples, d)."""
-    a = np.abs(traj.blocks())
-    return a.max(axis=1) - a.min(axis=1)
+    return _Series(traj).abs_spread
 
 
 def default_tol_monotone(traj: Trajectory) -> float:
     """Scale-relative monotonicity tolerance: 1e-8 * max(1, V(t0))."""
-    v0 = float(lyapunov_series(traj)[0])
-    return 1e-8 * max(1.0, v0)
+    return _Series(traj).tol(None)
 
 
 @dataclass(frozen=True)
@@ -115,21 +142,23 @@ def monotonicity_monitor(
     between consecutive samples by more than the tolerance. SignedSquare: any
     increase of y_k = max_i x_ik^2 beyond the tolerance.
     """
-    if isinstance(mode, str):
-        mode = MonitorMode(mode)
-    tol = default_tol_monotone(traj) if tol_monotone is None else float(tol_monotone)
+    ser = _Series(traj)
+    return _monitor(ser, MonitorMode(mode), ser.tol(tol_monotone))
+
+
+def _monitor(ser: _Series, mode: MonitorMode, tol: float) -> list[MonitorViolation]:
     violations: list[MonitorViolation] = []
     if mode is MonitorMode.COOPERATIVE_BOX:
-        checks = [(max_series(traj), 1.0, "M_k"), (min_series(traj), -1.0, "m_k")]
+        checks = [(ser.hi, 1.0, "M_k"), (ser.lo, -1.0, "m_k")]
     else:
-        checks = [(square_max_series(traj), 1.0, "y_k")]
+        checks = [(ser.abs_hi**2, 1.0, "y_k")]
     for series, direction, name in checks:
         drift = direction * np.diff(series, axis=0)
         for s, k in np.argwhere(drift > tol):
             violations.append(
                 MonitorViolation(
                     sample=int(s) + 1,
-                    time=float(traj.times[s + 1]),
+                    time=float(ser.times[s + 1]),
                     axis=int(k) + 1,
                     kind=name,
                     excess=float(drift[s, k]),
@@ -222,14 +251,18 @@ class AgreementVerdict:
 def agreement_verdict(traj: Trajectory, eps: float) -> AgreementVerdict:
     """True iff V at the final sample is within eps; reports the first time
     V drops below eps and never exceeds it again through the horizon."""
+    return _verdict(_Series(traj), eps)
+
+
+def _verdict(ser: _Series, eps: float) -> AgreementVerdict:
     if eps <= 0:
         raise DomainError("eps must be positive")
-    v = lyapunov_series(traj)
+    v = ser.v
     if v[-1] > eps:
         return AgreementVerdict(False, eps, None, float(v[-1]))
     above = np.nonzero(v > eps)[0]
     hit = 0 if above.size == 0 else int(above[-1]) + 1
-    return AgreementVerdict(True, eps, float(traj.times[hit]), float(v[-1]))
+    return AgreementVerdict(True, eps, float(ser.times[hit]), float(v[-1]))
 
 
 def absolute_value_agreement(
@@ -247,15 +280,17 @@ def absolute_value_agreement(
     to zero, while the envelope shrinks whenever the signed cone condition
     holds, so it is the sound guard against a lucky final dip.
     """
+    return _abs_agreement(_Series(traj), tol, tol_monotone, tail_fraction)
+
+
+def _abs_agreement(ser: _Series, tol: float, tol_monotone, tail_fraction=0.5) -> np.ndarray:
     if tol <= 0:
         raise DomainError("tol must be positive")
-    tol_m = default_tol_monotone(traj) if tol_monotone is None else float(tol_monotone)
-    spread = abs_spread_series(traj)
-    envelope = abs_max_series(traj)
+    spread, envelope = ser.abs_spread, ser.abs_hi
     start = spread.shape[0] - max(2, int(math.ceil(tail_fraction * spread.shape[0])))
     tail = envelope[max(start, 0):]
     final_ok = spread[-1] <= tol
-    monotone_ok = (np.diff(tail, axis=0) <= tol_m).all(axis=0)
+    monotone_ok = (np.diff(tail, axis=0) <= ser.tol(tol_monotone)).all(axis=0)
     return final_ok & monotone_ok
 
 
@@ -366,34 +401,34 @@ def build_report(
     tail_fraction: float = 0.5,
     abs_tol: float | None = None,
 ) -> AgreementReport:
-    """Compute the full metric set for a trajectory."""
-    v = lyapunov_series(traj)
+    """Compute the full metric set for a trajectory from one pass over it."""
+    ser = _Series(traj)
     lam: float | None
     try:
-        fit = fit_exponential_rate((traj.times, v), tail_fraction)
+        fit = fit_exponential_rate((traj.times, ser.v), tail_fraction)
         lam, r2, truncated = fit.lambda_hat, fit.r_squared, fit.truncated
     except DomainError:
         lam, r2, truncated = None, None, True
     mode = MonitorMode(monitor_mode) if isinstance(monitor_mode, str) else monitor_mode
     return AgreementReport(
         times=traj.times,
-        lyapunov=v,
-        diameters=diameters_series(traj),
-        axis_max=max_series(traj),
-        axis_min=min_series(traj),
-        abs_max=abs_max_series(traj),
-        square_max=square_max_series(traj),
-        abs_spread=abs_spread_series(traj),
+        lyapunov=ser.v,
+        diameters=ser.diameters,
+        axis_max=ser.hi,
+        axis_min=ser.lo,
+        abs_max=ser.abs_hi,
+        square_max=ser.abs_hi**2,
+        abs_spread=ser.abs_spread,
         lambda_hat=lam,
         r_squared=r2,
         fit_truncated=truncated,
-        agreement=agreement_verdict(traj, eps_agreement),
-        abs_agreement=absolute_value_agreement(
-            traj, abs_tol if abs_tol is not None else eps_agreement, tol_monotone
+        agreement=_verdict(ser, eps_agreement),
+        abs_agreement=_abs_agreement(
+            ser, abs_tol if abs_tol is not None else eps_agreement, tol_monotone
         ),
         monitor_mode=mode,
         monitor_violations=(
-            monotonicity_monitor(traj, mode, tol_monotone) if mode else []
+            _monitor(ser, mode, ser.tol(tol_monotone)) if mode else []
         ),
         feasibility_violations=list(traj.feasibility_violations or []),
     )

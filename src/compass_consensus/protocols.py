@@ -7,11 +7,13 @@ Every protocol maps a family index p and a stacked state x in R^{d*n}
 * rotated consensus         f_i = R_i * sum_j a_ij (x_j - x_i)
 * signed consensus          f_i = sum_j a_ij (sign_ij x_j - x_i)
 
-Agents with no in-neighbors get a zero field. Rotations are per-agent
-orthogonal matrices with determinant +1, parameterized by an angle for d = 2
-or a list of d(d-1)/2 Givens-plane angles for higher dimensions. A Custom
-protocol supplies its own callable and is subject to the same feasibility
-validation as the built-ins.
+Each is R_i (L_p X)_i with one operator L_p = W∘S − diag(rowsum(W)) per
+graph (``ProtocolSpec.operator``), R_i = I unless the kind is rotated and
+S = 1 unless it is signed. Agents with no in-neighbors get a zero field.
+Rotations are per-agent orthogonal matrices with determinant +1,
+parameterized by an angle for d = 2 or a list of d(d-1)/2 Givens-plane angles
+for higher dimensions. A Custom protocol supplies its own callable and is
+subject to the same feasibility validation as the built-ins.
 """
 
 from __future__ import annotations
@@ -100,7 +102,6 @@ class ProtocolSpec:
     n: int = field(init=False)
     _W: dict = field(init=False, repr=False)
     _S: dict = field(init=False, repr=False)
-    _rowsum: dict = field(init=False, repr=False)
     _R: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
@@ -158,7 +159,7 @@ class ProtocolSpec:
         return min(ws) if ws else float("inf")
 
     def _build_matrices(self):
-        self._W, self._S, self._rowsum = {}, {}, {}
+        self._W, self._S = {}, {}
         for p, g in self.family.items():
             W = np.zeros((self.n, self.n))
             S = np.ones((self.n, self.n))
@@ -169,7 +170,6 @@ class ProtocolSpec:
                 S[i - 1, j - 1] = s
             self._W[p] = W
             self._S[p] = S
-            self._rowsum[p] = W.sum(axis=1)
 
     def _build_rotations(self):
         if self.kind is not ProtocolKind.ROTATED_CONSENSUS:
@@ -205,53 +205,52 @@ class ProtocolSpec:
     def sign_matrix(self, p: Any) -> np.ndarray:
         return self._S[p]
 
+    def operator(self, p: Any) -> np.ndarray:
+        """L_p = W∘S − diag(rowsum(W)), with S = 1 unless the kind is signed:
+        the (n, n) linear part of graph p's built-in field."""
+        W = self._W[p]
+        M = W * self._S[p] if self.kind is ProtocolKind.SIGNED_CONSENSUS else W
+        return M - np.diag(W.sum(axis=1))
+
+    def linear_field(self, p: Any, X: np.ndarray) -> np.ndarray:
+        """The built-in field R_i (L_p X)_i at states X shaped (..., n, d)."""
+        if self.kind is ProtocolKind.CUSTOM:
+            raise DomainError("custom protocols have no generic linear form")
+        F = self.operator(p) @ X
+        if self._R is None:
+            return F
+        if self._R.shape[1] != X.shape[-1]:
+            raise DomainError(
+                f"rotation built for d={self._R.shape[1]} but state has d={X.shape[-1]}"
+            )
+        return np.einsum("aij,...aj->...ai", self._R, F)
+
     def field(self, p: Any, x: np.ndarray) -> np.ndarray:
         """Stacked vector field f_p(x) for the active graph index p."""
-        if self.kind is ProtocolKind.WEIGHTED_CONSENSUS:
-            return consensus_field(self, p, x)
-        if self.kind is ProtocolKind.ROTATED_CONSENSUS:
-            return rotated_field(self, p, x)
-        if self.kind is ProtocolKind.SIGNED_CONSENSUS:
-            return signed_field(self, p, x)
-        f = np.asarray(self.field_fn(p, x), dtype=float)
-        if f.shape != np.shape(x):
-            raise DomainError("custom field must return a vector shaped like x")
-        return f
-
-    def _as_blocks(self, x: np.ndarray) -> tuple[np.ndarray, int]:
+        if self.kind is ProtocolKind.CUSTOM:
+            f = np.asarray(self.field_fn(p, x), dtype=float)
+            if f.shape != np.shape(x):
+                raise DomainError("custom field must return a vector shaped like x")
+            return f
         x = np.asarray(x, dtype=float)
         if x.ndim != 1 or x.size % self.n:
             raise DomainError(f"state length must be a multiple of n={self.n}")
-        d = x.size // self.n
-        return x.reshape(self.n, d), d
+        return self.linear_field(p, x.reshape(self.n, -1)).ravel()
 
 
 def consensus_field(spec: ProtocolSpec, p: Any, x: np.ndarray) -> np.ndarray:
-    """f_i = sum_{j in N_i(p)} a_ij (x_j - x_i); isolated agents get zero."""
-    X, _d = spec._as_blocks(x)
-    W, rs = spec._W[p], spec._rowsum[p]
-    return (W @ X - rs[:, None] * X).ravel()
+    """spec.field: f_i = sum_{j in N_i(p)} a_ij (x_j - x_i) for the weighted kind."""
+    return spec.field(p, x)
 
 
 def rotated_field(spec: ProtocolSpec, p: Any, x: np.ndarray) -> np.ndarray:
-    """Per-agent rotation applied to the consensus field."""
-    X, d = spec._as_blocks(x)
-    if spec._R is None:
-        raise DomainError("protocol has no rotation parameters")
-    if spec._R.shape[1] != d:
-        raise DomainError(
-            f"rotation built for d={spec._R.shape[1]} but state has d={d}"
-        )
-    W, rs = spec._W[p], spec._rowsum[p]
-    base = W @ X - rs[:, None] * X
-    return np.einsum("aij,aj->ai", spec._R, base).ravel()
+    """spec.field: the consensus field rotated per agent, for the rotated kind."""
+    return spec.field(p, x)
 
 
 def signed_field(spec: ProtocolSpec, p: Any, x: np.ndarray) -> np.ndarray:
-    """f_i = sum_{j in N_i(p)} a_ij (sign_ij x_j - x_i)."""
-    X, _d = spec._as_blocks(x)
-    W, S, rs = spec._W[p], spec._S[p], spec._rowsum[p]
-    return ((W * S) @ X - rs[:, None] * X).ravel()
+    """spec.field: f_i = sum_{j in N_i(p)} a_ij (sign_ij x_j - x_i) for the signed kind."""
+    return spec.field(p, x)
 
 
 def protocol_field(spec: ProtocolSpec, p: Any, x: np.ndarray) -> np.ndarray:

@@ -224,3 +224,89 @@ def v0_check_uniform_joint_connectivity(signal, family, T, mode):
         if not ok and witness is None:
             witness = (start, start + T)
     return witness is None, witness, verdicts
+
+
+def v0_simulate(scenario):
+    """The generic RK4 loop: four field evaluations per step, samples appended.
+
+    Returns (times, states, labels) as the simulator returned them before
+    built-in kinds stepped with a propagator; raises DivergenceError at the
+    first non-finite sample.
+    """
+    from compass_consensus.dynamics import _rk4_step, _segment_targets
+    from compass_consensus.errors import DivergenceError
+
+    spec, h, t_end = scenario.protocol, float(scenario.h), float(scenario.t_end)
+    x = np.asarray(scenario.initial_states, dtype=float).reshape(-1).copy()
+    times, states, labels = [scenario.signal.t0], [x.copy()], [None]
+    for a, b, p in scenario.signal.segments(t_end):
+        labels[-1] = p
+        b = min(b, t_end)
+        if b <= a:
+            continue
+        t = a
+        for target in _segment_targets(a, b, h):
+            x = _rk4_step(lambda y: spec.field(p, y), x, target - t)
+            t = target
+            if not np.all(np.isfinite(x)):
+                raise DivergenceError(t)
+            times.append(t)
+            states.append(x.copy())
+            labels.append(p)
+    return np.asarray(times), np.vstack(states), labels
+
+
+def v0_build_report(traj, eps_agreement=1e-6, monitor_mode=None, tol_monotone=None,
+                    tail_fraction=0.5, abs_tol=None):
+    """The report as it was built series by series, each reduced in agent order."""
+    import math
+
+    from compass_consensus.errors import DomainError
+    from compass_consensus.metrics import (
+        AgreementReport, AgreementVerdict, MonitorMode, MonitorViolation,
+        fit_exponential_rate,
+    )
+
+    X = traj.blocks()
+    M, m, a = X.max(axis=1), X.min(axis=1), np.abs(X)
+    diam = M - m
+    v = diam.max(axis=1)
+    tol = 1e-8 * max(1.0, float(v[0])) if tol_monotone is None else float(tol_monotone)
+    try:
+        fit = fit_exponential_rate((traj.times, v), tail_fraction)
+        lam, r2, truncated = fit.lambda_hat, fit.r_squared, fit.truncated
+    except DomainError:
+        lam, r2, truncated = None, None, True
+    if eps_agreement <= 0:
+        raise DomainError("eps must be positive")
+    if v[-1] > eps_agreement:
+        verdict = AgreementVerdict(False, eps_agreement, None, float(v[-1]))
+    else:
+        above = np.nonzero(v > eps_agreement)[0]
+        hit = 0 if above.size == 0 else int(above[-1]) + 1
+        verdict = AgreementVerdict(True, eps_agreement, float(traj.times[hit]), float(v[-1]))
+    spread, envelope = a.max(axis=1) - a.min(axis=1), a.max(axis=1)
+    start = spread.shape[0] - max(2, int(math.ceil(0.5 * spread.shape[0])))
+    abs_ok = (spread[-1] <= (abs_tol if abs_tol is not None else eps_agreement)) & (
+        np.diff(envelope[max(start, 0):], axis=0) <= tol
+    ).all(axis=0)
+    mode = MonitorMode(monitor_mode) if isinstance(monitor_mode, str) else monitor_mode
+    monitor = []
+    if mode is MonitorMode.COOPERATIVE_BOX:
+        checks = [(M, 1.0, "M_k"), (m, -1.0, "m_k")]
+    else:
+        checks = [((X ** 2).max(axis=1), 1.0, "y_k")] if mode else []
+    for series, direction, name in checks:
+        drift = direction * np.diff(series, axis=0)
+        for s, k in np.argwhere(drift > tol):
+            monitor.append(MonitorViolation(
+                int(s) + 1, float(traj.times[s + 1]), int(k) + 1, name, float(drift[s, k])
+            ))
+    monitor.sort(key=lambda w: (w.sample, w.axis, w.kind))
+    return AgreementReport(
+        times=traj.times, lyapunov=v, diameters=diam, axis_max=M, axis_min=m,
+        abs_max=a.max(axis=1), square_max=(X ** 2).max(axis=1), abs_spread=spread,
+        lambda_hat=lam, r_squared=r2, fit_truncated=truncated, agreement=verdict,
+        abs_agreement=abs_ok, monitor_mode=mode, monitor_violations=monitor,
+        feasibility_violations=list(traj.feasibility_violations or []),
+    )

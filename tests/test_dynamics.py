@@ -33,6 +33,7 @@ from helpers import (
     dense_gamma_margin,
     dense_local_hull_bounds,
     dense_validate_feasibility,
+    v0_simulate,
 )
 
 
@@ -542,3 +543,85 @@ def test_validator_memory_grows_with_arcs_not_n_squared():
         tracemalloc.stop()
     assert violations == []
     assert peak < 24e6
+
+
+def propagator_case(kind, d, periodic, seed):
+    """A three-graph scenario on 5 agents whose segments end off the h grid.
+
+    Dwell times are not multiples of h, so segments end in a short trailing
+    step, and the 0.013-long piece is shorter than h = 0.02.
+    """
+    rng = np.random.default_rng(seed)
+    n = 5
+    family, weights = {}, {}
+    for name in "abc":
+        arcs = [
+            (j, i, int(rng.choice([-1, 1])) if kind == "SignedConsensus" else 1)
+            for i in range(1, n + 1)
+            for j in range(1, n + 1)
+            if j != i and rng.random() < 0.5
+        ]
+        family[name] = SignedDigraph(n, arcs)
+        weights.update({(j, i): float(rng.uniform(0.3, 2.0)) for j, i, _s in arcs})
+    rotation = None
+    if kind == "RotatedConsensus":
+        rotation = rng.uniform(-0.6, 0.6, size=(n, d * (d - 1) // 2)).tolist()
+    spec = ProtocolSpec(kind=kind, family=family, gamma=1.0, weights=weights, rotation=rotation)
+    pieces = [(0.0, "a"), (0.137, "b"), (0.15, "c"), (0.291, "a")]
+    horizon = 0.4 if periodic else 3.0
+    sig = SwitchingSignal(pieces, tau_d=0.01, horizon_end=horizon, periodic=periodic)
+    x0 = rng.normal(scale=3.0, size=(n, d))
+    return ScenarioConfig(
+        n=n, d=d, initial_states=x0, protocol=spec, signal=sig, h=0.02, t_end=2.957
+    )
+
+
+class TestStepPropagator:
+    """Built-in kinds step with T4(hA); the generic RK4 loop is the oracle."""
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    @pytest.mark.parametrize(
+        "kind, d",
+        [("WeightedConsensus", 1), ("WeightedConsensus", 2), ("WeightedConsensus", 3),
+         ("SignedConsensus", 1), ("SignedConsensus", 2), ("SignedConsensus", 3),
+         ("RotatedConsensus", 2), ("RotatedConsensus", 3)],
+    )
+    def test_matches_generic_rk4(self, kind, d, periodic):
+        sc = propagator_case(kind, d, periodic, seed=d)
+        traj = simulate(sc)
+        times, states, labels = v0_simulate(sc)
+        assert traj.times.tobytes() == times.tobytes()
+        assert traj.active_index == labels
+        assert len(set(labels)) == 3 and np.diff(times).min() < 0.015
+        scale = max(1.0, float(np.abs(sc.initial_states).max()))
+        assert np.abs(traj.states - states).max() <= 1e-12 * scale
+
+    def test_custom_evaluates_field_four_times_per_step(self):
+        calls = []
+
+        def field(p, x):
+            calls.append(p)
+            return -x
+
+        sc = propagator_case("SignedConsensus", 2, False, seed=1)
+        spec = ProtocolSpec(kind="Custom", family=sc.protocol.family, gamma=1.0, field_fn=field)
+        sc = ScenarioConfig(
+            n=sc.n, d=sc.d, initial_states=sc.initial_states, protocol=spec, signal=sc.signal,
+            h=sc.h, t_end=sc.t_end,
+        )
+        traj = simulate(sc)
+        assert len(calls) == 4 * (traj.num_samples - 1)
+        assert [calls[4 * k] for k in range(traj.num_samples - 1)] == traj.active_index[:-1]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_builtin_divergence_time_matches_generic_loop(self):
+        # h * |A| = 2000, far outside RK4's stability region: the disagreement
+        # mode grows by about 6.7e11 per step until the state overflows.
+        spec = mutual_consensus(weights=1e3)
+        sc = scenario(spec, [0.0, 1.0], h=1.0, t_end=60.0, signal=static_signal(horizon=60.0))
+        with pytest.raises(DivergenceError) as ref:
+            v0_simulate(sc)
+        with pytest.raises(DivergenceError) as err:
+            simulate(sc)
+        assert 0.0 < err.value.time < 60.0
+        assert err.value.time == ref.value.time

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from compass_consensus.dynamics import Trajectory, simulate
 from compass_consensus.errors import DomainError
 from compass_consensus.graphs import SignedDigraph, SwitchingSignal
+from compass_consensus import metrics
 from compass_consensus.metrics import (
     MonitorMode,
     absolute_value_agreement,
@@ -21,6 +23,7 @@ from compass_consensus.metrics import (
 )
 from compass_consensus.protocols import ProtocolSpec
 from compass_consensus.scenario import ScenarioConfig
+from helpers import v0_build_report
 
 # Frozen oracle values (30-digit arithmetic):
 #   beta      = exp(-2)/4 = 0.0338338208091532...
@@ -267,3 +270,65 @@ class TestReport:
             traj, eps_agreement=1e-6, monitor_mode="CooperativeBox"
         ).to_json_dict(), sort_keys=True)
         assert s1 == s2
+
+
+REPORT_ARRAYS = (
+    "times", "lyapunov", "diameters", "axis_max", "axis_min",
+    "abs_max", "square_max", "abs_spread", "abs_agreement",
+)
+
+
+def tie_heavy_trajectory(rng):
+    """States from a coarse grid with many exact zeros and -0.0 entries, so
+    agents tie on extremes; some samples are all zeros of mixed sign, and
+    d = 1 is as likely as d = 2 or 3."""
+    m, n, d = int(rng.integers(1, 60)), int(rng.integers(1, 40)), int(rng.integers(1, 4))
+    X = rng.choice([0.0, -0.0, 0.5, -0.5, 1.0, -2.0], size=(m, n, d), p=[.3, .3, .1, .1, .1, .1])
+    X[rng.random(m) < 0.2] *= 0.0  # all-zero samples keep each entry's sign
+    X[rng.random((m, n, d)) < 0.2] += rng.normal(scale=1e-3)
+    if rng.random() < 0.5:  # a decaying tail for the rate fit
+        X *= np.exp(-np.arange(m))[:, None, None]
+    times = np.cumsum(rng.uniform(0.1, 1.0, size=m))
+    return make_traj(times, X, n=n, d=d)
+
+
+class TestSinglePassReport:
+    """The report from one reduction pass equals the series-by-series report."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_series_by_series_report(self, seed):
+        rng = np.random.default_rng(seed)
+        traj = tie_heavy_trajectory(rng)
+        for mode in (None, "CooperativeBox", "SignedSquare"):
+            for tol in (None, 0.0, 1e-3):
+                kw = dict(eps_agreement=float(rng.choice([1e-6, 0.5, 3.0])),
+                          monitor_mode=mode, tol_monotone=tol)
+                got, want = build_report(traj, **kw), v0_build_report(traj, **kw)
+                for name in REPORT_ARRAYS:
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert a.dtype == b.dtype and np.array_equal(a, b), name
+                    assert np.array_equal(np.signbit(a), np.signbit(b)), name
+                assert (got.lambda_hat, got.r_squared, got.fit_truncated) == (
+                    want.lambda_hat, want.r_squared, want.fit_truncated)
+                assert got.agreement == want.agreement
+                assert got.monitor_violations == want.monitor_violations
+                dump = lambda r: json.dumps(r.to_json_dict(), sort_keys=True, indent=2)
+                assert dump(got) == dump(want)
+
+    def test_public_series_match_agent_order_reductions(self):
+        rng = np.random.default_rng(99)
+        for _ in range(30):
+            traj = tie_heavy_trajectory(rng)
+            X = traj.blocks()
+            for fn, want in [
+                (metrics.max_series, X.max(axis=1)),
+                (metrics.min_series, X.min(axis=1)),
+                (metrics.abs_max_series, np.abs(X).max(axis=1)),
+                (metrics.square_max_series, (X ** 2).max(axis=1)),
+                (abs_spread_series, np.abs(X).max(axis=1) - np.abs(X).min(axis=1)),
+                (diameters_series, X.max(axis=1) - X.min(axis=1)),
+                (lyapunov_series, (X.max(axis=1) - X.min(axis=1)).max(axis=1)),
+            ]:
+                got = fn(traj)
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))

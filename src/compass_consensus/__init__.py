@@ -51,11 +51,7 @@ from .graphs import (
 from .protocols import (
     ProtocolKind,
     ProtocolSpec,
-    consensus_field,
-    protocol_field,
-    rotated_field,
     rotation_matrix,
-    signed_field,
 )
 from .vicsek import (
     VicsekState,

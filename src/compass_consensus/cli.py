@@ -164,8 +164,6 @@ def _run_one(args: tuple[str, str, bool, int | None]) -> int:
 
 
 def cmd_run(args) -> int:
-    if args.dump_config:
-        return cmd_dump_config(args)
     configs = args.config
     if args.batch:
         jobs = [(c, args.out_dir, args.strict, args.seed) for c in configs]
@@ -229,8 +227,6 @@ def cmd_check_graphs(args) -> int:
 
 def cmd_rate_bound(args) -> int:
     try:
-        if args.n < 2:
-            raise DomainError("need at least 2 agents (n >= 2)")
         t1 = args.T + 2.0 * args.tau_d
         t_bar = metrics.t_bar_from_window(args.n, args.T, args.tau_d)
         bound = metrics.rate_bound(
@@ -259,9 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--batch", action="store_true", help="run configs in parallel")
     p_run.add_argument("--seed", type=int, default=None, help="override the sampling seed")
     p_run.add_argument("--out-dir", default=".", help="directory for artifacts")
-    p_run.add_argument(
-        "--dump-config", action="store_true", help="echo the normalized config and exit"
-    )
     p_run.set_defaults(func=cmd_run)
 
     p_check = sub.add_parser("check-graphs", help="uniform joint connectivity check")

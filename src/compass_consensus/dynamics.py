@@ -53,8 +53,8 @@ class Trajectory:
 
     ``states[s]`` is the stacked state (agent-major, length n*d) at
     ``times[s]``; ``active_index[s]`` is the family index driving the system
-    at that sample (right-continuous at switches). ``feasibility_flags`` is an
-    (m, n) boolean array (True = compliant) filled when validation ran.
+    at that sample (right-continuous at switches). ``feasibility_violations``
+    is filled when validation ran.
     """
 
     times: np.ndarray
@@ -62,7 +62,6 @@ class Trajectory:
     n: int
     d: int
     active_index: list
-    feasibility_flags: np.ndarray | None = None
     feasibility_violations: list["FeasibilityViolation"] | None = None
 
     @property
@@ -72,12 +71,6 @@ class Trajectory:
     def blocks(self) -> np.ndarray:
         """States reshaped to (samples, agents, axes)."""
         return self.states.reshape(self.num_samples, self.n, self.d)
-
-    def agent_states(self, i: int) -> np.ndarray:
-        """(samples, d) states of 1-based agent i."""
-        if not 1 <= i <= self.n:
-            raise DomainError(f"agent index {i} outside 1..{self.n}")
-        return self.blocks()[:, i - 1, :]
 
 
 @dataclass(frozen=True)
@@ -212,18 +205,13 @@ def simulate(scenario: "ScenarioConfig") -> Trajectory:
         active_index=labels,
     )
     if getattr(scenario, "assumption", None) is not None:
-        violations = validate_feasibility(
+        traj.feasibility_violations = validate_feasibility(
             traj,
             spec,
             scenario.assumption,
             face_tolerance=scenario.face_tolerance,
             strictness_tolerance=scenario.strictness_tolerance,
         )
-        flags = np.ones((traj.num_samples, traj.n), dtype=bool)
-        for v in violations:
-            flags[np.searchsorted(times, v.time), v.agent - 1] = False
-        traj.feasibility_flags = flags
-        traj.feasibility_violations = violations
     return traj
 
 

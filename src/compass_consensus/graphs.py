@@ -79,13 +79,6 @@ class SignedDigraph:
                 adj[j - 1].append(i - 1)
         return adj
 
-    def unsigned(self) -> "SignedDigraph":
-        return SignedDigraph(
-            self.n,
-            ((j, i, 1) for (j, i, _s) in self.arcs),
-            allow_self_loops=self.allow_self_loops,
-        )
-
 
 def _reachable_from(adj: list[list[int]], root: int) -> int:
     """Count of nodes reachable from root (root included) by BFS."""
@@ -212,20 +205,23 @@ class SwitchingSignal:
     def start_times(self) -> list[float]:
         return [t for t, _ in self.pieces]
 
-    def wrap(self, t: float) -> float:
-        """Map t into [t0, horizon_end) for periodic signals."""
-        if not self.periodic or t < self.horizon_end:
-            return t
-        return self.t0 + (t - self.t0) % self.period
+    def _copy_starts(self, k: int) -> list[float]:
+        """Piece starts of periodic copy k: ``start_l + k * period``."""
+        return [t + k * self.period for t, _ in self.pieces]
 
     def active_index(self, t: float) -> Any:
-        """Family index active at time t (right-continuous)."""
-        if t < self.t0:
-            raise DomainError(f"t={t} precedes the signal start {self.t0}")
-        t = self.wrap(t)
-        starts = self.start_times()
-        pos = bisect.bisect_right(starts, t) - 1
-        return self.pieces[pos][1]
+        """Family index active at time t (right-continuous), in O(pieces): the
+        label of the segment of ``segments`` holding t, bounded by the same
+        float expressions, so the two agree at every switch instant."""
+        if not self.t0 <= t < float("inf"):
+            raise DomainError(f"t={t} is not a finite time from the signal start {self.t0}")
+        k = int((t - self.t0) // self.period) if self.periodic else 0
+        # The quotient can round to either neighbouring copy; step to the right one.
+        while k > 0 and self.t0 + k * self.period > t:
+            k -= 1
+        while self.periodic and self.t0 + (k + 1) * self.period <= t:
+            k += 1
+        return self.pieces[bisect.bisect_right(self._copy_starts(k), t) - 1][1]
 
     def segments(self, t_end: float) -> list[tuple[float, float, Any]]:
         """Constant pieces (a, b, label) in time order, through the one active at t_end.
@@ -246,7 +242,7 @@ class SwitchingSignal:
         segs: list[tuple[float, float, Any]] = []
         k = 0
         while not segs or (self.periodic and segs[-1][1] <= t_end):
-            tiled = [t + k * self.period for t in times]
+            tiled = self._copy_starts(k)
             end = self.t0 + (k + 1) * self.period if self.periodic else self.horizon_end
             segs.extend(zip(tiled, tiled[1:] + [end], labels))
             k += 1
@@ -429,6 +425,14 @@ def check_uniform_joint_connectivity(
 # signal {tau_d, pieces: [[t, index], ...], horizon_end, periodic}.
 
 
+def _flag(obj: Mapping, key: str) -> bool:
+    """A JSON boolean, False when absent; DomainError for any other value."""
+    value = obj.get(key, False)
+    if not isinstance(value, bool):
+        raise DomainError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def graph_to_json(g: SignedDigraph) -> dict:
     return {
         "n": g.n,
@@ -442,7 +446,7 @@ def graph_from_json(obj: Mapping) -> SignedDigraph:
         return SignedDigraph(
             int(obj["n"]),
             [tuple(a) for a in obj["arcs"]],
-            allow_self_loops=bool(obj.get("allow_self_loops", False)),
+            allow_self_loops=_flag(obj, "allow_self_loops"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"bad graph object: {exc}") from exc
@@ -463,7 +467,7 @@ def signal_from_json(obj: Mapping) -> SwitchingSignal:
             [(float(t), p) for t, p in obj["pieces"]],
             tau_d=float(obj["tau_d"]),
             horizon_end=float(obj["horizon_end"]),
-            periodic=bool(obj.get("periodic", False)),
+            periodic=_flag(obj, "periodic"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"bad signal object: {exc}") from exc

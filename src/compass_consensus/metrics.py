@@ -109,11 +109,6 @@ def abs_spread_series(traj: Trajectory) -> np.ndarray:
     return _Series(traj).abs_spread
 
 
-def default_tol_monotone(traj: Trajectory) -> float:
-    """Scale-relative monotonicity tolerance: 1e-8 * max(1, V(t0))."""
-    return _Series(traj).tol(None)
-
-
 @dataclass(frozen=True)
 class MonitorViolation:
     """A sampled breach of a monotone invariant."""
@@ -187,19 +182,16 @@ class RateFit:
 
 
 def fit_exponential_rate(
-    series: tuple[Sequence[float], Sequence[float]] | np.ndarray,
+    series: tuple[Sequence[float], Sequence[float]],
     tail_fraction: float = 0.5,
 ) -> RateFit:
     """Least-squares slope of log V over the tail window; lambda = -slope.
 
-    ``series`` is (times, values) or an (m, 2) array. Values at or below the
-    numerical floor truncate the fit there (flagged in the result). A constant
-    series fits exactly with rate zero.
+    ``series`` is (times, values). Values at or below the numerical floor
+    truncate the fit there (flagged in the result). A constant series fits
+    exactly with rate zero.
     """
-    if isinstance(series, np.ndarray) and series.ndim == 2:
-        t, v = series[:, 0], series[:, 1]
-    else:
-        t, v = series
+    t, v = series
     t = np.asarray(t, dtype=float)
     v = np.asarray(v, dtype=float)
     if t.shape != v.shape or t.ndim != 1 or t.size < 2:
@@ -283,7 +275,7 @@ def absolute_value_agreement(
     return _abs_agreement(_Series(traj), tol, tol_monotone, tail_fraction)
 
 
-def _abs_agreement(ser: _Series, tol: float, tol_monotone, tail_fraction=0.5) -> np.ndarray:
+def _abs_agreement(ser: _Series, tol: float, tol_monotone, tail_fraction) -> np.ndarray:
     if tol <= 0:
         raise DomainError("tol must be positive")
     spread, envelope = ser.abs_spread, ser.abs_hi
@@ -401,7 +393,8 @@ def build_report(
     tail_fraction: float = 0.5,
     abs_tol: float | None = None,
 ) -> AgreementReport:
-    """Compute the full metric set for a trajectory from one pass over it."""
+    """Compute the full metric set for a trajectory from one pass over it;
+    ``tail_fraction`` sets the tail of both the rate fit and ``abs_agreement``."""
     ser = _Series(traj)
     lam: float | None
     try:
@@ -424,7 +417,7 @@ def build_report(
         fit_truncated=truncated,
         agreement=_verdict(ser, eps_agreement),
         abs_agreement=_abs_agreement(
-            ser, abs_tol if abs_tol is not None else eps_agreement, tol_monotone
+            ser, abs_tol if abs_tol is not None else eps_agreement, tol_monotone, tail_fraction
         ),
         monitor_mode=mode,
         monitor_violations=(

@@ -195,12 +195,10 @@ class ProtocolSpec:
     def rotation_dim(self) -> int | None:
         return None if self._R is None else self._R.shape[1]
 
-    def neighbor_mask(self, p: Any, include_self: bool = True) -> np.ndarray:
-        """Boolean (n, n) mask: row i marks the local hull members of agent i."""
-        mask = self._W[p] > 0
-        if include_self:
-            mask = mask | np.eye(self.n, dtype=bool)
-        return mask
+    def neighbor_mask(self, p: Any) -> np.ndarray:
+        """Boolean (n, n) mask: row i marks the local hull members of agent i
+        (its in-neighbors and itself)."""
+        return (self._W[p] > 0) | np.eye(self.n, dtype=bool)
 
     def sign_matrix(self, p: Any) -> np.ndarray:
         return self._S[p]
@@ -236,22 +234,3 @@ class ProtocolSpec:
         if x.ndim != 1 or x.size % self.n:
             raise DomainError(f"state length must be a multiple of n={self.n}")
         return self.linear_field(p, x.reshape(self.n, -1)).ravel()
-
-
-def consensus_field(spec: ProtocolSpec, p: Any, x: np.ndarray) -> np.ndarray:
-    """spec.field: f_i = sum_{j in N_i(p)} a_ij (x_j - x_i) for the weighted kind."""
-    return spec.field(p, x)
-
-
-def rotated_field(spec: ProtocolSpec, p: Any, x: np.ndarray) -> np.ndarray:
-    """spec.field: the consensus field rotated per agent, for the rotated kind."""
-    return spec.field(p, x)
-
-
-def signed_field(spec: ProtocolSpec, p: Any, x: np.ndarray) -> np.ndarray:
-    """spec.field: f_i = sum_{j in N_i(p)} a_ij (sign_ij x_j - x_i) for the signed kind."""
-    return spec.field(p, x)
-
-
-def protocol_field(spec: ProtocolSpec, p: Any, x: np.ndarray) -> np.ndarray:
-    return spec.field(p, x)

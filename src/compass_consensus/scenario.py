@@ -227,7 +227,6 @@ class ScenarioConfig:
     trajectory_csv: str = "trajectory.csv"
     metrics_json: str = "metrics.json"
     downsample: int = 1
-    sample_seed: int | None = None
 
 
 def _fail(message: str, fieldpath: str) -> ConfigError:
@@ -254,7 +253,6 @@ def scenario_from_dict(cfg: Mapping, seed_override: int | None = None) -> Scenar
             "agents needs exactly one of initial_states and sample",
             "$.agents",
         )
-    sample_seed = None
     if has_explicit:
         x0 = np.asarray(agents["initial_states"], dtype=float)
         if x0.shape != (n, d):
@@ -270,8 +268,7 @@ def scenario_from_dict(cfg: Mapping, seed_override: int | None = None) -> Scenar
             raise _fail(f"sample box must have {d} entries", "$.agents.sample")
         if np.any(hi < lo):
             raise _fail("sample box needs lo <= hi per axis", "$.agents.sample")
-        sample_seed = int(sample["seed"]) if seed_override is None else int(seed_override)
-        rng = np.random.default_rng(sample_seed)
+        rng = np.random.default_rng(int(sample["seed"] if seed_override is None else seed_override))
         x0 = lo + rng.random((n, d)) * (hi - lo)
 
     try:
@@ -300,16 +297,25 @@ def scenario_from_dict(cfg: Mapping, seed_override: int | None = None) -> Scenar
     weights: float | dict = proto_cfg.get("weights", 1.0)
     if isinstance(weights, list):
         weights = {(int(j), int(i)): float(w) for j, i, w in weights}
+    rotation = proto_cfg.get("rotation")
+    shared = rotation is not None and (
+        not isinstance(rotation, list)
+        or len(rotation) == d * (d - 1) // 2 and not any(isinstance(a, list) for a in rotation)
+    )
+    if shared:  # one entry per agent: ProtocolSpec need not guess d, even if n = d(d-1)/2
+        rotation = [rotation] * n
     try:
         protocol = ProtocolSpec(
             kind=ProtocolKind(proto_cfg["kind"]),
             family=family,
             gamma=float(proto_cfg["gamma"]),
             weights=weights,
-            rotation=proto_cfg.get("rotation"),
+            rotation=rotation,
         )
     except DomainError as exc:
         raise _fail(str(exc), "$.protocol") from exc
+    if protocol.rotation_dim not in (None, d):
+        raise _fail(f"rotation is for d={protocol.rotation_dim}, not {d}", "$.protocol.rotation")
 
     integ = cfg["integrator"]
     h, t_end = float(integ["h"]), float(integ["t_end"])
@@ -343,7 +349,6 @@ def scenario_from_dict(cfg: Mapping, seed_override: int | None = None) -> Scenar
         trajectory_csv=outputs.get("trajectory_csv", "trajectory.csv"),
         metrics_json=outputs.get("metrics_json", "metrics.json"),
         downsample=int(outputs.get("downsample", 1)),
-        sample_seed=sample_seed,
     )
 
 

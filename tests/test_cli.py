@@ -1,10 +1,13 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from compass_consensus.cli import main
+from compass_consensus.cli import build_parser, main
+from test_scenario import rotated_config
 
 pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
 
@@ -177,12 +180,6 @@ class TestDumpConfig:
         dumped2 = json.loads(capsys.readouterr().out)
         assert dumped == dumped2
 
-    def test_run_dump_config_flag(self, tmp_path, capsys):
-        path = write_json(tmp_path / "c.json", consensus_config(t_end=1.0))
-        assert main(["run", path, "--dump-config"]) == 0
-        out = capsys.readouterr().out
-        assert json.loads(out)["agents"]["n"] == 2
-
 
 def graphs_file(tmp_path, periodic=False, horizon=4.0):
     obj = {
@@ -247,6 +244,43 @@ class TestCheckGraphs:
         assert main(["check-graphs", f, "--window", "1.0"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("parse error:") and "node count" in err
+
+    @pytest.mark.parametrize("where, key", [("signal", "periodic"), ("graph", "allow_self_loops")])
+    def test_non_boolean_flag_exit_2(self, tmp_path, capsys, where, key):
+        obj = json.loads(open(graphs_file(tmp_path), encoding="utf-8").read())
+        (obj["signal"] if where == "signal" else obj["graphs"]["a"])[key] = "false"
+        f = write_json(tmp_path / "g.json", obj)
+        assert main(["check-graphs", f, "--window", "2.0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("parse error:") and key in captured.err
+        assert captured.out == ""
+
+
+class TestRotationConfig:
+    def test_shared_angle_set_when_n_equals_plane_count(self, tmp_path, capsys):
+        path = write_json(tmp_path / "rot.json", rotated_config(3, 3, [0.1, 0.2, 0.3]))
+        assert main(["run", path, "--out-dir", str(tmp_path)]) == 0
+
+    def test_rotation_of_another_dimension_exit_2(self, tmp_path, capsys):
+        path = write_json(tmp_path / "rot.json", rotated_config(3, 3, 0.4))
+        assert main(["dump-config", path]) == 2
+        assert "$.protocol.rotation" in capsys.readouterr().err
+        assert main(["run", path, "--out-dir", str(tmp_path)]) == 2
+
+
+def test_readme_cli_lines_parse():
+    # Every `compass ...` line of the README's CLI block must parse, so a
+    # removed flag or subcommand cannot linger in the docs. Nothing is run.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].strip() for line in block.splitlines()]
+    commands = [shlex.split(line) for line in lines if line.startswith("compass ")]
+    assert {argv[1] for argv in commands} == {"run", "check-graphs", "rate-bound", "dump-config"}
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {' '.join(argv)}")
 
 
 class TestRateBound:

@@ -260,6 +260,43 @@ class TestCompiledSchedule:
         with pytest.raises(DomainError, match="nondecreasing"):
             check_uniform_joint_connectivity(sig, ALT_FAMILY, 1.0)
 
+    def test_active_index_at_every_decimal_switch(self):
+        # 0.1 and 0.3 are inexact in binary, so t0 + (t - t0) % period puts
+        # thousands of these starts an ulp into the neighbouring piece.
+        sig = SwitchingSignal(
+            [(0.0, "a"), (0.1, "b"), (0.2, "c")], tau_d=0.1, horizon_end=0.3,
+            periodic=True,
+        )
+        segs = sig.segments(1000.0)
+        assert len(segs) == 10001
+        for a, _b, p in segs:
+            assert sig.active_index(a) == p, a
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_active_index_labels_every_segment(self, data):
+        # Random periodic schedules over long horizons: at every segment start
+        # and midpoint, the lookup names the piece the integrator uses.
+        gaps = data.draw(st.lists(st.floats(0.05, 3.0), min_size=1, max_size=6))
+        t0 = data.draw(st.floats(-100.0, 100.0))
+        starts = [t0]
+        for gap in gaps[:-1]:
+            starts.append(starts[-1] + gap)
+        sig = SwitchingSignal(
+            [(s, f"p{l}") for l, s in enumerate(starts)], tau_d=min(gaps),
+            horizon_end=starts[-1] + gaps[-1], periodic=True,
+        )
+        t_end = t0 + data.draw(st.floats(1.0, 500.0))
+        for a, b, p in sig.segments(t_end):
+            assert sig.active_index(a) == p, a
+            assert sig.active_index(0.5 * (a + b)) == p, (a, b)
+
+    def test_active_index_domain(self):
+        sig = alternating_signal()
+        for t in (-0.5, float("inf"), float("nan")):
+            with pytest.raises(DomainError):
+                sig.active_index(t)
+
 
 class TestUniformJointConnectivity:
     def test_alternation_strong_at_t2(self):

@@ -271,6 +271,20 @@ class TestReport:
         ).to_json_dict(), sort_keys=True)
         assert s1 == s2
 
+    def test_tail_fraction_applies_to_abs_agreement(self):
+        # |x| agrees throughout; the envelope grows once, early, then decays
+        env = [1.0, 2.0] + [2.0 * 0.5 ** k for k in range(1, 9)]
+        traj = make_traj(np.arange(10.0), [[e, -e] for e in env], n=2, d=1)
+        verdicts = {}
+        for tail in (0.2, 0.5, 0.9, 1.0):
+            for tol_monotone in (None, 1.5):
+                report = build_report(traj, eps_agreement=1e-3, tol_monotone=tol_monotone,
+                                      tail_fraction=tail)
+                want = absolute_value_agreement(traj, 1e-3, tol_monotone, tail)
+                assert np.array_equal(report.abs_agreement, want)
+                verdicts[tail, tol_monotone] = bool(want.all())
+        assert verdicts[0.5, None] and not verdicts[1.0, None] and verdicts[1.0, 1.5]
+
 
 REPORT_ARRAYS = (
     "times", "lyapunov", "diameters", "axis_max", "axis_min",

@@ -4,14 +4,7 @@ import pytest
 from compass_consensus.errors import DomainError
 from compass_consensus.geometry import ConeQuery, gamma_cone_contains, supporting_hyperrectangle
 from compass_consensus.graphs import SignedDigraph, complete_graph
-from compass_consensus.protocols import (
-    ProtocolKind,
-    ProtocolSpec,
-    consensus_field,
-    rotated_field,
-    rotation_matrix,
-    signed_field,
-)
+from compass_consensus.protocols import ProtocolKind, ProtocolSpec, rotation_matrix
 
 MUTUAL_PAIR = {"g": SignedDigraph(2, [(1, 2), (2, 1)])}
 
@@ -23,7 +16,7 @@ def weighted(family, weights=1.0, gamma=1.0):
 class TestConsensusField:
     def test_two_agents(self):
         spec = weighted(MUTUAL_PAIR)
-        f = consensus_field(spec, "g", np.array([0.0, 2.0]))
+        f = spec.field("g", np.array([0.0, 2.0]))
         assert np.array_equal(f, [2.0, -2.0])
 
     def test_equal_states_fixed_point(self):
@@ -43,12 +36,12 @@ class TestConsensusField:
 
     def test_isolated_agent_zero_block(self):
         spec = weighted({"g": SignedDigraph(3, [(1, 2)])})
-        f = consensus_field(spec, "g", np.array([5.0, 1.0, -9.0]))
+        f = spec.field("g", np.array([5.0, 1.0, -9.0]))
         assert f[0] == 0.0 and f[2] == 0.0 and f[1] == 4.0
 
     def test_weight_map(self):
         spec = weighted(MUTUAL_PAIR, weights={(1, 2): 3.0, (2, 1): 0.5})
-        f = consensus_field(spec, "g", np.array([0.0, 2.0]))
+        f = spec.field("g", np.array([0.0, 2.0]))
         assert np.array_equal(f, [1.0, -6.0])
 
     def test_nonpositive_weight_rejected(self):
@@ -58,7 +51,7 @@ class TestConsensusField:
     def test_self_loop_ignored(self):
         fam = {"g": SignedDigraph(2, [(1, 1), (2, 1)], allow_self_loops=True)}
         spec = weighted(fam)
-        f = consensus_field(spec, "g", np.array([0.0, 2.0]))
+        f = spec.field("g", np.array([0.0, 2.0]))
         assert np.array_equal(f, [2.0, 0.0])
 
 
@@ -70,7 +63,7 @@ class TestRotatedField:
         rng = np.random.default_rng(0)
         for _ in range(20):
             x = rng.normal(size=6)
-            assert np.allclose(rotated_field(rot, "g", x), consensus_field(plain, "g", x))
+            assert np.allclose(rot.field("g", x), plain.field("g", x))
 
     def test_quarter_pi_single_arc(self):
         fam = {"g": SignedDigraph(2, [(2, 1)])}
@@ -97,8 +90,8 @@ class TestRotatedField:
         rng = np.random.default_rng(1)
         for _ in range(20):
             x = rng.normal(size=6)
-            fr = rotated_field(spec, "g", x).reshape(3, 2)
-            fc = consensus_field(plain, "g", x).reshape(3, 2)
+            fr = spec.field("g", x).reshape(3, 2)
+            fc = plain.field("g", x).reshape(3, 2)
             assert np.allclose(np.linalg.norm(fr, axis=1), np.linalg.norm(fc, axis=1))
 
     def test_per_agent_rotations(self):
@@ -128,18 +121,18 @@ class TestSignedField:
         rng = np.random.default_rng(2)
         for _ in range(20):
             x = rng.normal(size=3)
-            assert np.allclose(signed_field(spec, "g", x), consensus_field(plain, "g", x))
+            assert np.allclose(spec.field("g", x), plain.field("g", x))
 
     def test_bipartite_equilibrium(self):
         fam = {"g": SignedDigraph(2, [(1, 2, -1), (2, 1, -1)])}
         spec = ProtocolSpec(kind="SignedConsensus", family=fam, gamma=1.0)
-        f = signed_field(spec, "g", np.array([1.0, -1.0]))
+        f = spec.field("g", np.array([1.0, -1.0]))
         assert np.array_equal(f, [0.0, 0.0])
 
     def test_mutual_negative_from_equal(self):
         fam = {"g": SignedDigraph(2, [(1, 2, -1), (2, 1, -1)])}
         spec = ProtocolSpec(kind="SignedConsensus", family=fam, gamma=1.0)
-        f = signed_field(spec, "g", np.array([1.0, 1.0]))
+        f = spec.field("g", np.array([1.0, 1.0]))
         assert np.array_equal(f, [-2.0, -2.0])
 
     def test_cooperative_kind_rejects_negative_arcs(self):

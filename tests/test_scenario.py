@@ -4,6 +4,7 @@ import pytest
 from compass_consensus.dynamics import Assumption, simulate
 from compass_consensus.errors import ConfigError
 from compass_consensus.metrics import MonitorMode
+from compass_consensus.protocols import rotation_matrix
 from compass_consensus.scenario import (
     SCENARIO_SCHEMA,
     scenario_from_dict,
@@ -128,6 +129,48 @@ class TestScenarioLoading:
         sc = scenario_from_dict(cfg)
         assert sc.protocol.weight(1, 2) == 3.0
         assert sc.protocol.weight(2, 1) == 0.5
+
+
+def rotated_config(n, d, rotation):
+    arcs = [[j, i, 1] for j in range(1, n + 1) for i in range(1, n + 1) if j != i]
+    return {
+        "agents": {"n": n, "d": d, "initial_states": np.eye(n, d).tolist()},
+        "protocol": {"kind": "RotatedConsensus", "gamma": 1e-3, "rotation": rotation},
+        "graphs": {"g": {"n": n, "arcs": arcs}},
+        "signal": {"tau_d": 1.0, "pieces": [[0.0, "g"]], "horizon_end": 1.0},
+        "integrator": {"h": 0.01, "t_end": 1.0},
+    }
+
+
+class TestRotation:
+    @pytest.mark.parametrize("n, d, rotation, per_agent", [
+        # one shared angle set, also when n = d(d-1)/2
+        (3, 3, [0.1, 0.2, 0.3], [[0.1, 0.2, 0.3]] * 3),
+        (4, 3, [0.1, 0.2, 0.3], [[0.1, 0.2, 0.3]] * 4),
+        (3, 2, 0.4, [0.4] * 3),
+        (1, 2, [0.4], [0.4]),
+        # per-agent angles (d = 2) and per-agent angle sets
+        (3, 2, [0.1, 0.2, 0.3], [0.1, 0.2, 0.3]),
+        (3, 3, [[0.1, 0.2, 0.3], [-0.3, 0.0, 0.5], [0.0, 0.0, 0.2]],
+         [[0.1, 0.2, 0.3], [-0.3, 0.0, 0.5], [0.0, 0.0, 0.2]]),
+    ])
+    def test_rotation_forms(self, n, d, rotation, per_agent):
+        sc = scenario_from_dict(rotated_config(n, d, rotation))
+        x = np.random.default_rng(0).normal(size=(n, d))
+        F = sc.protocol.operator("g") @ x
+        want = np.stack([rotation_matrix(a, d) @ F[i] for i, a in enumerate(per_agent)])
+        assert np.allclose(sc.protocol.field("g", x.ravel()), want.ravel())
+        # the normalized echo loads to the same rotations
+        sc2 = scenario_from_dict(scenario_to_dict(sc))
+        assert np.array_equal(sc2.protocol.field("g", x.ravel()), sc.protocol.field("g", x.ravel()))
+
+    @pytest.mark.parametrize("n, d, rotation", [
+        (2, 3, 0.4), (2, 1, 0.4), (2, 2, [0.1, 0.2, 0.3]), (3, 3, [[0.1], [0.2], [0.3]]),
+    ])
+    def test_rotation_of_another_dimension_rejected(self, n, d, rotation):
+        with pytest.raises(ConfigError) as err:
+            scenario_from_dict(rotated_config(n, d, rotation))
+        assert err.value.field == "$.protocol.rotation"
 
 
 class TestRoundTrip:

@@ -195,7 +195,7 @@ def cmd_check_graphs(args) -> int:
         obj = _load_json(args.file)
         family = {name: graph_from_json(g) for name, g in obj["graphs"].items()}
         signal = signal_from_json(obj["signal"])
-    except (ConfigError, DomainError, KeyError, TypeError) as exc:
+    except (DomainError, KeyError, TypeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     mode = (

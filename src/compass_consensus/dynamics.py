@@ -32,7 +32,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import DivergenceError, DomainError, OracleScopeError
-from .graphs import SwitchingSignal, validate_switching_signal
+from .graphs import SwitchingSignal
 from .protocols import ProtocolKind, ProtocolSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -127,27 +127,16 @@ def _segment_targets(a: float, b: float, h: float) -> list[float]:
 def simulate(scenario: "ScenarioConfig") -> Trajectory:
     """Integrate the scenario's switched system over [t0, t_end].
 
-    Steps never straddle a switching instant. Raises DivergenceError with the
+    The scenario checked its own consistency when it was built. Steps never
+    straddle a switching instant. Raises DivergenceError with the
     offending time if the state stops being finite. When the scenario declares
     a feasibility assumption, the validator runs over the accepted samples and
     its verdicts are attached to the returned trajectory.
     """
     spec: ProtocolSpec = scenario.protocol
     signal: SwitchingSignal = scenario.signal
-    bad = validate_switching_signal(signal)
-    if bad:
-        raise DomainError(f"switching signal violates dwell time: {bad[0]}")
-    h = float(scenario.h)
-    if h <= 0:
-        raise DomainError("step size h must be positive")
-    t0 = signal.t0
-    t_end = float(scenario.t_end)
-    if t_end <= t0:
-        raise DomainError("t_end must exceed the signal start")
-
+    h, t0, t_end = float(scenario.h), signal.t0, float(scenario.t_end)
     x0 = np.asarray(scenario.initial_states, dtype=float).reshape(-1)
-    if x0.size != scenario.n * scenario.d:
-        raise DomainError("initial states must have n*d entries")
 
     # Every segment's step end times, so the sample arrays are allocated once.
     plan: list[tuple[Any, float, list[float]]] = []
@@ -182,7 +171,7 @@ def simulate(scenario: "ScenarioConfig") -> Trajectory:
         else:
             if p not in propagators:
                 # A_p acts on (n, d) blocks, or on the stacked state under a rotation.
-                if spec.rotation_dim is None:
+                if spec.rotation is None:
                     A, shape = spec.operator(p), (spec.n, scenario.d)
                 else:
                     A, shape = linear_system_matrix(spec, p, scenario.d), (x0.size, 1)
@@ -386,9 +375,9 @@ def linear_system_matrix(spec: ProtocolSpec, p: Any, d: int) -> np.ndarray:
     """Stacked (n*d, n*d) matrix A with f_p(x) = A x: block (i, j) is (L_p)_ij R_i."""
     if spec.kind is ProtocolKind.CUSTOM:
         raise DomainError("custom protocols have no generic linear form")
-    R = np.eye(d)[None] if spec.rotation_dim is None else spec._R
-    if R.shape[1] != d:
-        raise DomainError(f"rotation built for d={spec.rotation_dim}, not {d}")
+    R = spec.rotations(d)
+    if R is None:
+        R = np.eye(d)[None]
     n = spec.n
     return (spec.operator(p)[:, None, :, None] * R[:, :, None, :]).reshape(n * d, n * d)
 

@@ -33,7 +33,7 @@ class OracleScopeError(CompassError):
     """The closed-form linear oracle was queried outside its validity scope."""
 
 
-class ConfigError(CompassError):
+class ConfigError(DomainError):
     """A scenario configuration failed schema or consistency validation.
 
     Attributes:

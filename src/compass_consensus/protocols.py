@@ -68,14 +68,21 @@ def rotation_matrix(angles: float | Sequence[float], d: int) -> np.ndarray:
     return R
 
 
-def _dimension_of_angles(angles: float | Sequence[float]) -> int:
-    count = 1 if np.isscalar(angles) else len(list(angles))
-    d = 2
-    while d * (d - 1) // 2 < count:
-        d += 1
-    if d * (d - 1) // 2 != count:
-        raise DomainError(f"{count} angles do not fill the planes of any dimension")
-    return d
+def rotation_matrices(rotation: Any, n: int, d: int) -> np.ndarray:
+    """Per-agent rotations, shaped (n, d, d), for states of dimension d.
+
+    A scalar, or a flat list of d(d-1)/2 numbers, is one angle set shared by
+    every agent; anything else is one entry per agent, each an angle set as
+    ``rotation_matrix`` takes it.
+    """
+    shared = np.isscalar(rotation) or (
+        len(rotation) == d * (d - 1) // 2 and all(np.isscalar(a) for a in rotation)
+    )
+    if shared:
+        return np.repeat(rotation_matrix(rotation, d)[None], n, axis=0)
+    if len(rotation) != n:
+        raise DomainError(f"need rotation angles for each of {n} agents")
+    return np.stack([rotation_matrix(a, d) for a in rotation])
 
 
 FieldFn = Callable[[Any, np.ndarray], np.ndarray]
@@ -86,10 +93,10 @@ class ProtocolSpec:
     """A named vector-field family with its graphs, weights, and cone margin.
 
     ``weights`` is either one positive number applied to every arc or a map
-    from (j, i) to a positive number. ``rotation`` (rotated kind only) is a
-    single angle spec applied to every agent or a sequence of per-agent angle
-    specs. ``gamma`` is the declared cone margin used by the feasibility
-    validator.
+    from (j, i) to a positive number. ``rotation`` (rotated kind only) is kept
+    as given and resolved against the state dimension by ``rotations(d)``
+    (see ``rotation_matrices``). ``gamma`` is the declared cone margin used by
+    the feasibility validator.
     """
 
     kind: ProtocolKind
@@ -102,7 +109,7 @@ class ProtocolSpec:
     n: int = field(init=False)
     _W: dict = field(init=False, repr=False)
     _S: dict = field(init=False, repr=False)
-    _R: np.ndarray | None = field(init=False, repr=False, default=None)
+    _rotations: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         if isinstance(self.kind, str):
@@ -134,7 +141,6 @@ class ProtocolSpec:
         if self.kind is not ProtocolKind.ROTATED_CONSENSUS and self.rotation is not None:
             raise DomainError("rotation is only valid for the rotated kind")
         self._build_matrices()
-        self._build_rotations()
 
     def weight(self, j: int, i: int) -> float:
         if isinstance(self.weights, Mapping):
@@ -171,29 +177,16 @@ class ProtocolSpec:
             self._W[p] = W
             self._S[p] = S
 
-    def _build_rotations(self):
-        if self.kind is not ProtocolKind.ROTATED_CONSENSUS:
-            return
-        angles = self.rotation
-        per_agent: list
-        if np.isscalar(angles):
-            per_agent = [angles] * self.n
-        else:
-            angles = list(angles)
-            if all(np.isscalar(a) for a in angles) and len(angles) != self.n:
-                # One shared angle set (d > 2) for every agent.
-                per_agent = [angles] * self.n
-            else:
-                # Per-agent entries; each is an angle or an angle set.
-                per_agent = angles
-        if len(per_agent) != self.n:
-            raise DomainError(f"need rotation angles for each of {self.n} agents")
-        d = _dimension_of_angles(per_agent[0])
-        self._R = np.stack([rotation_matrix(a, d) for a in per_agent])
-
-    @property
-    def rotation_dim(self) -> int | None:
-        return None if self._R is None else self._R.shape[1]
+    def rotations(self, d: int) -> np.ndarray | None:
+        """Per-agent rotations (n, d, d) for states of dimension d, built once
+        per d; None unless the kind is rotated."""
+        if self.rotation is None:
+            return None
+        if d not in self._rotations:
+            R = rotation_matrices(self.rotation, self.n, d)
+            R.flags.writeable = False  # shared by every caller
+            self._rotations[d] = R
+        return self._rotations[d]
 
     def neighbor_mask(self, p: Any) -> np.ndarray:
         """Boolean (n, n) mask: row i marks the local hull members of agent i
@@ -215,13 +208,8 @@ class ProtocolSpec:
         if self.kind is ProtocolKind.CUSTOM:
             raise DomainError("custom protocols have no generic linear form")
         F = self.operator(p) @ X
-        if self._R is None:
-            return F
-        if self._R.shape[1] != X.shape[-1]:
-            raise DomainError(
-                f"rotation built for d={self._R.shape[1]} but state has d={X.shape[-1]}"
-            )
-        return np.einsum("aij,...aj->...ai", self._R, F)
+        R = self.rotations(X.shape[-1])
+        return F if R is None else np.einsum("aij,...aj->...ai", R, F)
 
     def field(self, p: Any, x: np.ndarray) -> np.ndarray:
         """Stacked vector field f_p(x) for the active graph index p."""

@@ -209,7 +209,8 @@ _VALIDATOR = Draft202012Validator(SCENARIO_SCHEMA)
 
 @dataclass(eq=False)
 class ScenarioConfig:
-    """A fully resolved experiment description."""
+    """A fully resolved experiment description; building one checks that its
+    inputs agree with each other."""
 
     n: int
     d: int
@@ -227,6 +228,42 @@ class ScenarioConfig:
     trajectory_csv: str = "trajectory.csv"
     metrics_json: str = "metrics.json"
     downsample: int = 1
+
+    def __post_init__(self):
+        """Reject inputs that disagree with each other, with ConfigError at
+        the config path of the offending entry."""
+        n, d, family, signal = self.n, self.d, self.protocol.family, self.signal
+        shape = np.shape(self.initial_states)
+        if shape != (n, d):
+            raise _fail(
+                f"initial_states must be shaped ({n}, {d}), got {shape}",
+                "$.agents.initial_states",
+            )
+        for name, g in family.items():
+            if g.n != n:
+                raise _fail(
+                    f"graph {name!r} has n={g.n}, agents declare n={n}",
+                    f"$.graphs.{name}",
+                )
+        for t, idx in signal.pieces:
+            if idx not in family:
+                raise _fail(f"piece at t={t} references unknown graph {idx!r}", "$.signal.pieces")
+        dwell = validate_switching_signal(signal)
+        if dwell:
+            raise _fail(f"dwell violations: {'; '.join(map(str, dwell))}", "$.signal")
+        try:
+            self.protocol.rotations(d)
+        except DomainError as exc:
+            raise _fail(str(exc), "$.protocol.rotation") from exc
+        if not self.h > 0:
+            raise _fail("step size h must be positive", "$.integrator.h")
+        if self.t_end <= signal.t0:
+            raise _fail("t_end must exceed the signal start", "$.integrator.t_end")
+        if self.t_end > signal.horizon_end and not signal.periodic:
+            raise _fail(
+                "t_end exceeds horizon_end of an aperiodic signal",
+                "$.integrator.t_end",
+            )
 
 
 def _fail(message: str, fieldpath: str) -> ConfigError:
@@ -255,11 +292,6 @@ def scenario_from_dict(cfg: Mapping, seed_override: int | None = None) -> Scenar
         )
     if has_explicit:
         x0 = np.asarray(agents["initial_states"], dtype=float)
-        if x0.shape != (n, d):
-            raise _fail(
-                f"initial_states must be shaped ({n}, {d}), got {x0.shape}",
-                "$.agents.initial_states",
-            )
     else:
         sample = agents["sample"]
         lo = np.asarray(sample["lo"], dtype=float)
@@ -275,58 +307,27 @@ def scenario_from_dict(cfg: Mapping, seed_override: int | None = None) -> Scenar
         family = {name: graph_from_json(g) for name, g in cfg["graphs"].items()}
     except DomainError as exc:
         raise _fail(str(exc), "$.graphs") from exc
-    for name, g in family.items():
-        if g.n != n:
-            raise _fail(
-                f"graph {name!r} has n={g.n}, agents declare n={n}",
-                f"$.graphs.{name}",
-            )
-
     try:
         signal = signal_from_json(cfg["signal"])
     except DomainError as exc:
         raise _fail(str(exc), "$.signal") from exc
-    for t, idx in signal.pieces:
-        if idx not in family:
-            raise _fail(f"piece at t={t} references unknown graph {idx!r}", "$.signal.pieces")
-    dwell = validate_switching_signal(signal)
-    if dwell:
-        raise _fail(f"dwell violations: {'; '.join(map(str, dwell))}", "$.signal")
 
     proto_cfg = cfg["protocol"]
     weights: float | dict = proto_cfg.get("weights", 1.0)
     if isinstance(weights, list):
         weights = {(int(j), int(i)): float(w) for j, i, w in weights}
-    rotation = proto_cfg.get("rotation")
-    shared = rotation is not None and (
-        not isinstance(rotation, list)
-        or len(rotation) == d * (d - 1) // 2 and not any(isinstance(a, list) for a in rotation)
-    )
-    if shared:  # one entry per agent: ProtocolSpec need not guess d, even if n = d(d-1)/2
-        rotation = [rotation] * n
     try:
         protocol = ProtocolSpec(
             kind=ProtocolKind(proto_cfg["kind"]),
             family=family,
             gamma=float(proto_cfg["gamma"]),
             weights=weights,
-            rotation=rotation,
+            rotation=proto_cfg.get("rotation"),
         )
     except DomainError as exc:
         raise _fail(str(exc), "$.protocol") from exc
-    if protocol.rotation_dim not in (None, d):
-        raise _fail(f"rotation is for d={protocol.rotation_dim}, not {d}", "$.protocol.rotation")
 
     integ = cfg["integrator"]
-    h, t_end = float(integ["h"]), float(integ["t_end"])
-    if t_end <= signal.t0:
-        raise _fail("t_end must exceed the signal start", "$.integrator.t_end")
-    if t_end > signal.horizon_end and not signal.periodic:
-        raise _fail(
-            "t_end exceeds horizon_end of an aperiodic signal",
-            "$.integrator.t_end",
-        )
-
     val = cfg.get("validation", {})
     assumption = val.get("assumption")
     monitors = cfg.get("monitors", {})
@@ -338,8 +339,8 @@ def scenario_from_dict(cfg: Mapping, seed_override: int | None = None) -> Scenar
         initial_states=x0,
         protocol=protocol,
         signal=signal,
-        h=h,
-        t_end=t_end,
+        h=float(integ["h"]),
+        t_end=float(integ["t_end"]),
         assumption=Assumption(assumption) if assumption else None,
         face_tolerance=float(val.get("face_tolerance", 0.0)),
         strictness_tolerance=float(val.get("strictness_tolerance", 1e-12)),

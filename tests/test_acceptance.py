@@ -410,7 +410,8 @@ def test_criterion_10_connectivity_matches_closure_oracle():
     for _ in range(50_000):
         sel = rng.random(len(pairs)) < rng.uniform(0.05, 0.5)
         arcs = [p for b, p in enumerate(pairs) if sel[b]]
-        signed = [(j, i, int(rng.choice([-1, 1]))) for j, i in arcs]
+        signs = rng.integers(0, 2, size=len(arcs)) * 2 - 1
+        signed = [(j, i, int(s)) for (j, i), s in zip(arcs, signs)]
         g = cc.SignedDigraph(5, signed)
         reach = closure(5, arcs)
         assert cc.is_quasi_strongly_connected(g) == bool(reach.all(axis=1).any())

@@ -515,10 +515,9 @@ class TestValidatorInputs:
             kind="RotatedConsensus", family={"g": complete_graph(3)}, gamma=1.0,
             rotation=[[0.1, 0.2, 0.3]] * 3,
         )
-        assert spec.rotation_dim == 3
         traj = sampled_trajectory(np.ones((3, 3, 2)), ["g"] * 3)
         for call in self.entry_points(traj, spec):
-            with pytest.raises(DomainError, match="rotation built for d=3"):
+            with pytest.raises(DomainError, match="need 1 plane angles for d=2"):
                 call()
 
 

@@ -1,12 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from compass_consensus.dynamics import Assumption, simulate
-from compass_consensus.errors import ConfigError
+from compass_consensus.dynamics import Assumption, fields_along, simulate
+from compass_consensus.errors import ConfigError, DomainError
+from compass_consensus.graphs import SwitchingSignal, complete_graph
 from compass_consensus.metrics import MonitorMode
-from compass_consensus.protocols import rotation_matrix
+from compass_consensus.protocols import ProtocolSpec, rotation_matrix
 from compass_consensus.scenario import (
     SCENARIO_SCHEMA,
+    ScenarioConfig,
     scenario_from_dict,
     scenario_to_dict,
 )
@@ -171,6 +175,59 @@ class TestRotation:
         with pytest.raises(ConfigError) as err:
             scenario_from_dict(rotated_config(n, d, rotation))
         assert err.value.field == "$.protocol.rotation"
+
+    def test_library_spec_reads_a_flat_angle_set_as_shared(self):
+        # n = d(d-1)/2 = 3: the list is one d = 3 angle set, not three d = 2 angles
+        spec = ProtocolSpec(
+            kind="RotatedConsensus", family={"g": complete_graph(3)}, gamma=1e-3,
+            rotation=[0.1, 0.2, 0.3],
+        )
+        sc = ScenarioConfig(
+            n=3, d=3, initial_states=np.eye(3), protocol=spec,
+            signal=SwitchingSignal([(0.0, "g")], tau_d=1.0, horizon_end=1.0),
+            h=0.01, t_end=1.0,
+        )
+        traj = simulate(sc)
+        R = rotation_matrix([0.1, 0.2, 0.3], 3)
+        F = spec.operator("g") @ traj.blocks()
+        assert np.allclose(fields_along(traj, spec), F @ R.T, rtol=0, atol=1e-12)
+
+
+class TestCrossFieldChecks:
+    """ScenarioConfig owns every cross-field check and names the config path."""
+
+    @pytest.mark.parametrize("make, path", [
+        (lambda c: c["agents"].update(initial_states=[[0.0, 1.0], [2.0, 3.0]]),
+         "$.agents.initial_states"),
+        (lambda c: c["graphs"]["g"].update(n=3), "$.graphs.g"),
+        (lambda c: c["signal"].update(pieces=[[0.0, "zz"]]), "$.signal.pieces"),
+        (lambda c: c["signal"].update(pieces=[[0.0, "g"], [0.2, "g"]]), "$.signal"),
+        (lambda c: c["integrator"].update(t_end=0.0), "$.integrator.t_end"),
+        (lambda c: c["integrator"].update(t_end=11.0), "$.integrator.t_end"),
+        (lambda c: c.update(rotated_config(3, 2, [0.1, 0.2, 0.3, 0.4, 0.5])),
+         "$.protocol.rotation"),
+        (lambda c: c.update(rotated_config(3, 3, [[0.1, 0.2, 0.3]] * 2 + [[0.1]])),
+         "$.protocol.rotation"),
+    ], ids=["state-shape", "graph-nodes", "unknown-label", "dwell", "t_end-before-start",
+            "t_end-past-horizon", "rotation-count", "rotation-shape"])
+    def test_config_path_of_each_failure(self, make, path):
+        cfg = base_config()
+        make(cfg)
+        with pytest.raises(ConfigError) as err:
+            scenario_from_dict(cfg)
+        assert err.value.field == path
+
+    @pytest.mark.parametrize("changes, path", [
+        ({"signal": SwitchingSignal([(0.0, "zz")], tau_d=1.0, horizon_end=10.0)},
+         "$.signal.pieces"),
+        ({"n": 4, "initial_states": np.zeros((4, 1))}, "$.graphs.g"),
+        ({"h": 0.0}, "$.integrator.h"),
+    ], ids=["unknown-label", "agents-over-graph", "h"])
+    def test_library_config_rejected_when_built(self, changes, path):
+        sc = scenario_from_dict(base_config())
+        with pytest.raises(DomainError) as err:
+            replace(sc, **changes)
+        assert err.value.field == path
 
 
 class TestRoundTrip:

@@ -91,6 +91,6 @@ from .metrics import (
     square_max_series,
     t_bar_from_window,
 )
-from .scenario import SCENARIO_SCHEMA, ScenarioConfig, scenario_from_dict, scenario_to_dict
+from .scenario import ScenarioConfig, scenario_from_dict, scenario_to_dict
 
 __version__ = "0.1.0"

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import metrics
+from . import _json, metrics
 from .dynamics import Trajectory, simulate
 from .errors import (
     CompassError,
@@ -192,10 +192,11 @@ def cmd_dump_config(args) -> int:
 
 def cmd_check_graphs(args) -> int:
     try:
-        obj = _load_json(args.file)
-        family = {name: graph_from_json(g) for name, g in obj["graphs"].items()}
-        signal = signal_from_json(obj["signal"])
-    except (DomainError, KeyError, TypeError) as exc:
+        doc = _json.obj(_load_json(args.file), "$", required=("graphs", "signal"), allowed=())
+        graphs = _json.obj(doc["graphs"], "$.graphs")
+        family = {k: graph_from_json(g, _json.path("$.graphs", k)) for k, g in graphs.items()}
+        signal = signal_from_json(doc["signal"], "$.signal")
+    except DomainError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     mode = (

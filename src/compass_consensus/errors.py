@@ -34,10 +34,10 @@ class OracleScopeError(CompassError):
 
 
 class ConfigError(DomainError):
-    """A scenario configuration failed schema or consistency validation.
+    """An input entry is malformed, or input entries disagree with each other.
 
     Attributes:
-        field: dotted path of the offending config entry, when known.
+        field: ``$.…`` JSON path of the offending entry, when known.
     """
 
     def __init__(self, message: str, field: str | None = None):

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Iterable, Mapping
 
+from . import _json
 from .errors import DomainError, InsufficientHorizonError
 
 
@@ -421,16 +422,10 @@ def check_uniform_joint_connectivity(
     )
 
 
-# JSON exchange format: graph {n, arcs: [[j, i, sign], ...]},
-# signal {tau_d, pieces: [[t, index], ...], horizon_end, periodic}.
-
-
-def _flag(obj: Mapping, key: str) -> bool:
-    """A JSON boolean, False when absent; DomainError for any other value."""
-    value = obj.get(key, False)
-    if not isinstance(value, bool):
-        raise DomainError(f"{key} must be true or false, got {value!r}")
-    return value
+# JSON exchange format: graph {n, arcs: [[j, i, sign], ...], allow_self_loops},
+# signal {tau_d, pieces: [[t, index], ...], horizon_end, periodic}. ``*_args``
+# check every entry without building, so a scenario can check all of its
+# sections first; ``*_from_json`` also build.
 
 
 def graph_to_json(g: SignedDigraph) -> dict:
@@ -441,15 +436,26 @@ def graph_to_json(g: SignedDigraph) -> dict:
     }
 
 
-def graph_from_json(obj: Mapping) -> SignedDigraph:
-    try:
-        return SignedDigraph(
-            int(obj["n"]),
-            [tuple(a) for a in obj["arcs"]],
-            allow_self_loops=_flag(obj, "allow_self_loops"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DomainError(f"bad graph object: {exc}") from exc
+def graph_args(obj: Any, at: str = "$") -> tuple[int, list[tuple], bool]:
+    """``SignedDigraph`` arguments (n, arcs, allow_self_loops) of the JSON
+    graph object at path ``at``."""
+    _json.obj(obj, at, required=("n", "arcs"), allowed=("allow_self_loops",))
+    n = _json.integer(obj["n"], at, "n", minimum=1)
+    base = at + ".arcs"
+    arcs = []
+    for k, arc in enumerate(_json.array(obj["arcs"], at, "arcs")):
+        _json.array(arc, base, k, min_len=2, max_len=3)
+        arcs.append((
+            _json.integer(arc[0], base, k, 0, minimum=1),
+            _json.integer(arc[1], base, k, 1, minimum=1),
+            _json.enum(arc[2], (1, -1), base, k, 2) if len(arc) == 3 else 1,
+        ))
+    return n, arcs, _json.flag(obj, "allow_self_loops", at)
+
+
+def graph_from_json(obj: Any, at: str = "$") -> SignedDigraph:
+    """The graph of a JSON graph object; ConfigError at or below ``at``."""
+    return _json.build(SignedDigraph, at, *graph_args(obj, at))
 
 
 def signal_to_json(signal: SwitchingSignal) -> dict:
@@ -461,13 +467,20 @@ def signal_to_json(signal: SwitchingSignal) -> dict:
     }
 
 
-def signal_from_json(obj: Mapping) -> SwitchingSignal:
-    try:
-        return SwitchingSignal(
-            [(float(t), p) for t, p in obj["pieces"]],
-            tau_d=float(obj["tau_d"]),
-            horizon_end=float(obj["horizon_end"]),
-            periodic=_flag(obj, "periodic"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DomainError(f"bad signal object: {exc}") from exc
+def signal_args(obj: Any, at: str = "$") -> tuple[list[tuple], float, float, bool]:
+    """``SwitchingSignal`` arguments (pieces, tau_d, horizon_end, periodic)
+    of the JSON signal object at path ``at``."""
+    _json.obj(obj, at, required=("tau_d", "pieces", "horizon_end"), allowed=("periodic",))
+    base = at + ".pieces"
+    pieces = []
+    for k, piece in enumerate(_json.array(obj["pieces"], at, "pieces", min_len=1)):
+        _json.array(piece, base, k, min_len=2, max_len=2)
+        pieces.append((_json.number(piece[0], base, k, 0), _json.string(piece[1], base, k, 1)))
+    tau_d = _json.number(obj["tau_d"], at, "tau_d", above=0)
+    horizon_end = _json.number(obj["horizon_end"], at, "horizon_end")
+    return pieces, tau_d, horizon_end, _json.flag(obj, "periodic", at)
+
+
+def signal_from_json(obj: Any, at: str = "$") -> SwitchingSignal:
+    """The signal of a JSON signal object; ConfigError at or below ``at``."""
+    return _json.build(SwitchingSignal, at, *signal_args(obj, at))

@@ -1,210 +1,35 @@
-"""Scenario configuration: JSON schema, loading, and normalization.
+"""Scenario configuration: loading, checking, and normalization.
 
 A scenario bundles everything one simulation run needs: agent count and
 dimension, initial states (explicit or sampled from a seeded box), the
 protocol, the graph family, the switching signal, integrator settings, and
-the validation/monitor/output options. Configs are JSON objects validated
-against ``SCENARIO_SCHEMA``; loading resolves defaults and sampled initial
-states so a normalized config echoes back to an equivalent scenario.
+the validation/monitor/output options. Configs are JSON objects checked entry
+by entry: a malformed entry, a non-finite number among them, raises
+``ConfigError`` at its ``$.…`` path. Loading resolves defaults and sampled
+initial states so a normalized config echoes back to an equivalent scenario.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
+from . import _json
 from .dynamics import Assumption
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 from .graphs import (
     SignedDigraph,
     SwitchingSignal,
-    graph_from_json,
+    graph_args,
     graph_to_json,
-    signal_from_json,
+    signal_args,
     signal_to_json,
     validate_switching_signal,
 )
 from .metrics import MonitorMode
-from .protocols import ProtocolKind, ProtocolSpec
-
-_NUMBER_ARRAY = {"type": "array", "items": {"type": "number"}, "minItems": 1}
-
-GRAPH_SCHEMA = {
-    "type": "object",
-    "required": ["n", "arcs"],
-    "additionalProperties": False,
-    "properties": {
-        "n": {"type": "integer", "minimum": 1},
-        "arcs": {
-            "type": "array",
-            "items": {
-                "type": "array",
-                "prefixItems": [
-                    {"type": "integer", "minimum": 1},
-                    {"type": "integer", "minimum": 1},
-                    {"enum": [1, -1]},
-                ],
-                "minItems": 2,
-                "maxItems": 3,
-            },
-        },
-        "allow_self_loops": {"type": "boolean"},
-    },
-}
-
-SIGNAL_SCHEMA = {
-    "type": "object",
-    "required": ["tau_d", "pieces", "horizon_end"],
-    "additionalProperties": False,
-    "properties": {
-        "tau_d": {"type": "number", "exclusiveMinimum": 0},
-        "pieces": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "array",
-                "prefixItems": [{"type": "number"}, {"type": "string"}],
-                "minItems": 2,
-                "maxItems": 2,
-            },
-        },
-        "horizon_end": {"type": "number"},
-        "periodic": {"type": "boolean"},
-    },
-}
-
-SCENARIO_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "title": "compass-consensus scenario",
-    "type": "object",
-    "required": ["agents", "protocol", "graphs", "signal", "integrator"],
-    "additionalProperties": False,
-    "properties": {
-        "agents": {
-            "type": "object",
-            "required": ["n", "d"],
-            "additionalProperties": False,
-            "properties": {
-                "n": {"type": "integer", "minimum": 1},
-                "d": {"type": "integer", "minimum": 1},
-                "initial_states": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": _NUMBER_ARRAY,
-                },
-                "sample": {
-                    "type": "object",
-                    "required": ["seed", "lo", "hi"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "seed": {"type": "integer", "minimum": 0},
-                        "lo": _NUMBER_ARRAY,
-                        "hi": _NUMBER_ARRAY,
-                    },
-                },
-            },
-        },
-        "protocol": {
-            "type": "object",
-            "required": ["kind", "gamma"],
-            "additionalProperties": False,
-            "properties": {
-                "kind": {
-                    "enum": [
-                        "WeightedConsensus",
-                        "RotatedConsensus",
-                        "SignedConsensus",
-                    ]
-                },
-                "gamma": {"type": "number", "exclusiveMinimum": 0},
-                "weights": {
-                    "anyOf": [
-                        {"type": "number", "exclusiveMinimum": 0},
-                        {
-                            "type": "array",
-                            "items": {
-                                "type": "array",
-                                "prefixItems": [
-                                    {"type": "integer", "minimum": 1},
-                                    {"type": "integer", "minimum": 1},
-                                    {"type": "number", "exclusiveMinimum": 0},
-                                ],
-                                "minItems": 3,
-                                "maxItems": 3,
-                            },
-                        },
-                    ]
-                },
-                "rotation": {
-                    "anyOf": [
-                        {"type": "number"},
-                        {"type": "array", "items": {"type": "number"}},
-                        {
-                            "type": "array",
-                            "items": {"type": "array", "items": {"type": "number"}},
-                        },
-                    ]
-                },
-            },
-        },
-        "graphs": {
-            "type": "object",
-            "minProperties": 1,
-            "additionalProperties": GRAPH_SCHEMA,
-        },
-        "signal": SIGNAL_SCHEMA,
-        "integrator": {
-            "type": "object",
-            "required": ["h", "t_end"],
-            "additionalProperties": False,
-            "properties": {
-                "h": {"type": "number", "exclusiveMinimum": 0},
-                "t_end": {"type": "number"},
-            },
-        },
-        "validation": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "assumption": {
-                    "enum": [
-                        "GammaStrict",
-                        "RelativeInterior",
-                        "SignedGammaStrict",
-                        None,
-                    ]
-                },
-                "face_tolerance": {"type": "number", "minimum": 0},
-                "strictness_tolerance": {"type": "number", "minimum": 0},
-            },
-        },
-        "monitors": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "mode": {"enum": ["CooperativeBox", "SignedSquare", None]},
-                "tol_monotone": {
-                    "anyOf": [{"type": "number", "exclusiveMinimum": 0}, {"type": "null"}]
-                },
-                "eps_agreement": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "outputs": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "trajectory_csv": {"type": "string", "minLength": 1},
-                "metrics_json": {"type": "string", "minLength": 1},
-                "downsample": {"type": "integer", "minimum": 1},
-            },
-        },
-    },
-}
-
-_VALIDATOR = Draft202012Validator(SCENARIO_SCHEMA)
+from .protocols import ProtocolSpec
 
 
 @dataclass(eq=False)
@@ -235,122 +60,160 @@ class ScenarioConfig:
         n, d, family, signal = self.n, self.d, self.protocol.family, self.signal
         shape = np.shape(self.initial_states)
         if shape != (n, d):
-            raise _fail(
+            raise _json.fail(
                 f"initial_states must be shaped ({n}, {d}), got {shape}",
                 "$.agents.initial_states",
             )
         for name, g in family.items():
             if g.n != n:
-                raise _fail(
+                raise _json.fail(
                     f"graph {name!r} has n={g.n}, agents declare n={n}",
-                    f"$.graphs.{name}",
+                    _json.path("$.graphs", str(name)),
                 )
         for t, idx in signal.pieces:
             if idx not in family:
-                raise _fail(f"piece at t={t} references unknown graph {idx!r}", "$.signal.pieces")
+                raise _json.fail(
+                    f"piece at t={t} references unknown graph {idx!r}", "$.signal.pieces"
+                )
         dwell = validate_switching_signal(signal)
         if dwell:
-            raise _fail(f"dwell violations: {'; '.join(map(str, dwell))}", "$.signal")
+            raise _json.fail(f"dwell violations: {'; '.join(map(str, dwell))}", "$.signal")
         try:
             self.protocol.rotations(d)
         except DomainError as exc:
-            raise _fail(str(exc), "$.protocol.rotation") from exc
+            raise _json.fail(str(exc), "$.protocol.rotation") from exc
         if not self.h > 0:
-            raise _fail("step size h must be positive", "$.integrator.h")
+            raise _json.fail("step size h must be positive", "$.integrator.h")
         if self.t_end <= signal.t0:
-            raise _fail("t_end must exceed the signal start", "$.integrator.t_end")
+            raise _json.fail("t_end must exceed the signal start", "$.integrator.t_end")
         if self.t_end > signal.horizon_end and not signal.periodic:
-            raise _fail(
+            raise _json.fail(
                 "t_end exceeds horizon_end of an aperiodic signal",
                 "$.integrator.t_end",
             )
 
 
-def _fail(message: str, fieldpath: str) -> ConfigError:
-    return ConfigError(message, field=fieldpath)
+_KINDS = ("WeightedConsensus", "RotatedConsensus", "SignedConsensus")
+_ASSUMPTIONS = (*(a.value for a in Assumption), None)
+_MONITOR_MODES = (*(m.value for m in MonitorMode), None)
 
 
 def scenario_from_dict(cfg: Mapping, seed_override: int | None = None) -> ScenarioConfig:
-    """Validate a config dict against the schema and build a ScenarioConfig.
+    """Check a config dict entry by entry and build a ScenarioConfig.
 
-    ``seed_override`` replaces the sampling seed of sampled initial states
-    (it has no effect on explicit initial states).
+    Every entry is checked before anything is built, so a malformed entry is
+    reported before any disagreement between entries. ``seed_override``
+    replaces the sampling seed of sampled initial states (it has no effect on
+    explicit initial states).
     """
-    errors = sorted(_VALIDATOR.iter_errors(cfg), key=lambda e: e.json_path)
-    if errors:
-        e = errors[0]
-        raise ConfigError(e.message, field=e.json_path)
-
-    agents = cfg["agents"]
-    n, d = int(agents["n"]), int(agents["d"])
-    has_explicit = "initial_states" in agents
-    has_sample = "sample" in agents
-    if has_explicit == has_sample:
-        raise _fail(
-            "agents needs exactly one of initial_states and sample",
-            "$.agents",
-        )
-    if has_explicit:
-        x0 = np.asarray(agents["initial_states"], dtype=float)
-    else:
-        sample = agents["sample"]
-        lo = np.asarray(sample["lo"], dtype=float)
-        hi = np.asarray(sample["hi"], dtype=float)
-        if lo.shape != (d,) or hi.shape != (d,):
-            raise _fail(f"sample box must have {d} entries", "$.agents.sample")
-        if np.any(hi < lo):
-            raise _fail("sample box needs lo <= hi per axis", "$.agents.sample")
-        rng = np.random.default_rng(int(sample["seed"] if seed_override is None else seed_override))
-        x0 = lo + rng.random((n, d)) * (hi - lo)
-
-    try:
-        family = {name: graph_from_json(g) for name, g in cfg["graphs"].items()}
-    except DomainError as exc:
-        raise _fail(str(exc), "$.graphs") from exc
-    try:
-        signal = signal_from_json(cfg["signal"])
-    except DomainError as exc:
-        raise _fail(str(exc), "$.signal") from exc
-
-    proto_cfg = cfg["protocol"]
-    weights: float | dict = proto_cfg.get("weights", 1.0)
-    if isinstance(weights, list):
-        weights = {(int(j), int(i)): float(w) for j, i, w in weights}
-    try:
-        protocol = ProtocolSpec(
-            kind=ProtocolKind(proto_cfg["kind"]),
-            family=family,
-            gamma=float(proto_cfg["gamma"]),
-            weights=weights,
-            rotation=proto_cfg.get("rotation"),
-        )
-    except DomainError as exc:
-        raise _fail(str(exc), "$.protocol") from exc
-
-    integ = cfg["integrator"]
-    val = cfg.get("validation", {})
-    assumption = val.get("assumption")
-    monitors = cfg.get("monitors", {})
-    mode = monitors.get("mode")
-    outputs = cfg.get("outputs", {})
-    return ScenarioConfig(
-        n=n,
-        d=d,
-        initial_states=x0,
-        protocol=protocol,
-        signal=signal,
-        h=float(integ["h"]),
-        t_end=float(integ["t_end"]),
-        assumption=Assumption(assumption) if assumption else None,
-        face_tolerance=float(val.get("face_tolerance", 0.0)),
-        strictness_tolerance=float(val.get("strictness_tolerance", 1e-12)),
-        monitor_mode=MonitorMode(mode) if mode else None,
-        tol_monotone=monitors.get("tol_monotone"),
-        eps_agreement=float(monitors.get("eps_agreement", 1e-6)),
-        trajectory_csv=outputs.get("trajectory_csv", "trajectory.csv"),
-        metrics_json=outputs.get("metrics_json", "metrics.json"),
-        downsample=int(outputs.get("downsample", 1)),
+    sections = ("agents", "protocol", "graphs", "signal", "integrator")
+    _json.obj(cfg, "$", required=sections, allowed=("validation", "monitors", "outputs"))
+    agents = _json.obj(
+        cfg["agents"], "$.agents", required=("n", "d"), allowed=("initial_states", "sample")
     )
+    n = _json.integer(agents["n"], "$.agents", "n", minimum=1)
+    d = _json.integer(agents["d"], "$.agents", "d", minimum=1)
+    if "initial_states" in agents:
+        rows = _json.array(agents["initial_states"], "$.agents", "initial_states", min_len=1)
+        rows = [_json.numbers(row, "$.agents.initial_states", k) for k, row in enumerate(rows)]
+    if "sample" in agents:
+        at = "$.agents.sample"
+        sample = _json.obj(agents["sample"], at, required=("seed", "lo", "hi"), allowed=())
+        seed = _json.integer(sample["seed"], at, "seed", minimum=0)
+        lo, hi = (np.array(_json.numbers(sample[k], at, k)) for k in ("lo", "hi"))
+
+    proto = _json.obj(
+        cfg["protocol"], "$.protocol", required=("kind", "gamma"), allowed=("weights", "rotation")
+    )
+    kind = _json.enum(proto["kind"], _KINDS, "$.protocol", "kind")
+    gamma = _json.number(proto["gamma"], "$.protocol", "gamma", above=0)
+    weights = _weights(proto.get("weights", 1.0))
+    if "rotation" in proto:
+        _check_rotation(proto["rotation"])
+    if not _json.obj(cfg["graphs"], "$.graphs"):
+        raise _json.fail("needs at least one graph", "$.graphs")
+    at = {name: _json.path("$.graphs", str(name)) for name in cfg["graphs"]}
+    graph_fields = {name: graph_args(g, at[name]) for name, g in cfg["graphs"].items()}
+    signal_fields = signal_args(cfg["signal"], "$.signal")
+    settings = _settings(cfg)
+
+    if ("initial_states" in agents) == ("sample" in agents):
+        raise _json.fail("agents needs exactly one of initial_states and sample", "$.agents")
+    if "initial_states" in agents:
+        if len({len(row) for row in rows}) > 1:
+            raise _json.fail("rows must all have the same length", "$.agents.initial_states")
+        x0 = np.array(rows)
+    else:
+        if lo.shape != (d,) or hi.shape != (d,):
+            raise _json.fail(f"sample box must have {d} entries", "$.agents.sample")
+        if np.any(hi < lo):
+            raise _json.fail("sample box needs lo <= hi per axis", "$.agents.sample")
+        rng = np.random.default_rng(seed if seed_override is None else int(seed_override))
+        x0 = lo + rng.random((n, d)) * (hi - lo)
+    family = {name: _json.build(SignedDigraph, at[name], *f) for name, f in graph_fields.items()}
+    signal = _json.build(SwitchingSignal, "$.signal", *signal_fields)
+    rotation = proto.get("rotation")
+    protocol = _json.build(ProtocolSpec, "$.protocol", kind, family, gamma, weights, rotation)
+    return ScenarioConfig(n, d, x0, protocol, signal, **settings)
+
+
+def _weights(value: Any) -> float | dict:
+    """One positive weight, or a map (j, i) -> weight from [j, i, w] triples."""
+    if not isinstance(value, list):
+        return _json.number(value, "$.protocol", "weights", above=0)
+    at, weights = "$.protocol.weights", {}
+    for k, triple in enumerate(value):
+        j, i, w = _json.array(triple, at, k, min_len=3, max_len=3)
+        j, i = _json.integer(j, at, k, 0, minimum=1), _json.integer(i, at, k, 1, minimum=1)
+        weights[j, i] = _json.number(w, at, k, 2, above=0)
+    return weights
+
+
+def _check_rotation(value: Any) -> None:
+    """A number, an array of numbers, or an array of arrays of numbers."""
+    if not isinstance(value, list):
+        _json.number(value, "$.protocol", "rotation")
+    elif all(isinstance(entry, list) for entry in value):
+        for k, entry in enumerate(value):
+            _json.numbers(entry, "$.protocol.rotation", k, min_len=0)
+    else:
+        _json.numbers(value, "$.protocol", "rotation", min_len=0)
+
+
+def _settings(cfg: Mapping) -> dict:
+    """ScenarioConfig keywords from the integrator, validation, monitors and
+    outputs sections."""
+    integ = _json.obj(cfg["integrator"], "$.integrator", required=("h", "t_end"), allowed=())
+    val = _section(cfg, "validation", assumption=None, face_tolerance=0.0,
+                   strictness_tolerance=1e-12)
+    mon = _section(cfg, "monitors", mode=None, tol_monotone=None, eps_agreement=1e-6)
+    out = _section(cfg, "outputs", trajectory_csv="trajectory.csv",
+                   metrics_json="metrics.json", downsample=1)
+    assumption = _json.enum(val["assumption"], _ASSUMPTIONS, "$.validation", "assumption")
+    mode = _json.enum(mon["mode"], _MONITOR_MODES, "$.monitors", "mode")
+    if mon["tol_monotone"] is not None:  # kept as written: dump-config echoes it
+        _json.number(mon["tol_monotone"], "$.monitors", "tol_monotone", above=0)
+    return dict(
+        h=_json.number(integ["h"], "$.integrator", "h", above=0),
+        t_end=_json.number(integ["t_end"], "$.integrator", "t_end"),
+        assumption=Assumption(assumption) if assumption else None,
+        face_tolerance=_json.number(val["face_tolerance"], "$.validation", "face_tolerance",
+                                    minimum=0),
+        strictness_tolerance=_json.number(val["strictness_tolerance"], "$.validation",
+                                          "strictness_tolerance", minimum=0),
+        monitor_mode=MonitorMode(mode) if mode else None,
+        tol_monotone=mon["tol_monotone"],
+        eps_agreement=_json.number(mon["eps_agreement"], "$.monitors", "eps_agreement", above=0),
+        trajectory_csv=_json.string(out["trajectory_csv"], "$.outputs", "trajectory_csv",
+                                    min_len=1),
+        metrics_json=_json.string(out["metrics_json"], "$.outputs", "metrics_json", min_len=1),
+        downsample=_json.integer(out["downsample"], "$.outputs", "downsample", minimum=1),
+    )
+
+
+def _section(cfg: Mapping, name: str, **defaults: Any) -> dict:
+    """Optional section ``name`` over its defaults; keys outside them are rejected."""
+    return {**defaults, **_json.obj(cfg.get(name, {}), f"$.{name}", allowed=tuple(defaults))}
 
 
 def scenario_to_dict(sc: ScenarioConfig) -> dict:

@@ -1,9 +1,17 @@
 """Shared builders for module and acceptance tests."""
 
-import numpy as np
+from typing import Mapping
 
+import numpy as np
+from jsonschema import Draft202012Validator
+
+from compass_consensus.dynamics import Assumption
+from compass_consensus.errors import ConfigError, DomainError
 from compass_consensus.geometry import Hyperrectangle
 from compass_consensus.graphs import SignedDigraph, SwitchingSignal
+from compass_consensus.metrics import MonitorMode
+from compass_consensus.protocols import ProtocolKind, ProtocolSpec
+from compass_consensus.scenario import ScenarioConfig
 
 
 def random_query(rng, allow_degenerate=True):
@@ -309,4 +317,305 @@ def v0_build_report(traj, eps_agreement=1e-6, monitor_mode=None, tol_monotone=No
         lambda_hat=lam, r_squared=r2, fit_truncated=truncated, agreement=verdict,
         abs_agreement=abs_ok, monitor_mode=mode, monitor_violations=monitor,
         feasibility_violations=list(traj.feasibility_violations or []),
+    )
+
+
+# The scenario loader before the JSON readers replaced jsonschema: the schema
+# dicts and the loader, kept as the oracle of tests/test_json_readers.py.
+
+_NUMBER_ARRAY = {"type": "array", "items": {"type": "number"}, "minItems": 1}
+
+GRAPH_SCHEMA = {
+    "type": "object",
+    "required": ["n", "arcs"],
+    "additionalProperties": False,
+    "properties": {
+        "n": {"type": "integer", "minimum": 1},
+        "arcs": {
+            "type": "array",
+            "items": {
+                "type": "array",
+                "prefixItems": [
+                    {"type": "integer", "minimum": 1},
+                    {"type": "integer", "minimum": 1},
+                    {"enum": [1, -1]},
+                ],
+                "minItems": 2,
+                "maxItems": 3,
+            },
+        },
+        "allow_self_loops": {"type": "boolean"},
+    },
+}
+
+SIGNAL_SCHEMA = {
+    "type": "object",
+    "required": ["tau_d", "pieces", "horizon_end"],
+    "additionalProperties": False,
+    "properties": {
+        "tau_d": {"type": "number", "exclusiveMinimum": 0},
+        "pieces": {
+            "type": "array",
+            "minItems": 1,
+            "items": {
+                "type": "array",
+                "prefixItems": [{"type": "number"}, {"type": "string"}],
+                "minItems": 2,
+                "maxItems": 2,
+            },
+        },
+        "horizon_end": {"type": "number"},
+        "periodic": {"type": "boolean"},
+    },
+}
+
+SCENARIO_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "title": "compass-consensus scenario",
+    "type": "object",
+    "required": ["agents", "protocol", "graphs", "signal", "integrator"],
+    "additionalProperties": False,
+    "properties": {
+        "agents": {
+            "type": "object",
+            "required": ["n", "d"],
+            "additionalProperties": False,
+            "properties": {
+                "n": {"type": "integer", "minimum": 1},
+                "d": {"type": "integer", "minimum": 1},
+                "initial_states": {
+                    "type": "array",
+                    "minItems": 1,
+                    "items": _NUMBER_ARRAY,
+                },
+                "sample": {
+                    "type": "object",
+                    "required": ["seed", "lo", "hi"],
+                    "additionalProperties": False,
+                    "properties": {
+                        "seed": {"type": "integer", "minimum": 0},
+                        "lo": _NUMBER_ARRAY,
+                        "hi": _NUMBER_ARRAY,
+                    },
+                },
+            },
+        },
+        "protocol": {
+            "type": "object",
+            "required": ["kind", "gamma"],
+            "additionalProperties": False,
+            "properties": {
+                "kind": {
+                    "enum": [
+                        "WeightedConsensus",
+                        "RotatedConsensus",
+                        "SignedConsensus",
+                    ]
+                },
+                "gamma": {"type": "number", "exclusiveMinimum": 0},
+                "weights": {
+                    "anyOf": [
+                        {"type": "number", "exclusiveMinimum": 0},
+                        {
+                            "type": "array",
+                            "items": {
+                                "type": "array",
+                                "prefixItems": [
+                                    {"type": "integer", "minimum": 1},
+                                    {"type": "integer", "minimum": 1},
+                                    {"type": "number", "exclusiveMinimum": 0},
+                                ],
+                                "minItems": 3,
+                                "maxItems": 3,
+                            },
+                        },
+                    ]
+                },
+                "rotation": {
+                    "anyOf": [
+                        {"type": "number"},
+                        {"type": "array", "items": {"type": "number"}},
+                        {
+                            "type": "array",
+                            "items": {"type": "array", "items": {"type": "number"}},
+                        },
+                    ]
+                },
+            },
+        },
+        "graphs": {
+            "type": "object",
+            "minProperties": 1,
+            "additionalProperties": GRAPH_SCHEMA,
+        },
+        "signal": SIGNAL_SCHEMA,
+        "integrator": {
+            "type": "object",
+            "required": ["h", "t_end"],
+            "additionalProperties": False,
+            "properties": {
+                "h": {"type": "number", "exclusiveMinimum": 0},
+                "t_end": {"type": "number"},
+            },
+        },
+        "validation": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "assumption": {
+                    "enum": [
+                        "GammaStrict",
+                        "RelativeInterior",
+                        "SignedGammaStrict",
+                        None,
+                    ]
+                },
+                "face_tolerance": {"type": "number", "minimum": 0},
+                "strictness_tolerance": {"type": "number", "minimum": 0},
+            },
+        },
+        "monitors": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "mode": {"enum": ["CooperativeBox", "SignedSquare", None]},
+                "tol_monotone": {
+                    "anyOf": [{"type": "number", "exclusiveMinimum": 0}, {"type": "null"}]
+                },
+                "eps_agreement": {"type": "number", "exclusiveMinimum": 0},
+            },
+        },
+        "outputs": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "trajectory_csv": {"type": "string", "minLength": 1},
+                "metrics_json": {"type": "string", "minLength": 1},
+                "downsample": {"type": "integer", "minimum": 1},
+            },
+        },
+    },
+}
+
+
+def v0_schema_errors(schema, obj):
+    """jsonschema's errors for ``obj``, sorted by path as the v0 loader did."""
+    return sorted(Draft202012Validator(schema).iter_errors(obj), key=lambda e: e.json_path)
+
+
+def v0_flag(obj: Mapping, key: str) -> bool:
+    """A JSON boolean, False when absent; DomainError for any other value."""
+    value = obj.get(key, False)
+    if not isinstance(value, bool):
+        raise DomainError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
+def v0_graph_from_json(obj: Mapping) -> SignedDigraph:
+    try:
+        return SignedDigraph(
+            int(obj["n"]),
+            [tuple(a) for a in obj["arcs"]],
+            allow_self_loops=v0_flag(obj, "allow_self_loops"),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"bad graph object: {exc}") from exc
+
+
+def v0_signal_from_json(obj: Mapping) -> SwitchingSignal:
+    try:
+        return SwitchingSignal(
+            [(float(t), p) for t, p in obj["pieces"]],
+            tau_d=float(obj["tau_d"]),
+            horizon_end=float(obj["horizon_end"]),
+            periodic=v0_flag(obj, "periodic"),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"bad signal object: {exc}") from exc
+
+
+def _fail(message: str, fieldpath: str) -> ConfigError:
+    return ConfigError(message, field=fieldpath)
+
+
+def v0_scenario_from_dict(cfg: Mapping, seed_override: int | None = None) -> ScenarioConfig:
+    """Validate a config dict against the schema and build a ScenarioConfig.
+
+    ``seed_override`` replaces the sampling seed of sampled initial states
+    (it has no effect on explicit initial states).
+    """
+    errors = v0_schema_errors(SCENARIO_SCHEMA, cfg)
+    if errors:
+        e = errors[0]
+        raise ConfigError(e.message, field=e.json_path)
+
+    agents = cfg["agents"]
+    n, d = int(agents["n"]), int(agents["d"])
+    has_explicit = "initial_states" in agents
+    has_sample = "sample" in agents
+    if has_explicit == has_sample:
+        raise _fail(
+            "agents needs exactly one of initial_states and sample",
+            "$.agents",
+        )
+    if has_explicit:
+        x0 = np.asarray(agents["initial_states"], dtype=float)
+    else:
+        sample = agents["sample"]
+        lo = np.asarray(sample["lo"], dtype=float)
+        hi = np.asarray(sample["hi"], dtype=float)
+        if lo.shape != (d,) or hi.shape != (d,):
+            raise _fail(f"sample box must have {d} entries", "$.agents.sample")
+        if np.any(hi < lo):
+            raise _fail("sample box needs lo <= hi per axis", "$.agents.sample")
+        rng = np.random.default_rng(int(sample["seed"] if seed_override is None else seed_override))
+        x0 = lo + rng.random((n, d)) * (hi - lo)
+
+    try:
+        family = {name: v0_graph_from_json(g) for name, g in cfg["graphs"].items()}
+    except DomainError as exc:
+        raise _fail(str(exc), "$.graphs") from exc
+    try:
+        signal = v0_signal_from_json(cfg["signal"])
+    except DomainError as exc:
+        raise _fail(str(exc), "$.signal") from exc
+
+    proto_cfg = cfg["protocol"]
+    weights: float | dict = proto_cfg.get("weights", 1.0)
+    if isinstance(weights, list):
+        weights = {(int(j), int(i)): float(w) for j, i, w in weights}
+    try:
+        protocol = ProtocolSpec(
+            kind=ProtocolKind(proto_cfg["kind"]),
+            family=family,
+            gamma=float(proto_cfg["gamma"]),
+            weights=weights,
+            rotation=proto_cfg.get("rotation"),
+        )
+    except DomainError as exc:
+        raise _fail(str(exc), "$.protocol") from exc
+
+    integ = cfg["integrator"]
+    val = cfg.get("validation", {})
+    assumption = val.get("assumption")
+    monitors = cfg.get("monitors", {})
+    mode = monitors.get("mode")
+    outputs = cfg.get("outputs", {})
+    return ScenarioConfig(
+        n=n,
+        d=d,
+        initial_states=x0,
+        protocol=protocol,
+        signal=signal,
+        h=float(integ["h"]),
+        t_end=float(integ["t_end"]),
+        assumption=Assumption(assumption) if assumption else None,
+        face_tolerance=float(val.get("face_tolerance", 0.0)),
+        strictness_tolerance=float(val.get("strictness_tolerance", 1e-12)),
+        monitor_mode=MonitorMode(mode) if mode else None,
+        tol_monotone=monitors.get("tol_monotone"),
+        eps_agreement=float(monitors.get("eps_agreement", 1e-6)),
+        trajectory_csv=outputs.get("trajectory_csv", "trajectory.csv"),
+        metrics_json=outputs.get("metrics_json", "metrics.json"),
+        downsample=int(outputs.get("downsample", 1)),
     )

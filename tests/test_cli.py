@@ -180,6 +180,22 @@ class TestDumpConfig:
         dumped2 = json.loads(capsys.readouterr().out)
         assert dumped == dumped2
 
+    @pytest.mark.parametrize("mutate, where", [
+        (lambda c: c["agents"].update(initial_states=[[0.0, 1.0], [2.0]]),
+         "$.agents.initial_states"),
+        (lambda c: c["signal"].update(horizon_end=math.nan), "$.signal.horizon_end"),
+        (lambda c: c["integrator"].update(h=math.inf), "$.integrator.h"),
+    ], ids=["ragged-states", "nan-horizon", "infinite-h"])
+    def test_malformed_config_exit_2(self, tmp_path, capsys, mutate, where):
+        cfg = consensus_config()
+        mutate(cfg)
+        path = write_json(tmp_path / "c.json", cfg)  # json writes NaN and Infinity
+        for argv in (["dump-config", path], ["run", path, "--out-dir", str(tmp_path)]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"config error: {where}: ")
+            assert captured.out == ""
+
 
 def graphs_file(tmp_path, periodic=False, horizon=4.0):
     obj = {
@@ -253,6 +269,22 @@ class TestCheckGraphs:
         assert main(["check-graphs", f, "--window", "2.0"]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("parse error:") and key in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("mutate, where", [
+        (lambda o: o["graphs"]["a"].update(n=2.9), "$.graphs.a.n"),
+        (lambda o: o["graphs"]["a"]["arcs"].append([1.7, 2, True]), "$.graphs.a.arcs[1][0]"),
+        (lambda o: o["graphs"]["a"].update(weight=1.0), "$.graphs.a"),
+        (lambda o: o["signal"].update(dwell=1.0), "$.signal"),
+        (lambda o: o.update(notes="x"), "$"),
+    ], ids=["fractional-n", "fractional-arc", "graph-key", "signal-key", "top-level-key"])
+    def test_malformed_entry_exit_2(self, tmp_path, capsys, mutate, where):
+        obj = json.loads(open(graphs_file(tmp_path), encoding="utf-8").read())
+        mutate(obj)
+        f = write_json(tmp_path / "g.json", obj)
+        assert main(["check-graphs", f, "--window", "2.0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"parse error: {where}: ")
         assert captured.out == ""
 
 

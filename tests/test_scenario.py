@@ -8,12 +8,7 @@ from compass_consensus.errors import ConfigError, DomainError
 from compass_consensus.graphs import SwitchingSignal, complete_graph
 from compass_consensus.metrics import MonitorMode
 from compass_consensus.protocols import ProtocolSpec, rotation_matrix
-from compass_consensus.scenario import (
-    SCENARIO_SCHEMA,
-    ScenarioConfig,
-    scenario_from_dict,
-    scenario_to_dict,
-)
+from compass_consensus.scenario import ScenarioConfig, scenario_from_dict, scenario_to_dict
 
 
 def base_config():
@@ -208,8 +203,10 @@ class TestCrossFieldChecks:
          "$.protocol.rotation"),
         (lambda c: c.update(rotated_config(3, 3, [[0.1, 0.2, 0.3]] * 2 + [[0.1]])),
          "$.protocol.rotation"),
+        (lambda c: c["graphs"]["g"]["arcs"].append([1, 3, 1]), "$.graphs.g"),
+        (lambda c: c["signal"].update(horizon_end=0.0), "$.signal"),
     ], ids=["state-shape", "graph-nodes", "unknown-label", "dwell", "t_end-before-start",
-            "t_end-past-horizon", "rotation-count", "rotation-shape"])
+            "t_end-past-horizon", "rotation-count", "rotation-shape", "arc-node", "horizon"])
     def test_config_path_of_each_failure(self, make, path):
         cfg = base_config()
         make(cfg)
@@ -261,6 +258,3 @@ class TestRoundTrip:
         t1, t2 = simulate(sc), simulate(sc2)
         assert np.array_equal(t1.states, t2.states)
         assert np.array_equal(t1.times, t2.times)
-
-    def test_schema_is_draft_2020(self):
-        assert SCENARIO_SCHEMA["$schema"].endswith("2020-12/schema")

@@ -11,7 +11,6 @@ from .errors import (
     DivergenceError,
     DomainError,
     InsufficientHorizonError,
-    OracleScopeError,
     OutsideBoxError,
 )
 from .geometry import (
@@ -67,7 +66,6 @@ from .dynamics import (
     Trajectory,
     empirical_gamma_margin,
     fields_along,
-    linear_oracle_solution,
     linear_system_matrix,
     simulate,
     validate_feasibility,

@@ -29,9 +29,8 @@ from functools import partial
 from typing import TYPE_CHECKING, Any, Iterator
 
 import numpy as np
-from scipy.linalg import expm
 
-from .errors import DivergenceError, DomainError, OracleScopeError
+from .errors import DivergenceError, DomainError
 from .graphs import SwitchingSignal
 from .protocols import ProtocolKind, ProtocolSpec
 
@@ -380,32 +379,3 @@ def linear_system_matrix(spec: ProtocolSpec, p: Any, d: int) -> np.ndarray:
         R = np.eye(d)[None]
     n = spec.n
     return (spec.operator(p)[:, None, :, None] * R[:, :, None, :]).reshape(n * d, n * d)
-
-
-def linear_oracle_solution(
-    system_matrix: np.ndarray,
-    x0: np.ndarray,
-    t: float,
-    *,
-    signal: SwitchingSignal | None = None,
-    t_start: float | None = None,
-) -> np.ndarray:
-    """Matrix-exponential solution expm(A t) x0 of a constant linear system.
-
-    When a switching signal is supplied, the queried interval must not contain
-    a switching instant (the oracle only covers a constant active index).
-    """
-    A = np.asarray(system_matrix, dtype=float)
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] != x0.size:
-        raise DomainError("system matrix must be square and match x0")
-    if t < 0:
-        raise DomainError("oracle time must be nonnegative")
-    if signal is not None:
-        start = signal.t0 if t_start is None else float(t_start)
-        if any(start < a < start + t for a, _b, _p in signal.segments(start + t)):
-            raise OracleScopeError(
-                f"switching occurs inside [{start}, {start + t}); the constant-"
-                "matrix oracle does not apply"
-            )
-    return expm(A * t) @ x0

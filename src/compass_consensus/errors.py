@@ -29,10 +29,6 @@ class DivergenceError(CompassError):
         super().__init__(message or f"non-finite state at t={time}")
 
 
-class OracleScopeError(CompassError):
-    """The closed-form linear oracle was queried outside its validity scope."""
-
-
 class ConfigError(DomainError):
     """An input entry is malformed, or input entries disagree with each other.
 

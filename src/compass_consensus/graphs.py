@@ -366,9 +366,11 @@ def check_uniform_joint_connectivity(
     or leaves the union: O(segments * arcs), plus O(n * (n + arcs)) per
     change.
     A periodic signal needs one period of starts and its verdict extends to
-    all times; an aperiodic verdict is scoped to the supplied horizon. A
-    label missing from the family, or graphs of different sizes, raise
-    DomainError before the sweep.
+    all times. Its schedule is tiled only to last_start + min(T, period): a
+    window at least one period long holds a whole period of segments, and so
+    does the tiled part of it. An aperiodic verdict is scoped to the supplied
+    horizon. A label missing from the family, or graphs of different sizes,
+    raise DomainError before the sweep.
     """
     if not 0 < T < float("inf"):
         raise DomainError(f"window length T must be positive and finite, got {T}")
@@ -386,7 +388,9 @@ def check_uniform_joint_connectivity(
         scope = f"horizon [{t0}, {signal.horizon_end})"
 
     # last_start + T can round past an aperiodic horizon_end.
-    segs = signal.segments(last_start + T if signal.periodic else signal.horizon_end)
+    segs = signal.segments(
+        last_start + min(T, signal.period) if signal.periodic else signal.horizon_end
+    )
     candidates = {t0, last_start}
     candidates.update(a for a, _b, _p in segs if t0 <= a <= last_start)
     arcs = {p: [(j - 1, i - 1) for j, i, _s in g.arcs if j != i] for p, g in family.items()}

@@ -304,8 +304,8 @@ def t_bar_from_window(n: int, T: float, tau_d: float) -> float:
     """Sweep length n^2 (T + 2 tau_d) from a connectivity window and dwell time."""
     if n < 2:
         raise DomainError("need at least 2 agents")
-    if T <= 0 or tau_d <= 0:
-        raise DomainError("T and tau_d must be positive")
+    if not (0 < T < math.inf and 0 < tau_d < math.inf):
+        raise DomainError("T and tau_d must be positive and finite")
     return n * n * (T + 2.0 * tau_d)
 
 
@@ -330,10 +330,11 @@ def rate_bound(
         ("L_star", L_star),
         ("L_plus", L_plus),
     ):
-        if val <= 0:
-            raise DomainError(f"{name} must be positive")
-    shrink = (gamma * tau_d) ** (n - 1) / (2.0 * (L_plus * tau_d + 1.0) ** (n - 1))
-    beta = math.exp(-n * L_star * T_bar) * min(shrink, 0.5)
+        if not 0 < val < math.inf:
+            raise DomainError(f"{name} must be positive and finite, got {val}")
+    # min(r^(n-1) / 2, 1/2) as 0.5 * min(r, 1)^(n-1): the power stays in [0, 1].
+    shrink = 0.5 * min(gamma * tau_d / (L_plus * tau_d + 1.0), 1.0) ** (n - 1)
+    beta = math.exp(-n * L_star * T_bar) * shrink
     # ln(1/(1-beta)) via log1p so tiny beta does not round to zero.
     beta_star = -math.log1p(-beta) / (d * T_bar)
     return RateBound(beta=beta, beta_star=beta_star)
@@ -391,7 +392,6 @@ def build_report(
     monitor_mode: MonitorMode | str | None = None,
     tol_monotone: float | None = None,
     tail_fraction: float = 0.5,
-    abs_tol: float | None = None,
 ) -> AgreementReport:
     """Compute the full metric set for a trajectory from one pass over it;
     ``tail_fraction`` sets the tail of both the rate fit and ``abs_agreement``."""
@@ -416,9 +416,7 @@ def build_report(
         r_squared=r2,
         fit_truncated=truncated,
         agreement=_verdict(ser, eps_agreement),
-        abs_agreement=_abs_agreement(
-            ser, abs_tol if abs_tol is not None else eps_agreement, tol_monotone, tail_fraction
-        ),
+        abs_agreement=_abs_agreement(ser, eps_agreement, tol_monotone, tail_fraction),
         monitor_mode=mode,
         monitor_violations=(
             _monitor(ser, mode, ser.tol(tol_monotone)) if mode else []

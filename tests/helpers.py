@@ -4,9 +4,10 @@ from typing import Mapping
 
 import numpy as np
 from jsonschema import Draft202012Validator
+from scipy.linalg import expm
 
 from compass_consensus.dynamics import Assumption
-from compass_consensus.errors import ConfigError, DomainError
+from compass_consensus.errors import CompassError, ConfigError, DomainError
 from compass_consensus.geometry import Hyperrectangle
 from compass_consensus.graphs import SignedDigraph, SwitchingSignal
 from compass_consensus.metrics import MonitorMode
@@ -169,6 +170,39 @@ def dense_gamma_margin(traj, spec, signed=False, face_tolerance=0.0):
         margins = np.where(sign_ok, np.abs(Fs), -np.abs(Fs)) / np.where(active, width, 1.0)
         best = min(best, float(margins[active].min()))
     return best
+
+
+class OracleScopeError(CompassError):
+    """The closed-form linear oracle was queried outside its validity scope."""
+
+
+def linear_oracle_solution(
+    system_matrix: np.ndarray,
+    x0: np.ndarray,
+    t: float,
+    *,
+    signal: SwitchingSignal | None = None,
+    t_start: float | None = None,
+) -> np.ndarray:
+    """Matrix-exponential solution expm(A t) x0 of a constant linear system.
+
+    When a switching signal is supplied, the queried interval must not contain
+    a switching instant (the oracle only covers a constant active index).
+    """
+    A = np.asarray(system_matrix, dtype=float)
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] != x0.size:
+        raise DomainError("system matrix must be square and match x0")
+    if t < 0:
+        raise DomainError("oracle time must be nonnegative")
+    if signal is not None:
+        start = signal.t0 if t_start is None else float(t_start)
+        if any(start < a < start + t for a, _b, _p in signal.segments(start + t)):
+            raise OracleScopeError(
+                f"switching occurs inside [{start}, {start + t}); the constant-"
+                "matrix oracle does not apply"
+            )
+    return expm(A * t) @ x0
 
 
 def v0_pieces_overlapping(signal, t1, t2):

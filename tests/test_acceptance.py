@@ -16,6 +16,7 @@ import compass_consensus as cc
 from compass_consensus.cli import main as cli_main
 from helpers import (
     cyclic_signal,
+    linear_oracle_solution,
     random_query,
     signed_ring_family_4,
     split_family_5,
@@ -259,7 +260,7 @@ def test_criterion_06_integrator_matches_linear_oracle():
             traj = cc.simulate(sc)
             idx = np.rint(grid / h).astype(int)
             ref = np.stack([
-                cc.linear_oracle_solution(A, x0, t) for t in traj.times[idx]
+                linear_oracle_solution(A, x0, t) for t in traj.times[idx]
             ])
             errs.append(float(np.abs(traj.states[idx] - ref).max()))
         return errs

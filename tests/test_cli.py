@@ -352,3 +352,20 @@ class TestRateBound:
             "--gamma", "1.0", "--L-star", "1.0", "--L-plus", "1.0",
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("flag", ["--T", "--gamma"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_flag_exit_2(self, capsys, flag, value):
+        args = {"--n": "5", "--d": "2", "--T": "1", "--tau-d": "1",
+                "--gamma": "1", "--L-star": "1", "--L-plus": "1", flag: value}
+        code = main(["rate-bound", *(s for kv in args.items() for s in kv)])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_many_agents_exit_0(self, capsys):
+        code = main([
+            "rate-bound", "--n", "2000", "--d", "2", "--T", "1", "--tau-d", "10",
+            "--gamma", "1", "--L-star", "1", "--L-plus", "1",
+        ])
+        assert code == 0
+        assert "beta = 0.0" in capsys.readouterr().out

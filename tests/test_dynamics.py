@@ -9,7 +9,6 @@ from compass_consensus.dynamics import (
     Trajectory,
     empirical_gamma_margin,
     fields_along,
-    linear_oracle_solution,
     linear_system_matrix,
     simulate,
     validate_feasibility,
@@ -17,7 +16,6 @@ from compass_consensus.dynamics import (
 from compass_consensus.errors import (
     DivergenceError,
     DomainError,
-    OracleScopeError,
 )
 from compass_consensus.geometry import (
     ConeQuery,
@@ -30,9 +28,11 @@ from compass_consensus.metrics import lyapunov_series, square_max_series
 from compass_consensus.protocols import ProtocolKind, ProtocolSpec
 from compass_consensus.scenario import ScenarioConfig
 from helpers import (
+    OracleScopeError,
     dense_gamma_margin,
     dense_local_hull_bounds,
     dense_validate_feasibility,
+    linear_oracle_solution,
     v0_simulate,
 )
 

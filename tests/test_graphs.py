@@ -354,6 +354,30 @@ class TestUniformJointConnectivity:
         bad2 = check_uniform_joint_connectivity(sig, fam, 1.5, ConnectivityMode.STRONG)
         assert not bad2.ok
 
+    @pytest.mark.parametrize("fam, witness_start", [
+        (ALT_FAMILY, None),
+        ({"a": SignedDigraph(3, [(1, 2)]), "b": SignedDigraph(3, [(2, 3)])}, 0.0),
+    ])
+    def test_long_periodic_window_tiles_one_period(self, fam, witness_start, monkeypatch):
+        # A window of 10^4 periods holds the same arcs as one period, so the
+        # schedule is tiled through at most two periods, not T / period copies.
+        sig = SwitchingSignal([(0.0, "a"), (0.5, "b")], tau_d=0.5, horizon_end=1.0,
+                              periodic=True)
+        ends = []
+        segments = SwitchingSignal.segments
+
+        def recording(self, t_end):
+            ends.append(t_end)
+            return segments(self, t_end)
+
+        monkeypatch.setattr(SwitchingSignal, "segments", recording)
+        long = check_uniform_joint_connectivity(sig, fam, 1e4, ConnectivityMode.STRONG)
+        assert ends and max(ends) <= sig.t0 + 2 * sig.period
+        one = check_uniform_joint_connectivity(sig, fam, sig.period, ConnectivityMode.STRONG)
+        for v in (long, one):
+            assert v.ok == (witness_start is None)
+            assert (v.witness[0] if v.witness else None) == witness_start
+
 
     @pytest.mark.parametrize("T", [0.0, -1.0, float("inf"), float("nan")])
     def test_window_must_be_positive_and_finite(self, T):

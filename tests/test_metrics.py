@@ -213,6 +213,24 @@ class TestRateBound:
         with pytest.raises(DomainError):
             rate_bound(2, 1, 1.0, 0.0, 1.0, 1.0, 1.0)
 
+    def test_many_agents_do_not_overflow(self):
+        # (gamma tau_d)^(n-1) = 10^399 alone overflows a double; the ratio
+        # (10/11)^399 / 2 does not: beta = exp(-1.344) (10/11)^399 / 2.
+        beta, beta_star = rate_bound(400, 2, t_bar_from_window(400, 1, 10), 1.0, 10.0, 1e-9, 1.0)
+        assert beta == pytest.approx(3.977377774e-18, rel=1e-8)
+        assert beta_star > 0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_arguments_rejected(self, bad):
+        good = dict(n=3, d=2, T_bar=1.0, gamma=1.0, tau_d=1.0, L_star=1.0, L_plus=1.0)
+        for name in ("T_bar", "gamma", "tau_d", "L_star", "L_plus"):
+            with pytest.raises(DomainError, match=name):
+                rate_bound(**{**good, name: bad})
+        with pytest.raises(DomainError):
+            t_bar_from_window(3, bad, 1.0)
+        with pytest.raises(DomainError):
+            t_bar_from_window(3, 1.0, bad)
+
     def test_t_bar_constructor(self):
         # T1 = T + 2 tau_d, sweep = n^2 T1
         assert t_bar_from_window(2, 0.5, 0.25) == pytest.approx(4.0)

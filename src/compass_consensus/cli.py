@@ -84,12 +84,16 @@ def write_trajectory_csv(path: Path, traj: Trajectory, downsample: int = 1) -> i
     if idx[-1] != traj.num_samples - 1:
         idx.append(traj.num_samples - 1)
     blocks = traj.blocks()
+    labels = {p: str(p) for p in dict.fromkeys(traj.active_index)}
+    for p, text in labels.items():
+        if any(c in text for c in ',"\r\n'):  # quoted as RFC 4180 asks
+            labels[p] = '"' + text.replace('"', '""') + '"'
     rows = 0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,agent," + ",".join(f"x_{k}" for k in range(1, traj.d + 1)) + ",active_p\n")
         for s in idx:
             t_str = _format_float(traj.times[s])
-            p = traj.active_index[s]
+            p = labels[traj.active_index[s]]
             for i in range(traj.n):
                 coords = ",".join(_format_float(c) for c in blocks[s, i])
                 fh.write(f"{t_str},{i + 1},{coords},{p}\n")

@@ -15,9 +15,9 @@ and agent by agent, that the active field at the agent's state lies in the
 required cone over the supporting hyperrectangle of the agent's local hull
 (the agent's own state together with its in-neighbors' states, sign-flipped
 on antagonistic arcs when the signed condition is requested). The boxes are
-reduced over each graph's in-neighbor lists, a bounded chunk of samples at a
-time: O(m * nnz * d) time for m samples, nnz hull members (arcs plus self)
-and d axes, with working memory bounded per chunk rather than n^2 per sample.
+reduced over hull lists read from each graph's arcs, and the fields evaluated,
+a bounded chunk of samples at a time: O(m * nnz * d) time for m samples, nnz
+hull members (arcs plus self) and d axes, in working memory bounded per chunk.
 """
 
 from __future__ import annotations
@@ -219,20 +219,20 @@ def _sample_groups(traj: Trajectory, spec: ProtocolSpec) -> dict[Any, np.ndarray
     return {p: np.asarray(sel) for p, sel in groups.items()}
 
 
-def _fields(traj: Trajectory, spec: ProtocolSpec, groups: dict) -> np.ndarray:
-    X = traj.blocks()
-    F = np.empty_like(X)
-    for p, sel in groups.items():
-        if spec.kind is ProtocolKind.CUSTOM:
-            F[sel] = [spec.field(p, y).reshape(traj.n, traj.d) for y in traj.states[sel]]
-        else:
-            F[sel] = spec.linear_field(p, X[sel])
-    return F
+def _field_block(spec: ProtocolSpec, p: Any, X: np.ndarray) -> np.ndarray:
+    """Graph p's field at the states X shaped (samples, n, d)."""
+    if spec.kind is ProtocolKind.CUSTOM:
+        return np.array([spec.field(p, y.ravel()).reshape(y.shape) for y in X])
+    return spec.linear_field(p, X)
 
 
 def fields_along(traj: Trajectory, spec: ProtocolSpec) -> np.ndarray:
     """Active vector field evaluated at every sample, shaped (m, n, d)."""
-    return _fields(traj, spec, _sample_groups(traj, spec))
+    X = traj.blocks()
+    F = np.empty_like(X)
+    for p, sel in _sample_groups(traj, spec).items():
+        F[sel] = _field_block(spec, p, X[sel])
+    return F
 
 
 # Float64 elements in one gathered (samples, nnz, d) block of hull candidates:
@@ -248,27 +248,28 @@ def _facet_chunks(
 ) -> Iterator[tuple[Any, np.ndarray, np.ndarray, _Facets]]:
     """Yield (p, samples, fields, facets) per active graph and sample chunk.
 
-    Row i of the bounds is the supporting box of {x_i} union
-    {sign_ij x_j : j in N_i(p)}, reduced over the in-neighbor lists of p, so
-    a sample costs O(nnz * d) and a chunk holds about _CHUNK_ELEMENTS floats.
+    Row i of the bounds is the supporting box of {x_i} union {sign_ij x_j :
+    j in N_i(p)}, reduced over hull lists read from the arcs of p; a chunk,
+    its fields included, holds about _CHUNK_ELEMENTS floats per array.
     """
-    groups = _sample_groups(traj, spec)
     X = traj.blocks()
-    F = _fields(traj, spec, groups)
-    for p, sel in groups.items():
-        rows, cols = np.nonzero(spec.neighbor_mask(p))
-        # The mask includes self, so every agent owns a nonempty segment of
-        # cols: reduceat would return the next segment's first entry for an
-        # empty one instead of failing.
+    for p, sel in _sample_groups(traj, spec).items():
+        # Hull lists sorted by (agent, member). Self with sign +1 keeps each
+        # agent's segment nonempty (reduceat would return the next segment's
+        # first entry for an empty one); a self-loop adds nothing, as in L_p.
+        hull = sorted(
+            [(i, i, 1) for i in range(spec.n)]
+            + [(i - 1, j - 1, s) for (j, i, s) in spec.family[p].arcs if j != i]
+        )
+        rows, cols, signs = np.array(hull).T
         starts = np.searchsorted(rows, np.arange(spec.n))
-        signs = spec.sign_matrix(p)[rows, cols][:, None]
         step = max(1, _CHUNK_ELEMENTS // (cols.size * traj.d))
         for k in range(0, sel.size, step):
             idx = sel[k : k + step]
             Xs = X[idx]
             cand = Xs[:, cols, :]
             if signed:
-                cand *= signs
+                cand *= signs[:, None]
             lo = np.minimum.reduceat(cand, starts, axis=1)
             hi = np.maximum.reduceat(cand, starts, axis=1)
             width = hi - lo
@@ -276,7 +277,8 @@ def _facet_chunks(
             at_upper = np.abs(Xs - hi) <= ftol
             degen = width <= 2 * ftol
             active = (at_lower | at_upper) & ~degen
-            yield p, idx, F[idx], _Facets(lo, hi, width, at_lower, at_upper, degen, active)
+            Fs = _field_block(spec, p, Xs)
+            yield p, idx, Fs, _Facets(lo, hi, width, at_lower, at_upper, degen, active)
 
 
 def validate_feasibility(

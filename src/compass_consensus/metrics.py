@@ -27,6 +27,7 @@ calculator and never asserted against measured rates.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Sequence
@@ -306,6 +307,8 @@ def t_bar_from_window(n: int, T: float, tau_d: float) -> float:
         raise DomainError("need at least 2 agents")
     if not (0 < T < math.inf and 0 < tau_d < math.inf):
         raise DomainError("T and tau_d must be positive and finite")
+    if n * n > sys.float_info.max or n * n * (T + 2.0 * tau_d) == math.inf:
+        raise DomainError("n^2 (T + 2 tau_d) is not a finite float")
     return n * n * (T + 2.0 * tau_d)
 
 
@@ -323,6 +326,8 @@ def rate_bound(
         raise DomainError("need at least 2 agents")
     if d < 1:
         raise DomainError("dimension must be positive")
+    if n > sys.float_info.max or d > sys.float_info.max:
+        raise DomainError("n and d must be within the float range")
     for name, val in (
         ("T_bar", T_bar),
         ("gamma", gamma),

@@ -107,8 +107,7 @@ class ProtocolSpec:
     field_fn: FieldFn | None = None
 
     n: int = field(init=False)
-    _W: dict = field(init=False, repr=False)
-    _S: dict = field(init=False, repr=False)
+    _L: dict = field(init=False, repr=False, compare=False)
     _rotations: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
@@ -154,28 +153,24 @@ class ProtocolSpec:
             raise DomainError(f"weight a_{j}{i} must be positive, got {w}")
         return w
 
-    def min_weight(self) -> float:
-        """Smallest weight over arcs present in the family."""
-        ws = [
-            self.weight(j, i)
-            for g in self.family.values()
-            for (j, i, _s) in g.arcs
-            if j != i
-        ]
-        return min(ws) if ws else float("inf")
-
     def _build_matrices(self):
-        self._W, self._S = {}, {}
+        """One read-only operator L_p per graph (see ``operator``)."""
+        signed = self.kind is ProtocolKind.SIGNED_CONSENSUS
+        self._L = {}
         for p, g in self.family.items():
-            W = np.zeros((self.n, self.n))
+            try:
+                W = np.zeros((self.n, self.n))
+            except ValueError as exc:  # numpy refuses the shape without allocating
+                raise DomainError(f"too many nodes for an n x n operator: {exc}") from exc
             S = np.ones((self.n, self.n))
             for (j, i, s) in g.arcs:
                 if j == i:
                     continue  # continuous-time protocols take N_i without i
                 W[i - 1, j - 1] = self.weight(j, i)
                 S[i - 1, j - 1] = s
-            self._W[p] = W
-            self._S[p] = S
+            L = (W * S if signed else W) - np.diag(W.sum(axis=1))
+            L.flags.writeable = False  # shared by every caller
+            self._L[p] = L
 
     def rotations(self, d: int) -> np.ndarray | None:
         """Per-agent rotations (n, d, d) for states of dimension d, built once
@@ -188,20 +183,10 @@ class ProtocolSpec:
             self._rotations[d] = R
         return self._rotations[d]
 
-    def neighbor_mask(self, p: Any) -> np.ndarray:
-        """Boolean (n, n) mask: row i marks the local hull members of agent i
-        (its in-neighbors and itself)."""
-        return (self._W[p] > 0) | np.eye(self.n, dtype=bool)
-
-    def sign_matrix(self, p: Any) -> np.ndarray:
-        return self._S[p]
-
     def operator(self, p: Any) -> np.ndarray:
         """L_p = W∘S − diag(rowsum(W)), with S = 1 unless the kind is signed:
-        the (n, n) linear part of graph p's built-in field."""
-        W = self._W[p]
-        M = W * self._S[p] if self.kind is ProtocolKind.SIGNED_CONSENSUS else W
-        return M - np.diag(W.sum(axis=1))
+        the read-only (n, n) linear part of graph p's built-in field."""
+        return self._L[p]
 
     def linear_field(self, p: Any, X: np.ndarray) -> np.ndarray:
         """The built-in field R_i (L_p X)_i at states X shaped (..., n, d)."""

@@ -149,7 +149,10 @@ def scenario_from_dict(cfg: Mapping, seed_override: int | None = None) -> Scenar
         if np.any(hi < lo):
             raise _json.fail("sample box needs lo <= hi per axis", "$.agents.sample")
         rng = np.random.default_rng(seed if seed_override is None else int(seed_override))
-        x0 = lo + rng.random((n, d)) * (hi - lo)
+        try:
+            x0 = lo + rng.random((n, d)) * (hi - lo)
+        except ValueError as exc:  # numpy refuses the shape without allocating
+            raise _json.fail(f"too many agents to sample: {exc}", "$.agents", "n") from exc
     family = {name: _json.build(SignedDigraph, at[name], *f) for name, f in graph_fields.items()}
     signal = _json.build(SwitchingSignal, "$.signal", *signal_fields)
     rotation = proto.get("rotation")

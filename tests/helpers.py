@@ -89,12 +89,15 @@ def dense_local_hull_bounds(X, spec, p, signed):
     """Reference supporting-box bounds over dense (m, n, n, d) masked arrays.
 
     X is (m, n, d); returns lo, hi of shape (m, n, d) where row i bounds the
-    set {x_i} union {sign_ij x_j : j in N_i(p)}. O(m n^2 d) time and memory:
-    the oracle the sparse validator kernel is compared against.
+    set {x_i} union {sign_ij x_j : j in N_i(p)}, read from the arcs of graph
+    p. O(m n^2 d) time and memory: the oracle the sparse validator kernel is
+    compared against.
     """
-    mask = spec.neighbor_mask(p)  # (n, n) incl. self
+    mask, sgn = np.eye(spec.n, dtype=bool), np.ones((spec.n, spec.n))
+    for j, i, s in spec.family[p].arcs:
+        if j != i:  # the agent itself is in its hull with sign +1, loop or not
+            mask[i - 1, j - 1], sgn[i - 1, j - 1] = True, s
     if signed:
-        sgn = spec.sign_matrix(p)
         cand = sgn[None, :, :, None] * X[:, None, :, :]  # (m, n, n, d)
     else:
         cand = np.broadcast_to(X[:, None, :, :], (X.shape[0], spec.n) + X.shape[1:])

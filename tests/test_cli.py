@@ -1,12 +1,17 @@
+import csv
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from compass_consensus.cli import build_parser, main
+from compass_consensus.cli import build_parser, main, write_trajectory_csv
+from compass_consensus.dynamics import Trajectory
 from test_scenario import rotated_config
 
 pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
@@ -157,6 +162,20 @@ class TestRun:
         assert (o1 / "traj.csv").read_bytes() != (o2 / "traj.csv").read_bytes()
 
 
+    def test_labels_with_csv_specials_read_back(self, tmp_path):
+        labels = ["a,b", 'say "hi"', "two\nlines", "g"]
+        traj = Trajectory(times=np.arange(4.0), states=np.arange(4.0)[:, None], n=1, d=1,
+                          active_index=labels)
+        path = tmp_path / "traj.csv"
+        assert write_trajectory_csv(path, traj) == 4
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["t", "agent", "x_1", "active_p"]
+        assert [row[3] for row in rows[1:]] == labels
+        assert all(len(row) == 4 for row in rows)
+        assert path.read_bytes().endswith(b"3.0,1,3.0,g\n")  # plain labels as before
+
+
 class TestLogging:
     def test_compass_log_env_sets_level(self, tmp_path, monkeypatch):
         import logging
@@ -190,6 +209,24 @@ class TestDumpConfig:
         cfg = consensus_config()
         mutate(cfg)
         path = write_json(tmp_path / "c.json", cfg)  # json writes NaN and Infinity
+        for argv in (["dump-config", path], ["run", path, "--out-dir", str(tmp_path)]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"config error: {where}: ")
+            assert captured.out == ""
+
+
+    @pytest.mark.parametrize("mutate, where", [
+        (lambda c: c.update(agents={"n": 2**63, "d": 1,
+                                    "sample": {"seed": 0, "lo": [0.0], "hi": [1.0]}}),
+         "$.agents.n"),
+        (lambda c: c["graphs"]["g"].update(n=2**63), "$.protocol"),
+    ], ids=["sampled-agents", "graph-nodes"])
+    def test_count_numpy_refuses_exit_2(self, tmp_path, capsys, mutate, where):
+        # numpy refuses a 2**63-row shape without allocating anything.
+        cfg = consensus_config(t_end=1.0)
+        mutate(cfg)
+        path = write_json(tmp_path / "c.json", cfg)
         for argv in (["dump-config", path], ["run", path, "--out-dir", str(tmp_path)]):
             assert main(argv) == 2
             captured = capsys.readouterr()
@@ -315,6 +352,18 @@ def test_readme_cli_lines_parse():
             pytest.fail(f"README command does not parse: {' '.join(argv)}")
 
 
+def test_readme_python_example_runs():
+    # The README's library example runs as written and prints [] first.
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    code = readme.split("## Library example", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == "[]"
+
+
 class TestRateBound:
     def test_prints_chain(self, capsys):
         code = main([
@@ -369,3 +418,11 @@ class TestRateBound:
         ])
         assert code == 0
         assert "beta = 0.0" in capsys.readouterr().out
+
+    def test_agent_count_beyond_float_range_exit_2(self, capsys):
+        code = main([
+            "rate-bound", "--n", "1" + "0" * 200, "--d", "1", "--T", "1", "--tau-d", "1",
+            "--gamma", "1", "--L-star", "1", "--L-plus", "1",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")

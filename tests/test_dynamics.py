@@ -623,3 +623,44 @@ class TestStepPropagator:
             simulate(sc)
         assert 0.0 < err.value.time < 60.0
         assert err.value.time == ref.value.time
+
+
+def test_validator_memory_bounded_per_chunk():
+    # Fields are evaluated per sample chunk too, so the validator's peak stays
+    # below the size of the trajectory it reads (12 MB of states here).
+    rng = np.random.default_rng(5)
+    n, d, m = 10, 3, 50_000
+    ring = SignedDigraph(n, [(i, i % n + 1) for i in range(1, n + 1)])
+    spec = ProtocolSpec(kind="SignedConsensus", family={"g": ring}, gamma=1.0)
+    traj = sampled_trajectory(rng.normal(size=(m, n, d)), ["g"] * m)
+    tracemalloc.start()
+    try:
+        violations = validate_feasibility(traj, spec, Assumption.GAMMA_STRICT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert violations == []
+    assert peak < traj.states.nbytes
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_self_loops_leave_the_hull_unchanged(seed):
+    # An agent is in its own hull with sign +1 whatever loop it carries, as a
+    # loop adds nothing to L_p either.
+    family, traj = random_signed_case(seed)
+    looped = {
+        p: SignedDigraph(g.n, set(g.arcs) | {(2, 2, -1), (g.n, g.n, 1)}, allow_self_loops=True)
+        for p, g in family.items()
+    }
+    plain = ProtocolSpec(kind="SignedConsensus", family=family, gamma=0.5)
+    spec = ProtocolSpec(kind="SignedConsensus", family=looped, gamma=0.5)
+    found = 0
+    for assumption in Assumption:
+        want = validate_feasibility(traj, plain, assumption)
+        assert validate_feasibility(traj, spec, assumption) == want
+        found += len(want)
+    assert found > 0
+    for signed in (False, True):
+        assert empirical_gamma_margin(traj, spec, signed=signed) == empirical_gamma_margin(
+            traj, plain, signed=signed
+        )

@@ -231,6 +231,15 @@ class TestRateBound:
         with pytest.raises(DomainError):
             t_bar_from_window(3, 1.0, bad)
 
+    def test_counts_beyond_the_float_range_rejected(self):
+        # 10**400 has no float; 10**154 has one, but n^2 (T + 2 tau_d) does not.
+        for n, d in ((10**400, 1), (3, 10**400)):
+            with pytest.raises(DomainError, match="float range"):
+                rate_bound(n, d, 1.0, 1.0, 1.0, 1.0, 1.0)
+        for n in (10**400, 10**154):
+            with pytest.raises(DomainError, match="finite float"):
+                t_bar_from_window(n, 1.0, 1.0)
+
     def test_t_bar_constructor(self):
         # T1 = T + 2 tau_d, sweep = n^2 T1
         assert t_bar_from_window(2, 0.5, 0.25) == pytest.approx(4.0)

@@ -168,6 +168,20 @@ class TestProtocolSpecValidation:
         with pytest.raises(DomainError):
             ProtocolSpec(kind="WeightedConsensus", family=MUTUAL_PAIR, gamma=1.0, rotation=0.1)
 
-    def test_min_weight(self):
+    def test_operator_is_one_read_only_array(self):
         spec = weighted(MUTUAL_PAIR, weights={(1, 2): 3.0, (2, 1): 0.5})
-        assert spec.min_weight() == 0.5
+        L = spec.operator("g")
+        assert spec.operator("g") is L
+        assert np.array_equal(L, [[-0.5, 0.5], [3.0, -3.0]])
+        with pytest.raises(ValueError):
+            L[0, 0] = 1.0
+
+    def test_equal_inputs_compare_equal(self):
+        # The operators are derived from the compared fields, not compared.
+        assert weighted(MUTUAL_PAIR) == weighted(MUTUAL_PAIR)
+        assert weighted(MUTUAL_PAIR) != weighted(MUTUAL_PAIR, weights=2.0)
+
+    def test_node_count_numpy_refuses_is_domain_error(self):
+        # numpy refuses a 2**63-row shape without allocating anything.
+        with pytest.raises(DomainError, match="too many nodes"):
+            weighted({"g": SignedDigraph(2**63, [(1, 2)])})

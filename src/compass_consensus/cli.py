@@ -72,10 +72,6 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"line {exc.lineno} column {exc.colno}: {exc.msg}", field=path)
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
-
-
 def write_trajectory_csv(path: Path, traj: Trajectory, downsample: int = 1) -> int:
     """One row per (sample, agent): t, agent, x_1..x_d, active_p. Returns rows written."""
     if downsample < 1:
@@ -92,10 +88,10 @@ def write_trajectory_csv(path: Path, traj: Trajectory, downsample: int = 1) -> i
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,agent," + ",".join(f"x_{k}" for k in range(1, traj.d + 1)) + ",active_p\n")
         for s in idx:
-            t_str = _format_float(traj.times[s])
+            t_str = repr(float(traj.times[s]))
             p = labels[traj.active_index[s]]
             for i in range(traj.n):
-                coords = ",".join(_format_float(c) for c in blocks[s, i])
+                coords = ",".join(repr(float(c)) for c in blocks[s, i])
                 fh.write(f"{t_str},{i + 1},{coords},{p}\n")
                 rows += 1
     return rows
@@ -127,7 +123,7 @@ def run_scenario(
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except (DomainError, CompassError) as exc:
+    except CompassError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -195,20 +191,16 @@ def cmd_dump_config(args) -> int:
 
 
 def cmd_check_graphs(args) -> int:
-    try:
-        doc = _json.obj(_load_json(args.file), "$", required=("graphs", "signal"), allowed=())
-        graphs = _json.obj(doc["graphs"], "$.graphs")
-        family = {k: graph_from_json(g, _json.path("$.graphs", k)) for k, g in graphs.items()}
-        signal = signal_from_json(doc["signal"], "$.signal")
-    except DomainError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     mode = (
         ConnectivityMode.STRONG
         if args.mode == "strong"
         else ConnectivityMode.QUASI_STRONG
     )
     try:
+        doc = _json.obj(_load_json(args.file), "$", required=("graphs", "signal"), allowed=())
+        graphs = _json.obj(doc["graphs"], "$.graphs")
+        family = {k: graph_from_json(g, _json.path("$.graphs", k)) for k, g in graphs.items()}
+        signal = signal_from_json(doc["signal"], "$.signal")
         verdict = check_uniform_joint_connectivity(signal, family, args.window, mode)
     except InsufficientHorizonError as exc:
         print(f"insufficient horizon: {exc}", file=sys.stderr)

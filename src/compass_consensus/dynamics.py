@@ -239,8 +239,8 @@ def fields_along(traj: Trajectory, spec: ProtocolSpec) -> np.ndarray:
 # bounds the validator's working set whatever the trajectory length, and at
 # 512 KB keeps a chunk cache-resident (larger budgets measured slower).
 _CHUNK_ELEMENTS = 1 << 16
-# Supporting-box bounds and facet masks of a sample chunk, each (samples, n, d).
-_Facets = namedtuple("_Facets", "lo hi width at_lower at_upper degen active")
+# A sample chunk's box bounds, facet masks and inward field, each (samples, n, d).
+_Facets = namedtuple("_Facets", "lo hi width at_lower degen active inward")
 
 
 def _facet_chunks(
@@ -250,7 +250,9 @@ def _facet_chunks(
 
     Row i of the bounds is the supporting box of {x_i} union {sign_ij x_j :
     j in N_i(p)}, reduced over hull lists read from the arcs of p; a chunk,
-    its fields included, holds about _CHUNK_ELEMENTS floats per array.
+    its fields included, holds about _CHUNK_ELEMENTS floats per array. An
+    active axis is on one facet (on both, it is degenerate); ``inward`` is the
+    field component into the box: f_k at the lower facet, -f_k at the upper.
     """
     X = traj.blocks()
     for p, sel in _sample_groups(traj, spec).items():
@@ -274,11 +276,11 @@ def _facet_chunks(
             hi = np.maximum.reduceat(cand, starts, axis=1)
             width = hi - lo
             at_lower = np.abs(Xs - lo) <= ftol
-            at_upper = np.abs(Xs - hi) <= ftol
             degen = width <= 2 * ftol
-            active = (at_lower | at_upper) & ~degen
+            active = (at_lower | (np.abs(Xs - hi) <= ftol)) & ~degen
             Fs = _field_block(spec, p, Xs)
-            yield p, idx, Fs, _Facets(lo, hi, width, at_lower, at_upper, degen, active)
+            inward = np.where(at_lower, Fs, -Fs)
+            yield p, idx, Fs, _Facets(lo, hi, width, at_lower, degen, active, inward)
 
 
 def validate_feasibility(
@@ -300,41 +302,32 @@ def validate_feasibility(
     if isinstance(assumption, str):
         assumption = Assumption(assumption)
     gamma = spec.gamma if gamma is None else float(gamma)
-    if gamma <= 0 and assumption is not Assumption.RELATIVE_INTERIOR:
-        raise DomainError("gamma must be positive")
+    gamma_strict = assumption is not Assumption.RELATIVE_INTERIOR
+    if gamma_strict and not 0 < gamma < np.inf:
+        raise DomainError(f"gamma must be positive and finite, got {gamma}")
     ftol, stol = float(face_tolerance), float(strictness_tolerance)
-    if ftol < 0 or stol < 0:
-        raise DomainError("tolerances must be nonnegative")
+    if not (0 <= ftol < np.inf and 0 <= stol < np.inf):
+        raise DomainError(f"tolerances must be nonnegative and finite, got {ftol}, {stol}")
 
     signed = assumption is Assumption.SIGNED_GAMMA_STRICT
+    # An active facet fails if its inward component is below the edge or, for
+    # the gamma-strict kinds, if |f_k| < gamma * D_k - stol.
+    edge = -stol if gamma_strict else stol
     violations: list[FeasibilityViolation] = []
     for p, sel, Fs, f in _facet_chunks(traj, spec, signed, ftol):
-        bad_degen = f.degen & (np.abs(Fs) > stol)
-        if assumption is Assumption.RELATIVE_INTERIOR:
-            bad_sign = f.active & (
-                (f.at_lower & (Fs < stol)) | (f.at_upper & (Fs > -stol))
-            )
-            bad = bad_degen | bad_sign
-            kinds = [(bad_degen, "carrier"), (bad_sign, "strict-sign")]
-        else:
-            bad_sign = f.active & (
-                (f.at_lower & (Fs < -stol)) | (f.at_upper & (Fs > stol))
-            )
-            bad_margin = f.active & ~bad_sign & (np.abs(Fs) < gamma * f.width - stol)
-            bad = bad_degen | bad_sign | bad_margin
-            kinds = [
-                (bad_degen, "carrier"),
-                (bad_sign, "sign"),
-                (bad_margin, "margin"),
-            ]
+        carrier = f.degen & (np.abs(Fs) > stol)
+        outward = f.active & (f.inward < edge)
+        bad = carrier | outward
+        if gamma_strict:
+            bad |= f.active & ~outward & (np.abs(Fs) < gamma * f.width - stol)
         for s_loc, i, k in np.argwhere(bad):
-            reason = next(name for arr, name in kinds if arr[s_loc, i, k])
             fval = Fs[s_loc, i, k]
-            if reason == "carrier":
+            if carrier[s_loc, i, k]:
                 detail = f"carrier subspace: |f_k|={abs(fval):.3g} > {stol:.3g} on a flat axis"
-            elif reason in ("sign", "strict-sign"):
+            elif outward[s_loc, i, k]:
                 side = "lower" if f.at_lower[s_loc, i, k] else "upper"
-                detail = f"{reason}: f_k={fval:.3g} points outward at the {side} facet"
+                word = "sign" if gamma_strict else "strict-sign"
+                detail = f"{word}: f_k={fval:.3g} points outward at the {side} facet"
             else:
                 need = gamma * f.width[s_loc, i, k]
                 detail = f"margin: |f_k|={abs(fval):.3g} < gamma*D_k={need:.3g}"
@@ -358,16 +351,19 @@ def empirical_gamma_margin(
     signed: bool = False,
     face_tolerance: float = 0.0,
 ) -> float:
-    """Smallest observed |f_k| / D_k over active non-degenerate facet axes.
+    """Smallest observed inward f_k / D_k over active non-degenerate facet axes.
 
     Measures the cone margin the trajectory actually exhibits; negative when
-    the field points outward at some facet, +inf when no facet is ever
-    active. No numeric slack is applied.
+    the field points outward at some facet, a zero of either sign when it
+    vanishes there, +inf when no facet is ever active. No numeric slack is
+    applied.
     """
+    ftol = float(face_tolerance)
+    if not 0 <= ftol < np.inf:
+        raise DomainError(f"face_tolerance must be nonnegative and finite, got {ftol}")
     best = np.inf
-    for _p, _sel, Fs, f in _facet_chunks(traj, spec, signed, float(face_tolerance)):
-        sign_ok = np.where(f.at_lower, Fs >= 0, Fs <= 0)
-        margins = np.where(sign_ok, np.abs(Fs), -np.abs(Fs))[f.active] / f.width[f.active]
+    for _p, _sel, _Fs, f in _facet_chunks(traj, spec, signed, ftol):
+        margins = f.inward[f.active] / f.width[f.active]
         best = min(best, float(margins.min(initial=np.inf)))
     return best
 

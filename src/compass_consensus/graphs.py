@@ -169,6 +169,9 @@ class SwitchingSignal:
     ``pieces`` is a list of (start_time, index); piece l is active on
     [start_l, start_{l+1}) and the last piece runs to ``horizon_end``. A
     periodic signal repeats with period ``horizon_end - pieces[0].start``.
+    The constructor raises DomainError unless start times are finite and
+    nondecreasing, ``tau_d`` is positive and finite, and ``horizon_end`` is
+    finite and past the last start.
     """
 
     pieces: tuple[tuple[float, Any], ...]
@@ -186,10 +189,13 @@ class SwitchingSignal:
         pieces = tuple((float(t), idx) for t, idx in pieces)
         if not pieces:
             raise DomainError("signal needs at least one piece")
-        if tau_d <= 0:
-            raise DomainError("dwell time tau_d must be positive")
-        if horizon_end <= pieces[-1][0]:
-            raise DomainError("horizon_end must exceed the last piece start")
+        times = [t for t, _ in pieces]
+        if not all(abs(t) < float("inf") for t in times) or times != sorted(times):
+            raise DomainError("piece start times must be finite and nondecreasing")
+        if not 0 < tau_d < float("inf"):
+            raise DomainError(f"dwell time tau_d must be positive and finite, got {tau_d}")
+        if not times[-1] < horizon_end < float("inf"):
+            raise DomainError("horizon_end must be finite and exceed the last piece start")
         object.__setattr__(self, "pieces", pieces)
         object.__setattr__(self, "tau_d", float(tau_d))
         object.__setattr__(self, "horizon_end", float(horizon_end))
@@ -236,9 +242,6 @@ class SwitchingSignal:
             raise DomainError(f"t_end must be finite, got {t_end}")
         if t_end > self.horizon_end and not self.periodic:
             raise DomainError("t_end exceeds the horizon of an aperiodic signal")
-        times = self.start_times()
-        if any(b < a for a, b in zip(times, times[1:])):
-            raise DomainError("piece start times must be nondecreasing")
         labels = [p for _, p in self.pieces]
         segs: list[tuple[float, float, Any]] = []
         k = 0
@@ -252,7 +255,7 @@ class SwitchingSignal:
 
 @dataclass(frozen=True)
 class DwellViolation:
-    """A switching-signal defect: pieces out of order or switched too fast."""
+    """A switching-signal defect: two piece starts closer than the dwell time."""
 
     index: int
     gap: float

@@ -71,7 +71,11 @@ class _Series:
 
     def tol(self, tol_monotone: float | None) -> float:
         """``tol_monotone``, by default 1e-8 * max(1, V(t0))."""
-        return 1e-8 * max(1.0, float(self.v[0])) if tol_monotone is None else float(tol_monotone)
+        if tol_monotone is None:
+            return 1e-8 * max(1.0, float(self.v[0]))
+        if not 0 <= tol_monotone < math.inf:
+            raise DomainError(f"tol_monotone must be nonnegative and finite, got {tol_monotone}")
+        return float(tol_monotone)
 
 
 def max_series(traj: Trajectory) -> np.ndarray:
@@ -248,8 +252,8 @@ def agreement_verdict(traj: Trajectory, eps: float) -> AgreementVerdict:
 
 
 def _verdict(ser: _Series, eps: float) -> AgreementVerdict:
-    if eps <= 0:
-        raise DomainError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise DomainError(f"eps must be positive and finite, got {eps}")
     v = ser.v
     if v[-1] > eps:
         return AgreementVerdict(False, eps, None, float(v[-1]))
@@ -277,8 +281,8 @@ def absolute_value_agreement(
 
 
 def _abs_agreement(ser: _Series, tol: float, tol_monotone, tail_fraction) -> np.ndarray:
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol}")
     spread, envelope = ser.abs_spread, ser.abs_hi
     start = spread.shape[0] - max(2, int(math.ceil(tail_fraction * spread.shape[0])))
     tail = envelope[max(start, 0):]

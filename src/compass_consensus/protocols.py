@@ -119,8 +119,8 @@ class ProtocolSpec:
         if len(ns) > 1:
             raise DomainError("family graphs disagree on node count")
         self.n = ns.pop()
-        if self.gamma <= 0:
-            raise DomainError("gamma must be positive")
+        if not 0 < self.gamma < np.inf:
+            raise DomainError(f"gamma must be positive and finite, got {self.gamma}")
         if self.kind is ProtocolKind.CUSTOM:
             if self.field_fn is None:
                 raise DomainError("Custom protocol needs a field_fn")

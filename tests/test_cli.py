@@ -325,6 +325,22 @@ class TestCheckGraphs:
         assert captured.out == ""
 
 
+def test_pieces_out_of_order_exit_2_at_signal(tmp_path, capsys):
+    # The signal constructor owns the order rule, so every reader reports it
+    # at $.signal.
+    cfg = consensus_config(t_end=4.0)
+    cfg["signal"]["pieces"] = [[0.0, "g"], [2.0, "g"], [1.0, "g"]]
+    message = "$.signal: piece start times must be finite and nondecreasing\n"
+    path = write_json(tmp_path / "c.json", cfg)
+    for argv in (["dump-config", path], ["run", path, "--out-dir", str(tmp_path)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "config error: " + message
+    path = write_json(tmp_path / "g.json", {"graphs": cfg["graphs"], "signal": cfg["signal"]})
+    assert main(["check-graphs", path, "--window", "1.0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "parse error: " + message and captured.out == ""
+
+
 class TestRotationConfig:
     def test_shared_angle_set_when_n_equals_plane_count(self, tmp_path, capsys):
         path = write_json(tmp_path / "rot.json", rotated_config(3, 3, [0.1, 0.2, 0.3]))

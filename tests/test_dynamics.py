@@ -354,6 +354,93 @@ class TestValidateFeasibility:
                     assert ok == ((float(traj.times[s]), i) not in flagged)
 
 
+# A power of two, so every boundary case below is exact in floating point.
+STOL = 2.0**-20
+
+
+class TestFacetBoundariesMatchScalarOracle:
+    """Field components exactly at the edges of every facet inequality.
+
+    A Custom field on the chain 1 -> 2 -> 3 with axis-1 states 0, 1 and -1:
+    agent 1's hull is itself, so both its axes are flat; agent 2 is on the
+    upper facet of [0, 1] and agent 3 on the lower facet of [-1, 1]. Axis 2
+    holds the sample number for every agent, so it is flat as well and tells
+    the field which case to return.
+    """
+
+    CHAIN = {"g": SignedDigraph(3, [(1, 2), (2, 3)])}
+    SIDE = {2: "upper", 3: "lower"}
+    WIDTH = {2: 1.0, 3: 2.0}
+    EDGES = [STOL, -STOL, 0.0, -0.0]
+    FLAT = EDGES + [2 * STOL, -2 * STOL]
+
+    @classmethod
+    def facet_values(cls, gamma, width):
+        return cls.EDGES + [s * (gamma * width + e) for s in (1, -1) for e in (STOL, -STOL)]
+
+    def expected_word(self, assumption, gamma, i, k, f):
+        """The reason a violation at agent i, axis k with component f must give."""
+        if i == 1 or k == 2:
+            return "carrier" if abs(f) > STOL else None
+        relint = assumption is Assumption.RELATIVE_INTERIOR
+        if self.SIDE[i] == "lower":
+            outward = f < STOL if relint else f < -STOL
+        else:
+            outward = f > -STOL if relint else f > STOL
+        if outward:
+            return "strict-sign" if relint else "sign"
+        if not relint and abs(f) < gamma * self.WIDTH[i] - STOL:
+            return "margin"
+        return None
+
+    # gamma * D <= 2 * STOL at STOL / 2: there a component of -STOL at a lower
+    # facet passes the sign test and, by magnitude, the margin test too.
+    @pytest.mark.parametrize("gamma", [0.5, STOL / 2])
+    @pytest.mark.parametrize("assumption", list(Assumption))
+    def test_verdict_reason_and_side(self, assumption, gamma):
+        cases = [(a, b) for a in range(8) for b in range(len(self.FLAT))]
+
+        def field(p, x):
+            a, b = cases[int(x[1])]
+            F = np.full((3, 2), self.FLAT[b])
+            F[0, 0] = self.FLAT[(b + 1) % len(self.FLAT)]
+            F[1, 0] = self.facet_values(gamma, self.WIDTH[2])[a]
+            F[2, 0] = self.facet_values(gamma, self.WIDTH[3])[a]
+            return F.ravel()
+
+        spec = ProtocolSpec(kind="Custom", family=self.CHAIN, gamma=gamma, field_fn=field)
+        X = np.array([[[0.0, s], [1.0, s], [-1.0, s]] for s in range(len(cases))])
+        traj = sampled_trajectory(X, ["g"] * len(cases))
+        F = fields_along(traj, spec)
+        found = {
+            (v.time, v.agent, v.axis): v.reason
+            for v in validate_feasibility(traj, spec, assumption, strictness_tolerance=STOL)
+        }
+        oracle = (relative_interior_cone_contains if assumption is Assumption.RELATIVE_INTERIOR
+                  else gamma_cone_contains)
+        words = set()
+        for s in range(traj.num_samples):
+            t = float(traj.times[s])
+            for i in (1, 2, 3):
+                pts = [X[s, i - 1]] + [X[s, j - 1] for j in self.CHAIN["g"].neighbors(i)]
+                q = ConeQuery(X[s, i - 1], supporting_hyperrectangle(pts), F[s, i - 1],
+                              gamma=gamma, face_tolerance=0.0, strictness_tolerance=STOL)
+                reasons = [found.get((t, i, k)) for k in (1, 2)]
+                assert oracle(q) == (reasons == [None, None]), (s, i)
+                for k, reason in zip((1, 2), reasons):
+                    want = self.expected_word(assumption, gamma, i, k, F[s, i - 1, k - 1])
+                    got = None if reason is None else reason.split(":")[0].split()[0]
+                    assert got == want, (s, i, k, reason)
+                    if want in ("sign", "strict-sign"):
+                        assert f"at the {self.SIDE[i]} facet" in reason
+                    words.add(got)
+        relint = assumption is Assumption.RELATIVE_INTERIOR
+        cover = {None, "carrier", "strict-sign" if relint else "sign"}
+        if not relint and gamma > 2 * STOL:
+            cover.add("margin")
+        assert words == cover
+
+
 class TestInvariantSets:
     def test_cooperative_box_invariant(self):
         # Validated cooperative runs never leave the initial box (Lyapunov-side
@@ -509,6 +596,29 @@ class TestValidatorInputs:
         for call in self.entry_points(traj, spec):
             with pytest.raises(DomainError, match="n=4"):
                 call()
+
+    @pytest.mark.parametrize("kwargs", [
+        {"gamma": np.nan}, {"gamma": np.inf},
+        {"face_tolerance": np.nan}, {"face_tolerance": np.inf},
+        {"strictness_tolerance": np.nan}, {"strictness_tolerance": np.inf},
+    ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+    def test_validator_thresholds_must_be_finite(self, kwargs):
+        # Comparisons with NaN are false, so a NaN threshold would pass every
+        # facet; here gamma=5 finds violations at every sample.
+        spec = ProtocolSpec(kind="WeightedConsensus", family={"g": SignedDigraph(2, [(2, 1)])},
+                            gamma=1.0)
+        traj = sampled_trajectory(np.array([[[0.0], [1.0]]] * 3), ["g"] * 3)
+        assert validate_feasibility(traj, spec, "GammaStrict", gamma=5)
+        with pytest.raises(DomainError, match="gamma|tolerance"):
+            validate_feasibility(traj, spec, "GammaStrict", **kwargs)
+
+    @pytest.mark.parametrize("face_tolerance", [np.nan, np.inf, -1.0])
+    def test_margin_face_tolerance_must_be_finite(self, face_tolerance):
+        spec = ProtocolSpec(kind="WeightedConsensus", family={"g": SignedDigraph(2, [(2, 1)])},
+                            gamma=1.0)
+        traj = sampled_trajectory(np.array([[[0.0], [1.0]]] * 3), ["g"] * 3)
+        with pytest.raises(DomainError, match="face_tolerance"):
+            empirical_gamma_margin(traj, spec, face_tolerance=face_tolerance)
 
     def test_rotation_dimension_mismatch(self):
         spec = ProtocolSpec(

@@ -255,10 +255,27 @@ class TestCompiledSchedule:
             sig.segments(float("inf"))
 
     def test_pieces_out_of_order_rejected(self):
-        sig = SwitchingSignal([(0.0, "a"), (2.0, "b"), (1.0, "a")], tau_d=1.0,
-                              horizon_end=3.0)
         with pytest.raises(DomainError, match="nondecreasing"):
-            check_uniform_joint_connectivity(sig, ALT_FAMILY, 1.0)
+            SwitchingSignal([(0.0, "a"), (2.0, "b"), (1.0, "a")], tau_d=1.0,
+                            horizon_end=3.0)
+
+    @pytest.mark.parametrize("pieces, tau_d, horizon_end, match", [
+        ([(0.0, "a"), (float("nan"), "b")], 0.1, 2.0, "finite"),
+        ([(-float("inf"), "a"), (0.0, "b")], 0.1, 2.0, "finite"),
+        ([(0, "a"), (1.5, "b"), (1.0, "a")], 0.1, 2.0, "nondecreasing"),
+        ([(0.0, "a")], float("nan"), 2.0, "tau_d"),
+        ([(0.0, "a")], float("inf"), 2.0, "tau_d"),
+        ([(0.0, "a")], 0.1, float("inf"), "horizon_end"),
+        ([(0.0, "a")], 0.1, float("nan"), "horizon_end"),
+    ], ids=["nan-start", "infinite-start", "out-of-order", "nan-dwell", "infinite-dwell",
+            "infinite-horizon", "nan-horizon"])
+    def test_schedules_its_readers_cannot_handle_rejected(
+        self, pieces, tau_d, horizon_end, match
+    ):
+        # Readers assume these invariants: without them segments() returns NaN
+        # bounds, and active_index() and the checker answer for no schedule.
+        with pytest.raises(DomainError, match=match):
+            SwitchingSignal(pieces, tau_d=tau_d, horizon_end=horizon_end)
 
     def test_active_index_at_every_decimal_switch(self):
         # 0.1 and 0.3 are inexact in binary, so t0 + (t - t0) % period puts

@@ -111,6 +111,16 @@ class TestMonotonicityMonitor:
         bad = monotonicity_monitor(traj, "SignedSquare", tol_monotone=1e-9)
         assert len(bad) == 1 and bad[0].kind == "y_k"
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_tolerance_must_be_nonnegative_and_finite(self, tol):
+        # One sample shifted outward by 3: a NaN tolerance would hide both
+        # breaches, and a negative one flag every sample.
+        X = np.array([[0.0, 1.0], [0.0, 1.0], [3.0, 4.0], [0.0, 1.0]])
+        traj = make_traj([0.0, 1.0, 2.0, 3.0], X, n=2, d=1)
+        assert len(monotonicity_monitor(traj, "CooperativeBox", 1e-8)) == 2
+        with pytest.raises(DomainError, match="tol_monotone"):
+            monotonicity_monitor(traj, "CooperativeBox", tol)
+
 
 class TestFitExponentialRate:
     def test_synthetic_pure_decay(self):
@@ -156,6 +166,12 @@ class TestAbsoluteValueAgreement:
     def test_frozen_disagreement(self):
         traj = make_traj([0.0, 1.0], [[0.0, 2.0]] * 2, n=2, d=1)
         assert not absolute_value_agreement(traj, tol=1e-6).any()
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_tolerance_must_be_finite(self, tol):
+        traj = make_traj([0.0, 1.0], [[0.0, 2.0]] * 2, n=2, d=1)
+        with pytest.raises(DomainError, match="tol"):
+            absolute_value_agreement(traj, tol=tol)
 
 
 class TestRateBound:
@@ -259,6 +275,15 @@ class TestAgreementVerdict:
         traj = make_traj([0.0, 1.0], [[0.0, 2.0]] * 2, n=2, d=1)
         verdict = agreement_verdict(traj, 1e-6)
         assert not verdict.achieved and verdict.time is None
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_eps_must_be_finite(self, eps):
+        # V stays 2, yet a NaN eps would report agreement reached.
+        traj = make_traj([0.0, 1.0], [[0.0, 2.0]] * 2, n=2, d=1)
+        for call in (lambda: agreement_verdict(traj, eps),
+                     lambda: build_report(traj, eps_agreement=eps)):
+            with pytest.raises(DomainError, match="eps"):
+                call()
 
     def test_already_agreed(self):
         traj = make_traj([0.0, 1.0], [[1.0, 1.0]] * 2, n=2, d=1)

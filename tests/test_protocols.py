@@ -146,6 +146,11 @@ class TestProtocolSpecValidation:
         with pytest.raises(DomainError):
             ProtocolSpec(kind="WeightedConsensus", family=MUTUAL_PAIR, gamma=0.0)
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf])
+    def test_gamma_must_be_finite(self, gamma):
+        with pytest.raises(DomainError, match="gamma"):
+            ProtocolSpec(kind="WeightedConsensus", family=MUTUAL_PAIR, gamma=gamma)
+
     def test_custom_needs_callback(self):
         with pytest.raises(DomainError):
             ProtocolSpec(kind="Custom", family=MUTUAL_PAIR, gamma=1.0)

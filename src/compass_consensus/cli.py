@@ -90,10 +90,10 @@ def write_trajectory_csv(path: Path, traj: Trajectory, downsample: int = 1) -> i
         for s in idx:
             t_str = repr(float(traj.times[s]))
             p = labels[traj.active_index[s]]
-            for i in range(traj.n):
-                coords = ",".join(repr(float(c)) for c in blocks[s, i])
-                fh.write(f"{t_str},{i + 1},{coords},{p}\n")
-                rows += 1
+            # One tolist per sample: the whole file's would raise the peak memory.
+            for i, x in enumerate(blocks[s].tolist(), 1):
+                fh.write(f"{t_str},{i},{','.join(map(repr, x))},{p}\n")
+            rows += traj.n
     return rows
 
 

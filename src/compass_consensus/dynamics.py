@@ -18,6 +18,12 @@ on antagonistic arcs when the signed condition is requested). The boxes are
 reduced over hull lists read from each graph's arcs, and the fields evaluated,
 a bounded chunk of samples at a time: O(m * nnz * d) time for m samples, nnz
 hull members (arcs plus self) and d axes, in working memory bounded per chunk.
+Agents are bucketed by hull size rounded up to a power of two, and each list
+is padded to its bucket's size with the agent itself (exact, as min and max
+are idempotent): padding at most doubles nnz, and a hub of a star graph
+lands in a bucket of its own. Each bucket's box is one gather and one
+reduction over the padded axis; a member across an antagonistic arc is
+gathered from a negated copy of the states, so no multiply is needed.
 """
 
 from __future__ import annotations
@@ -235,12 +241,42 @@ def fields_along(traj: Trajectory, spec: ProtocolSpec) -> np.ndarray:
     return F
 
 
-# Float64 elements in one gathered (samples, nnz, d) block of hull candidates:
+# Float64 elements in one chunk's gathered hull candidates and negated copy:
 # bounds the validator's working set whatever the trajectory length, and at
 # 512 KB keeps a chunk cache-resident (larger budgets measured slower).
 _CHUNK_ELEMENTS = 1 << 16
 # A sample chunk's box bounds, facet masks and inward field, each (samples, n, d).
 _Facets = namedtuple("_Facets", "lo hi width at_lower degen active inward")
+
+
+def _hull_tables(spec: ProtocolSpec, p: Any, signed: bool) -> list[np.ndarray]:
+    """Graph p's hull lists as one (w, agents) table per power-of-two hull size w.
+
+    Row i's hull is i itself with sign +1 and every in-neighbor j != i (a
+    self-loop adds nothing, as in L_p). Member j of sign -1 is stored as
+    column j + n of the states with their negated copy appended, when
+    ``signed``. Each list is padded to w with the agent's own index: min and
+    max are idempotent, so padding with a member is exact, and it at most
+    doubles the entries. Row 0 of a table lists its agents.
+    """
+    n = spec.n
+    members = [[i] for i in range(n)]
+    for j, i, s in spec.family[p].arcs:
+        if j != i:
+            members[i - 1].append(j - 1 + n if signed and s < 0 else j - 1)
+    padded: dict[int, list[list[int]]] = {}
+    for i, m in enumerate(members):
+        w = 1 << (len(m) - 1).bit_length()
+        padded.setdefault(w, []).append(m + [i] * (w - len(m)))
+    return [np.array(lists).T for lists in padded.values()]
+
+
+def _box(Y: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis min and max over each hull of a (w, agents) table, gathered from Y."""
+    cand = Y.take(table.ravel(), axis=1).reshape(Y.shape[0], *table.shape, Y.shape[2])
+    # The reductions allocate their results: numpy reduces these small
+    # blocks far slower into an out= array.
+    return cand.min(axis=1), cand.max(axis=1)
 
 
 def _facet_chunks(
@@ -249,31 +285,27 @@ def _facet_chunks(
     """Yield (p, samples, fields, facets) per active graph and sample chunk.
 
     Row i of the bounds is the supporting box of {x_i} union {sign_ij x_j :
-    j in N_i(p)}, reduced over hull lists read from the arcs of p; a chunk,
-    its fields included, holds about _CHUNK_ELEMENTS floats per array. An
-    active axis is on one facet (on both, it is degenerate); ``inward`` is the
-    field component into the box: f_k at the lower facet, -f_k at the upper.
+    j in N_i(p)}, reduced over the padded hull tables of p; a chunk, its
+    fields included, holds about _CHUNK_ELEMENTS floats per array. An active
+    axis is on one facet (on both, it is degenerate); ``inward`` is the field
+    component into the box: f_k at the lower facet, -f_k at the upper.
     """
     X = traj.blocks()
+    n, d = spec.n, traj.d
     for p, sel in _sample_groups(traj, spec).items():
-        # Hull lists sorted by (agent, member). Self with sign +1 keeps each
-        # agent's segment nonempty (reduceat would return the next segment's
-        # first entry for an empty one); a self-loop adds nothing, as in L_p.
-        hull = sorted(
-            [(i, i, 1) for i in range(spec.n)]
-            + [(i - 1, j - 1, s) for (j, i, s) in spec.family[p].arcs if j != i]
-        )
-        rows, cols, signs = np.array(hull).T
-        starts = np.searchsorted(rows, np.arange(spec.n))
-        step = max(1, _CHUNK_ELEMENTS // (cols.size * traj.d))
+        tables = _hull_tables(spec, p, signed)
+        entries = sum(table.size for table in tables) + (2 * n if signed else n)
+        step = max(1, _CHUNK_ELEMENTS // (entries * d))
         for k in range(0, sel.size, step):
             idx = sel[k : k + step]
             Xs = X[idx]
-            cand = Xs[:, cols, :]
-            if signed:
-                cand *= signs[:, None]
-            lo = np.minimum.reduceat(cand, starts, axis=1)
-            hi = np.maximum.reduceat(cand, starts, axis=1)
+            Y = np.concatenate([Xs, -Xs], axis=1) if signed else Xs
+            if len(tables) == 1:  # every agent in one bucket, in agent order
+                lo, hi = _box(Y, tables[0])
+            else:
+                lo, hi = np.empty_like(Xs), np.empty_like(Xs)
+                for table in tables:
+                    lo[:, table[0]], hi[:, table[0]] = _box(Y, table)
             width = hi - lo
             at_lower = np.abs(Xs - lo) <= ftol
             degen = width <= 2 * ftol
@@ -320,6 +352,8 @@ def validate_feasibility(
         bad = carrier | outward
         if gamma_strict:
             bad |= f.active & ~outward & (np.abs(Fs) < gamma * f.width - stol)
+        if not bad.any():
+            continue
         for s_loc, i, k in np.argwhere(bad):
             fval = Fs[s_loc, i, k]
             if carrier[s_loc, i, k]:

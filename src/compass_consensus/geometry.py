@@ -118,15 +118,21 @@ class ConeQuery:
         object.__setattr__(self, "direction", np.asarray(self.direction, dtype=float))
         if self.point.shape != (self.box.dim,) or self.direction.shape != (self.box.dim,):
             raise DomainError("point and direction must match the box dimension")
-        if self.face_tolerance is not None and self.face_tolerance < 0:
-            raise DomainError("face_tolerance must be nonnegative")
-        if self.strictness_tolerance < 0:
-            raise DomainError("strictness_tolerance must be nonnegative")
+        if self.face_tolerance is not None:
+            _check_threshold("face_tolerance", self.face_tolerance)
+        _check_threshold("strictness_tolerance", self.strictness_tolerance)
+        _check_threshold("gamma", self.gamma)
 
     def resolved_face_tolerance(self) -> float:
         if self.face_tolerance is not None:
             return self.face_tolerance
         return default_face_tolerance(self.box)
+
+
+def _check_threshold(name: str, value: float) -> None:
+    """DomainError unless 0 <= value < inf: a NaN compares false and would pass every test."""
+    if not 0 <= value < np.inf:
+        raise DomainError(f"{name} must be nonnegative and finite, got {value}")
 
 
 def default_face_tolerance(box: Hyperrectangle) -> float:
@@ -169,8 +175,7 @@ def classify_point(
     if x.shape != (box.dim,):
         raise DomainError("point must match the box dimension")
     tol = default_face_tolerance(box) if face_tolerance is None else face_tolerance
-    if tol < 0:
-        raise DomainError("face_tolerance must be nonnegative")
+    _check_threshold("face_tolerance", tol)
     if not box.contains(x, tol):
         raise OutsideBoxError(f"point {x} outside box beyond tolerance {tol}")
     at_lower = np.abs(x - box.lo) <= tol

@@ -186,6 +186,11 @@ class RateFit:
         return iter((self.lambda_hat, self.r_squared))
 
 
+def _check_tail_fraction(tail_fraction: float) -> None:
+    if not 0 < tail_fraction <= 1:
+        raise DomainError(f"tail_fraction must be in (0, 1], got {tail_fraction}")
+
+
 def fit_exponential_rate(
     series: tuple[Sequence[float], Sequence[float]],
     tail_fraction: float = 0.5,
@@ -196,13 +201,12 @@ def fit_exponential_rate(
     truncate the fit there (flagged in the result). A constant series fits
     exactly with rate zero.
     """
+    _check_tail_fraction(tail_fraction)
     t, v = series
     t = np.asarray(t, dtype=float)
     v = np.asarray(v, dtype=float)
     if t.shape != v.shape or t.ndim != 1 or t.size < 2:
         raise DomainError("need matching 1-D times and values with >= 2 samples")
-    if not 0 < tail_fraction <= 1:
-        raise DomainError("tail_fraction must be in (0, 1]")
     start = t.size - max(2, int(math.ceil(tail_fraction * t.size)))
     t, v = t[start:], v[start:]
     truncated = False
@@ -277,6 +281,7 @@ def absolute_value_agreement(
     to zero, while the envelope shrinks whenever the signed cone condition
     holds, so it is the sound guard against a lucky final dip.
     """
+    _check_tail_fraction(tail_fraction)
     return _abs_agreement(_Series(traj), tol, tol_monotone, tail_fraction)
 
 
@@ -404,6 +409,7 @@ def build_report(
 ) -> AgreementReport:
     """Compute the full metric set for a trajectory from one pass over it;
     ``tail_fraction`` sets the tail of both the rate fit and ``abs_agreement``."""
+    _check_tail_fraction(tail_fraction)
     ser = _Series(traj)
     lam: float | None
     try:

@@ -572,6 +572,90 @@ class TestSparseKernelMatchesDense:
                 assert got == want
 
 
+def skewed_degree_case(seed, n=14):
+    """A star graph and a mixed-degree graph with self-loops, over tie-heavy states.
+
+    In "star" agent 1 has in-degree n - 1 and agents 2..5 hear only agent 1;
+    the rest have no in-neighbors. In "mixed" in-degrees run from 0 to 10,
+    so the hull sizes fall in several power-of-two buckets, and agents 1, 3
+    and n carry self-loops of either sign.
+    """
+    rng = np.random.default_rng(seed)
+    sign = lambda: int(rng.choice([-1, 1]))  # noqa: E731
+    star = [(j, 1, sign()) for j in range(2, n + 1)] + [(1, i, sign()) for i in range(2, 6)]
+    mixed = [(1, 1, -1), (3, 3, 1), (n, n, -1)]
+    for i, deg in enumerate(rng.permutation(np.arange(n) % 11), 1):
+        others = [j for j in range(1, n + 1) if j != i]
+        mixed += [(int(j), i, sign()) for j in rng.choice(others, size=deg, replace=False)]
+    family = {
+        "star": SignedDigraph(n, star),
+        "mixed": SignedDigraph(n, mixed, allow_self_loops=True),
+    }
+    m, d = 30, 2
+    X = rng.integers(-2, 3, size=(m, n, d)) * 0.5
+    X[rng.random((m, n, d)) < 0.2] += rng.normal(scale=0.1)
+    return family, sampled_trajectory(X, rng.choice(list(family), size=m))
+
+
+class TestBucketedKernelMatchesDense:
+    """Hull sizes spread over several power-of-two buckets, and one wide row.
+
+    The bounds compare with np.array_equal, which counts -0.0 equal to 0.0:
+    min and max may return either zero of a +-0.0 tie, and a signed zero
+    only reaches degenerate axes, whose widths are never printed.
+    """
+
+    @pytest.mark.parametrize("one_sample_chunks", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bounds_violations_and_margin(self, seed, one_sample_chunks, monkeypatch):
+        if one_sample_chunks:
+            monkeypatch.setattr(dynamics, "_CHUNK_ELEMENTS", 1)
+        family, traj = skewed_degree_case(seed)
+        spec = ProtocolSpec(kind="SignedConsensus", family=family, gamma=0.5)
+        X = traj.blocks()
+        for signed in (False, True):
+            sizes = {p: sorted(t.shape[0] for t in dynamics._hull_tables(spec, p, signed))
+                     for p in family}
+            assert sizes == {"star": [1, 2, 16], "mixed": [1, 2, 4, 8, 16]}
+            lo, hi = np.full_like(X, np.nan), np.full_like(X, np.nan)
+            for p, sel, _F, f in dynamics._facet_chunks(traj, spec, signed, 0.0):
+                lo[sel], hi[sel] = f.lo, f.hi
+            for p in family:
+                sel = np.flatnonzero(np.asarray(traj.active_index) == p)
+                ref_lo, ref_hi = dense_local_hull_bounds(X[sel], spec, p, signed)
+                assert np.array_equal(lo[sel], ref_lo)
+                assert np.array_equal(hi[sel], ref_hi)
+            assert empirical_gamma_margin(traj, spec, signed=signed) == dense_gamma_margin(
+                traj, spec, signed=signed
+            )
+        found = 0
+        for assumption in Assumption:
+            got = validate_feasibility(traj, spec, assumption)
+            assert got == dense_validate_feasibility(traj, spec, assumption)
+            found += len(got)
+        assert found > 0
+
+
+def test_validator_memory_on_a_star_stays_per_chunk():
+    # The hub's hull of 200 is padded to 256 and its leaves' of 2 stay at 2:
+    # one table of 654 entries, where padding every row to the hub's width
+    # would gather 200 * 256 per sample.
+    rng = np.random.default_rng(7)
+    n, d, m = 200, 3, 200
+    arcs = [(j, 1, int(rng.choice([-1, 1]))) for j in range(2, n + 1)]
+    arcs += [(1, i, int(rng.choice([-1, 1]))) for i in range(2, n + 1)]
+    spec = ProtocolSpec(kind="SignedConsensus", family={"g": SignedDigraph(n, arcs)}, gamma=1.0)
+    traj = sampled_trajectory(rng.normal(size=(m, n, d)), ["g"] * m)
+    tracemalloc.start()
+    try:
+        violations = validate_feasibility(traj, spec, Assumption.SIGNED_GAMMA_STRICT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert violations == []
+    assert peak < 4e6
+
+
 class TestValidatorInputs:
     """Mismatched trajectories are rejected as DomainError at every entry point."""
 

@@ -148,6 +148,22 @@ class TestGammaCone:
         with pytest.raises(DomainError):
             gamma_cone_contains(q)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"strictness_tolerance": np.nan}, {"strictness_tolerance": np.inf},
+        {"face_tolerance": np.nan}, {"face_tolerance": np.inf}, {"face_tolerance": -1.0},
+        {"gamma": np.nan}, {"gamma": np.inf},
+    ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+    def test_thresholds_must_be_finite(self, kwargs):
+        # A NaN compares false, so it would pass every test: with a NaN
+        # strictness tolerance, -5 at the lower facet of [0, 1] was inside.
+        box, x, v = Hyperrectangle([0.0], [1.0]), [0.0], [-5.0]
+        assert not gamma_cone_contains(ConeQuery(x, box, v, gamma=0.5))
+        with pytest.raises(DomainError, match="must be nonnegative and finite"):
+            gamma_cone_contains(ConeQuery(x, box, v, **{"gamma": 0.5, **kwargs}))
+        if "face_tolerance" in kwargs:
+            with pytest.raises(DomainError, match="must be nonnegative and finite"):
+                classify_point(x, box, kwargs["face_tolerance"])
+
 
 class TestRelativeInteriorCone:
     def test_interior_everything(self):

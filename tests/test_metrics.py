@@ -337,6 +337,19 @@ class TestReport:
                 verdicts[tail, tol_monotone] = bool(want.all())
         assert verdicts[0.5, None] and not verdicts[1.0, None] and verdicts[1.0, 1.5]
 
+    @pytest.mark.parametrize("tail", [math.nan, 0.0, -0.5, 2.0, math.inf])
+    def test_tail_fraction_outside_unit_interval_rejected(self, tail):
+        # NaN used to crash in int(ceil(...)), and 0 and 2 passed silently.
+        traj = make_traj([0.0, 1.0, 2.0], [[1.0, -1.0], [0.5, -0.5], [0.25, -0.25]], n=2, d=1)
+        calls = [
+            lambda: fit_exponential_rate((traj.times, lyapunov_series(traj)), tail),
+            lambda: absolute_value_agreement(traj, 1e-3, tail_fraction=tail),
+            lambda: build_report(traj, tail_fraction=tail),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match="tail_fraction"):
+                call()
+
 
 REPORT_ARRAYS = (
     "times", "lyapunov", "diameters", "axis_max", "axis_min",

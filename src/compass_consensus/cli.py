@@ -80,16 +80,19 @@ def write_trajectory_csv(path: Path, traj: Trajectory, downsample: int = 1) -> i
     if idx[-1] != traj.num_samples - 1:
         idx.append(traj.num_samples - 1)
     blocks = traj.blocks()
-    labels = {p: str(p) for p in dict.fromkeys(traj.active_index)}
+    labels = {p: str(p) for p, _a, _b in traj.runs}
     for p, text in labels.items():
         if any(c in text for c in ',"\r\n'):  # quoted as RFC 4180 asks
             labels[p] = '"' + text.replace('"', '""') + '"'
+    # The run each written sample falls in: the number of runs ending at or before it.
+    texts = [labels[p] for p, _a, _b in traj.runs]
+    owner = np.searchsorted([b for _p, _a, b in traj.runs], idx, side="right").tolist()
     rows = 0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,agent," + ",".join(f"x_{k}" for k in range(1, traj.d + 1)) + ",active_p\n")
-        for s in idx:
+        for s, r in zip(idx, owner):
             t_str = repr(float(traj.times[s]))
-            p = labels[traj.active_index[s]]
+            p = texts[r]
             # One tolist per sample: the whole file's would raise the peak memory.
             for i, x in enumerate(blocks[s].tolist(), 1):
                 fh.write(f"{t_str},{i},{','.join(map(repr, x))},{p}\n")
@@ -166,6 +169,13 @@ def _run_one(args: tuple[str, str, bool, int | None]) -> int:
 def cmd_run(args) -> int:
     configs = args.config
     if args.batch:
+        # Each config writes to a subdirectory named after its file stem.
+        stems = [Path(c).stem for c in configs]
+        for k, stem in enumerate(stems):
+            if stem in stems[:k]:
+                print(f"{configs[stems.index(stem)]} and {configs[k]} would both write to "
+                      f"{Path(args.out_dir) / stem}", file=sys.stderr)
+                return EXIT_CONFIG
         jobs = [(c, args.out_dir, args.strict, args.seed) for c in configs]
         if len(jobs) == 1:  # same layout, no worker process to start
             return _run_one(jobs[0])

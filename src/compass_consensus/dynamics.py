@@ -3,12 +3,14 @@
 The state obeys dx/dt = f_p(x) with p chosen by a piecewise-constant
 switching signal. Integration uses classical fixed-step RK4 over the signal's
 compiled segments, with steps split at their ends so the active field is
-constant within every step; each segment's graph and each sample's label come
-from the same segment list. For the linear built-ins, f_p(x) = A_p x, an RK4
-step is exactly T4(hA_p) = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24: they step
-with T4(hA_p), built once per graph and call, and take each segment's last
-(possibly short) step as the same polynomial in Horner form, matching generic
-RK4 up to rounding. Custom fields keep the generic RK4 loop.
+constant within every step. The trajectory keeps the schedule as a run table,
+one (graph, first sample, end sample) row per segment: the integrator steps
+over it, and every reader of the sample labels reads it. For the linear
+built-ins, f_p(x) = A_p x, an RK4 step is exactly T4(hA_p) = I + hA +
+(hA)^2/2 + (hA)^3/6 + (hA)^4/24: they step with T4(hA_p), built once per
+graph and call, and take each segment's last (possibly short) step as the
+same polynomial in Horner form, matching generic RK4 up to rounding. Custom
+fields keep the generic RK4 loop.
 
 The feasibility validator replays a trajectory and checks, sample by sample
 and agent by agent, that the active field at the agent's state lies in the
@@ -28,6 +30,7 @@ gathered from a negated copy of the states, so no multiply is needed.
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
@@ -57,21 +60,36 @@ class Trajectory:
     """Sampled solution of the switched system.
 
     ``states[s]`` is the stacked state (agent-major, length n*d) at
-    ``times[s]``; ``active_index[s]`` is the family index driving the system
-    at that sample (right-continuous at switches). ``feasibility_violations``
-    is filled when validation ran.
+    ``times[s]``. ``runs`` is the switching schedule as it was sampled: each
+    run (p, a, b) says family index p drives samples a..b-1. A sample at a
+    switch opens the next run, so labels are right-continuous. Raises
+    DomainError unless the runs tile the samples in order.
+    ``feasibility_violations`` is filled when validation ran.
     """
 
     times: np.ndarray
     states: np.ndarray
     n: int
     d: int
-    active_index: list
+    runs: list
     feasibility_violations: list["FeasibilityViolation"] | None = None
+
+    def __post_init__(self):
+        self.runs = [(p, operator.index(a), operator.index(b)) for p, a, b in self.runs]
+        ends = [0] + [b for _p, _a, b in self.runs]
+        if ends[-1] != self.num_samples or any(
+            not e == a < b for e, (_p, a, b) in zip(ends, self.runs)
+        ):
+            raise DomainError(f"the runs must tile the samples [0, {self.num_samples}) in order")
 
     @property
     def num_samples(self) -> int:
         return self.times.size
+
+    @property
+    def active_index(self) -> list:
+        """The family index of every sample, expanded from the runs."""
+        return [p for p, a, b in self.runs for _ in range(b - a)]
 
     def blocks(self) -> np.ndarray:
         """States reshaped to (samples, agents, axes)."""
@@ -143,34 +161,39 @@ def simulate(scenario: "ScenarioConfig") -> Trajectory:
     h, t0, t_end = float(scenario.h), signal.t0, float(scenario.t_end)
     x0 = np.asarray(scenario.initial_states, dtype=float).reshape(-1)
 
-    # Every segment's step end times, so the sample arrays are allocated once.
-    plan: list[tuple[Any, float, list[float]]] = []
-    labels: list[Any] = [None]
+    # One run per segment from the sample at its start, which ends the
+    # previous segment: labels are right-continuous. The step end times are
+    # gathered first, so the sample arrays are allocated once.
+    targets: list[float] = [t0]
+    runs: list[tuple[Any, int, int]] = []
     for a, b, p in signal.segments(t_end):
-        # Right-continuous: the sample at a, which ended the previous
-        # segment, is labelled with the segment that starts there.
-        labels[-1] = p
         b = min(b, t_end)
-        if b <= a:
-            continue
-        targets = _segment_targets(a, b, h)
-        plan.append((p, a, targets))
-        labels.extend([p] * len(targets))
-    times = np.array([t0] + [t for _p, _a, targets in plan for t in targets])
-    states = np.empty((times.size, x0.size))
+        if b > a:
+            s = len(targets) - 1
+            targets.extend(_segment_targets(a, b, h))
+            runs.append((p, s, len(targets) - 1))
+    # The final sample opens the run of the segment active at t_end, which
+    # may start there.
+    m = len(targets)
+    if runs[-1][0] == p:
+        runs[-1] = (p, runs[-1][1], m)
+    else:
+        runs.append((p, m - 1, m))
+    times = np.array(targets)
+    states = np.empty((m, x0.size))
     states[0] = x0
 
     custom = spec.kind is ProtocolKind.CUSTOM
     propagators: dict[Any, tuple] = {}
-    s = 0
-    for p, a, targets in plan:
-        k = len(targets)
-        block = states[s : s + k + 1]
+    for p, s, e in runs:
+        k = min(e, m - 1) - s  # steps from sample s; the final sample ends the last run's
+        if k == 0:
+            continue
+        block, T = states[s : s + k + 1], times[s : s + k + 1]
         if custom:
-            f, t = partial(spec.field, p), a
-            for j, target in enumerate(targets, 1):
-                block[j] = _rk4_step(f, block[j - 1], target - t)
-                t = target
+            f = partial(spec.field, p)
+            for j in range(1, k + 1):
+                block[j] = _rk4_step(f, block[j - 1], T[j] - T[j - 1])
                 if not np.isfinite(block[j]).all():
                     break
         else:
@@ -185,19 +208,12 @@ def simulate(scenario: "ScenarioConfig") -> Trajectory:
             X = block.reshape((k + 1,) + shape)
             for j in range(1, k):
                 np.matmul(P, X[j - 1], out=X[j])
-            X[k] = _taylor4(A, targets[-1] - (targets[-2] if k > 1 else a), X[k - 1])
+            X[k] = _taylor4(A, T[k] - T[k - 1], X[k - 1])
         finite = np.isfinite(block[1:]).all(axis=1)
         if not finite.all():
-            raise DivergenceError(float(times[s + 1 + np.argmin(finite)]))
-        s += k
+            raise DivergenceError(float(T[1 + np.argmin(finite)]))
 
-    traj = Trajectory(
-        times=times,
-        states=states,
-        n=scenario.n,
-        d=scenario.d,
-        active_index=labels,
-    )
+    traj = Trajectory(times=times, states=states, n=scenario.n, d=scenario.d, runs=runs)
     if getattr(scenario, "assumption", None) is not None:
         traj.feasibility_violations = validate_feasibility(
             traj,
@@ -210,19 +226,25 @@ def simulate(scenario: "ScenarioConfig") -> Trajectory:
 
 
 def _sample_groups(traj: Trajectory, spec: ProtocolSpec) -> dict[Any, np.ndarray]:
-    """Sample indices of each active graph label, grouped in one pass.
+    """Sample indices of each active graph label, gathered from its runs.
 
     Rejects with DomainError a trajectory the protocol cannot have produced.
     """
     if traj.n != spec.n:
         raise DomainError(f"trajectory has n={traj.n} but the protocol has n={spec.n}")
-    groups: dict[Any, list[int]] = {}
-    for s, p in enumerate(traj.active_index):
-        groups.setdefault(p, []).append(s)
-    for p in groups:
+    spans: dict[Any, list[tuple[int, int]]] = {}
+    for p, a, b in traj.runs:
+        spans.setdefault(p, []).append((a, b))
+    groups = {}
+    for p, ab in spans.items():
         if p not in spec.family:
             raise DomainError(f"active index {p!r} is not in the graph family")
-    return {p: np.asarray(sel) for p, sel in groups.items()}
+        # Sample a + j of a run sits at position offset + j of the label's
+        # concatenated runs: shift the positions by a - offset, run by run.
+        a, b = np.array(ab).T
+        n = b - a
+        groups[p] = np.arange(n.sum()) + np.repeat(a - (np.cumsum(n) - n), n)
+    return groups
 
 
 def _field_block(spec: ProtocolSpec, p: Any, X: np.ndarray) -> np.ndarray:

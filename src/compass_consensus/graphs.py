@@ -59,19 +59,6 @@ class SignedDigraph:
             self, "arcs", frozenset((j, i, s) for (j, i), s in norm.items())
         )
 
-    def neighbors(self, i: int) -> list[int]:
-        """In-neighbors of node i: all j with an arc (j, i)."""
-        return sorted(j for (j, tgt, _s) in self.arcs if tgt == i)
-
-    def sign(self, j: int, i: int) -> int:
-        for (src, tgt, s) in self.arcs:
-            if src == j and tgt == i:
-                return s
-        raise DomainError(f"no arc ({j},{i})")
-
-    def has_arc(self, j: int, i: int) -> bool:
-        return any(src == j and tgt == i for (src, tgt, _s) in self.arcs)
-
     def out_adjacency(self) -> list[list[int]]:
         """Successor lists indexed 0..n-1 (self-loops dropped)."""
         adj: list[list[int]] = [[] for _ in range(self.n)]
@@ -222,6 +209,8 @@ class SwitchingSignal:
         float expressions, so the two agree at every switch instant."""
         if not self.t0 <= t < float("inf"):
             raise DomainError(f"t={t} is not a finite time from the signal start {self.t0}")
+        if t > self.horizon_end and not self.periodic:
+            raise DomainError(f"t={t} is past the horizon_end {self.horizon_end} of the signal")
         k = int((t - self.t0) // self.period) if self.periodic else 0
         # The quotient can round to either neighbouring copy; step to the right one.
         while k > 0 and self.t0 + k * self.period > t:

@@ -47,10 +47,10 @@ class VicsekState:
             raise DomainError("positions must be an (n, 2) array")
         if headings.shape != (pos.shape[0],):
             raise DomainError("need one heading per agent")
-        if self.speed <= 0:
-            raise DomainError("speed must be positive")
-        if self.radius <= 0:
-            raise DomainError("radius must be positive")
+        if not 0 < self.speed < np.inf:
+            raise DomainError(f"speed must be positive and finite, got {self.speed}")
+        if not 0 < self.radius < np.inf:
+            raise DomainError(f"radius must be positive and finite, got {self.radius}")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "headings", headings)
 

@@ -1,5 +1,6 @@
 """Shared builders for module and acceptance tests."""
 
+import itertools
 from typing import Mapping
 
 import numpy as np
@@ -57,6 +58,16 @@ def cyclic_signal(names, dwell, horizon, tau_d=None):
         t += dwell
         k += 1
     return SwitchingSignal(pieces, tau_d=tau_d or dwell, horizon_end=horizon)
+
+
+def label_runs(labels):
+    """A per-sample label list as Trajectory runs (p, a, b), equal neighbours merged."""
+    runs, a = [], 0
+    for p, group in itertools.groupby(labels):
+        b = a + len(list(group))
+        runs.append((p, a, b))
+        a = b
+    return runs
 
 
 def triangle_family_5():

@@ -12,6 +12,7 @@ import pytest
 
 from compass_consensus.cli import build_parser, main, write_trajectory_csv
 from compass_consensus.dynamics import Trajectory
+from helpers import label_runs
 from test_scenario import rotated_config
 
 pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
@@ -137,6 +138,17 @@ class TestRun:
         assert (tmp_path / "a" / "traj.csv").exists()
         assert (tmp_path / "b" / "traj.csv").exists()
 
+    def test_batch_rejects_two_configs_of_one_stem(self, tmp_path, capsys):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        p1 = write_json(tmp_path / "a" / "scen.json", consensus_config(t_end=1.0))
+        p2 = write_json(tmp_path / "b" / "scen.json", consensus_config(t_end=1.0))
+        out = tmp_path / "out"
+        assert main(["run", p1, p2, "--batch", "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert p1 in err and p2 in err
+        assert not out.exists()  # rejected before anything ran
+
     def test_batch_of_one_runs_in_process(self, tmp_path, monkeypatch):
         import concurrent.futures
 
@@ -165,7 +177,7 @@ class TestRun:
     def test_labels_with_csv_specials_read_back(self, tmp_path):
         labels = ["a,b", 'say "hi"', "two\nlines", "g"]
         traj = Trajectory(times=np.arange(4.0), states=np.arange(4.0)[:, None], n=1, d=1,
-                          active_index=labels)
+                          runs=label_runs(labels))
         path = tmp_path / "traj.csv"
         assert write_trajectory_csv(path, traj) == 4
         with open(path, encoding="utf-8", newline="") as fh:

@@ -32,6 +32,7 @@ from helpers import (
     dense_gamma_margin,
     dense_local_hull_bounds,
     dense_validate_feasibility,
+    label_runs,
     linear_oracle_solution,
     v0_simulate,
 )
@@ -339,9 +340,9 @@ class TestValidateFeasibility:
                 g = spec.family[p]
                 for i in range(1, 4):
                     pts = [X[s, i - 1]]
-                    for j in g.neighbors(i):
-                        sgn = g.sign(j, i) if signed else 1
-                        pts.append(sgn * X[s, j - 1])
+                    for j, tgt, sgn in g.arcs:
+                        if tgt == i:
+                            pts.append((sgn if signed else 1) * X[s, j - 1])
                     box = supporting_hyperrectangle(pts)
                     q = ConeQuery(
                         X[s, i - 1], box, F[s, i - 1], gamma=spec.gamma,
@@ -422,7 +423,8 @@ class TestFacetBoundariesMatchScalarOracle:
         for s in range(traj.num_samples):
             t = float(traj.times[s])
             for i in (1, 2, 3):
-                pts = [X[s, i - 1]] + [X[s, j - 1] for j in self.CHAIN["g"].neighbors(i)]
+                pts = [X[s, i - 1]] + [X[s, j - 1] for j, tgt, _ in self.CHAIN["g"].arcs
+                                       if tgt == i]
                 q = ConeQuery(X[s, i - 1], supporting_hyperrectangle(pts), F[s, i - 1],
                               gamma=gamma, face_tolerance=0.0, strictness_tolerance=STOL)
                 reasons = [found.get((t, i, k)) for k in (1, 2)]
@@ -512,7 +514,7 @@ def sampled_trajectory(states, labels):
     """Trajectory with the given (m, n, d) states and active labels, 0.1 apart."""
     m, n, d = states.shape
     return Trajectory(times=0.1 * np.arange(m), states=states.reshape(m, n * d),
-                      n=n, d=d, active_index=list(labels))
+                      n=n, d=d, runs=label_runs(labels))
 
 
 def random_signed_case(seed):
@@ -713,6 +715,80 @@ class TestValidatorInputs:
         for call in self.entry_points(traj, spec):
             with pytest.raises(DomainError, match="need 1 plane angles for d=2"):
                 call()
+
+
+class TestRunTable:
+    """The trajectory keeps the schedule as runs (p, a, b) tiling its samples."""
+
+    @pytest.mark.parametrize("runs", [
+        [("g", 0, 2), ("g", 1, 3)],  # overlap
+        [("g", 0, 1), ("g", 2, 3)],  # gap
+        [("g", 0, 2)],  # stops short of the last sample
+        [("g", 0, 1)],
+        [("g", 0, 3), ("g", 3, 4)],  # past the last sample
+        [("g", 1, 3)],  # does not start at sample 0
+        [("g", 0, 0), ("g", 0, 3)],  # an empty run
+        [("g", 2, 3), ("g", 0, 2)],  # out of order
+    ])
+    def test_runs_must_tile_the_samples(self, runs):
+        with pytest.raises(DomainError, match="run"):
+            Trajectory(times=np.arange(3.0), states=np.zeros((3, 2)), n=2, d=1, runs=runs)
+
+    def test_a_run_covering_every_sample_checks_every_sample(self):
+        # A per-sample label list of one entry once slipped through: the
+        # validator saw one sample of three, and fields_along left two
+        # samples uninitialised.
+        spec = mutual_consensus()
+        states = np.array([[0.0, 1.0]] * 3)
+        with pytest.raises(DomainError):
+            Trajectory(times=np.arange(3.0), states=states, n=2, d=1, runs=[("g", 0, 1)])
+        traj = Trajectory(times=np.arange(3.0), states=states, n=2, d=1, runs=[("g", 0, 3)])
+        violations = validate_feasibility(traj, spec, Assumption.GAMMA_STRICT, gamma=10)
+        assert [(v.time, v.agent) for v in violations] == [
+            (t, i) for t in (0.0, 1.0, 2.0) for i in (1, 2)
+        ]
+        assert np.array_equal(fields_along(traj, spec), np.array([[[1.0], [-1.0]]] * 3))
+
+    def test_active_index_is_a_view_of_the_runs(self):
+        traj = sampled_trajectory(np.zeros((5, 2, 1)), ["a", "a", "b", "b", "a"])
+        assert traj.runs == [("a", 0, 2), ("b", 2, 4), ("a", 4, 5)]
+        assert traj.active_index == ["a", "a", "b", "b", "a"]
+        with pytest.raises(AttributeError):
+            traj.active_index = ["a"] * 5
+
+    @pytest.mark.parametrize("t_end", [1.0, 1.1, 2.0])
+    def test_final_sample_opens_the_run_active_at_t_end(self, t_end):
+        # At t_end = 1.0 the segment of "b" starts on the final sample.
+        fam = {"a": SignedDigraph(2, [(1, 2)]), "b": SignedDigraph(2, [(2, 1)])}
+        spec = ProtocolSpec(kind="WeightedConsensus", family=fam, gamma=1.0)
+        sig = SwitchingSignal([(0.0, "a"), (1.0, "b")], tau_d=0.5, horizon_end=2.0)
+        sc = scenario(spec, [0.0, 2.0], h=0.25, t_end=t_end, signal=sig)
+        traj = simulate(sc)
+        times, _states, labels = v0_simulate(sc)
+        assert traj.times.tobytes() == times.tobytes()
+        assert traj.active_index == labels
+        assert traj.runs == label_runs(labels)
+        assert traj.runs[-1][0] == "b"
+
+    def test_chunks_group_samples_by_label_not_by_run(self, monkeypatch):
+        # One step per segment: 400 runs over two graphs. Chunking per run
+        # would yield 400 chunks; grouping by label fills each chunk.
+        monkeypatch.setattr(dynamics, "_CHUNK_ELEMENTS", 500)
+        fam = {"a": SignedDigraph(3, [(1, 2), (2, 3)]), "b": SignedDigraph(3, [(3, 1)])}
+        spec = ProtocolSpec(kind="WeightedConsensus", family=fam, gamma=1.0)
+        pieces = [(round(0.01 * k, 10), "ab"[k % 2]) for k in range(400)]
+        sig = SwitchingSignal(pieces, tau_d=0.01, horizon_end=4.0)
+        traj = simulate(scenario(spec, [0.0, 1.0, 2.0], h=0.01, t_end=4.0, signal=sig))
+        assert len(traj.runs) == 400
+        chunks = list(dynamics._facet_chunks(traj, spec, False, 0.0))
+        bound = 0
+        for p in fam:
+            entries = sum(t.size for t in dynamics._hull_tables(spec, p, False)) + spec.n
+            step = max(1, 500 // (entries * traj.d))
+            count = traj.active_index.count(p)
+            bound += -(-count // step)
+            assert step > 1
+        assert len(chunks) <= bound
 
 
 def test_validator_memory_grows_with_arcs_not_n_squared():

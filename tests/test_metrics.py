@@ -23,7 +23,7 @@ from compass_consensus.metrics import (
 )
 from compass_consensus.protocols import ProtocolSpec
 from compass_consensus.scenario import ScenarioConfig
-from helpers import v0_build_report
+from helpers import label_runs, v0_build_report
 
 # Frozen oracle values (30-digit arithmetic):
 #   beta      = exp(-2)/4 = 0.0338338208091532...
@@ -35,7 +35,7 @@ BETA_STAR_ORACLE = 0.0344194314168896
 def make_traj(times, states, n, d, p="g"):
     times = np.asarray(times, dtype=float)
     states = np.asarray(states, dtype=float).reshape(len(times), n * d)
-    return Trajectory(times=times, states=states, n=n, d=d, active_index=[p] * len(times))
+    return Trajectory(times=times, states=states, n=n, d=d, runs=label_runs([p] * len(times)))
 
 
 def consensus_run(h=1e-3, t_end=10.0):

@@ -58,6 +58,15 @@ class TestVicsekStep:
             vicsek_step(s, lambda st: [np.array([], dtype=int), np.array([1])])
 
 
+class TestVicsekState:
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["speed", "radius"])
+    def test_speed_and_radius_positive_and_finite(self, field, bad):
+        # A NaN speed made the positions NaN; a NaN radius isolated every agent.
+        with pytest.raises(DomainError, match=field):
+            make_state([0.0, 1.0], **{field: bad})
+
+
 class TestNeighborRules:
     def test_radius_rule_includes_self(self):
         s = make_state([0.0, 0.0], positions=[[0.0, 0.0], [100.0, 0.0]], radius=1.0)

@@ -367,6 +367,7 @@ def validate_feasibility(
     # An active facet fails if its inward component is below the edge or, for
     # the gamma-strict kinds, if |f_k| < gamma * D_k - stol.
     edge = -stol if gamma_strict else stol
+    word = "sign" if gamma_strict else "strict-sign"
     violations: list[FeasibilityViolation] = []
     for p, sel, Fs, f in _facet_chunks(traj, spec, signed, ftol):
         carrier = f.degen & (np.abs(Fs) > stol)
@@ -376,26 +377,20 @@ def validate_feasibility(
             bad |= f.active & ~outward & (np.abs(Fs) < gamma * f.width - stol)
         if not bad.any():
             continue
-        for s_loc, i, k in np.argwhere(bad):
-            fval = Fs[s_loc, i, k]
-            if carrier[s_loc, i, k]:
+        # One .tolist() per column: indexing and formatting numpy scalars one by one
+        # costs microseconds per violation.
+        at = np.nonzero(bad)
+        columns = (traj.times[sel[at[0]]], at[1] + 1, at[2] + 1, Fs[at], carrier[at],
+                   outward[at], f.at_lower[at], f.width[at])
+        for t, i, k, fval, flat, out, lower, width in zip(*(c.tolist() for c in columns)):
+            if flat:
                 detail = f"carrier subspace: |f_k|={abs(fval):.3g} > {stol:.3g} on a flat axis"
-            elif outward[s_loc, i, k]:
-                side = "lower" if f.at_lower[s_loc, i, k] else "upper"
-                word = "sign" if gamma_strict else "strict-sign"
+            elif out:
+                side = "lower" if lower else "upper"
                 detail = f"{word}: f_k={fval:.3g} points outward at the {side} facet"
             else:
-                need = gamma * f.width[s_loc, i, k]
-                detail = f"margin: |f_k|={abs(fval):.3g} < gamma*D_k={need:.3g}"
-            violations.append(
-                FeasibilityViolation(
-                    time=float(traj.times[sel[s_loc]]),
-                    agent=int(i) + 1,
-                    axis=int(k) + 1,
-                    active_p=p,
-                    reason=detail,
-                )
-            )
+                detail = f"margin: |f_k|={abs(fval):.3g} < gamma*D_k={gamma * width:.3g}"
+            violations.append(FeasibilityViolation(t, i, k, p, detail))
     violations.sort(key=lambda v: (v.time, v.agent, v.axis))
     return violations
 

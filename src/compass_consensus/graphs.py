@@ -12,6 +12,7 @@ tests the union graph at the window starts where it can lose arcs.
 from __future__ import annotations
 
 import bisect
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -35,6 +36,10 @@ class SignedDigraph:
         arcs: Iterable[tuple[int, int] | tuple[int, int, int]] = (),
         allow_self_loops: bool = False,
     ):
+        try:
+            n = operator.index(n)
+        except TypeError as exc:
+            raise DomainError(f"node count must be an integer, got {n!r}") from exc
         if n < 1:
             raise DomainError("graph needs at least one node")
         norm: dict[tuple[int, int], int] = {}

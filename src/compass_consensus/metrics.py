@@ -30,6 +30,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -154,16 +155,9 @@ def _monitor(ser: _Series, mode: MonitorMode, tol: float) -> list[MonitorViolati
         checks = [(ser.abs_hi**2, 1.0, "y_k")]
     for series, direction, name in checks:
         drift = direction * np.diff(series, axis=0)
-        for s, k in np.argwhere(drift > tol):
-            violations.append(
-                MonitorViolation(
-                    sample=int(s) + 1,
-                    time=float(ser.times[s + 1]),
-                    axis=int(k) + 1,
-                    kind=name,
-                    excess=float(drift[s, k]),
-                )
-            )
+        s, k = np.nonzero(drift > tol)
+        columns = ((s + 1).tolist(), ser.times[s + 1].tolist(), (k + 1).tolist())
+        violations += map(MonitorViolation, *columns, repeat(name), drift[s, k].tolist())
     violations.sort(key=lambda v: (v.sample, v.axis, v.kind))
     return violations
 

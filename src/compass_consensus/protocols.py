@@ -121,6 +121,10 @@ class ProtocolSpec:
         self.n = ns.pop()
         if not 0 < self.gamma < np.inf:
             raise DomainError(f"gamma must be positive and finite, got {self.gamma}")
+        weights = self.weights.values() if isinstance(self.weights, Mapping) else [self.weights]
+        for w in weights:
+            if not 0 < float(w) < np.inf:
+                raise DomainError(f"weights must be positive and finite, got {w}")
         if self.kind is ProtocolKind.CUSTOM:
             if self.field_fn is None:
                 raise DomainError("Custom protocol needs a field_fn")
@@ -144,14 +148,10 @@ class ProtocolSpec:
     def weight(self, j: int, i: int) -> float:
         if isinstance(self.weights, Mapping):
             try:
-                w = float(self.weights[(j, i)])
+                return float(self.weights[(j, i)])
             except KeyError as exc:
                 raise DomainError(f"no weight for arc ({j},{i})") from exc
-        else:
-            w = float(self.weights)
-        if w <= 0:
-            raise DomainError(f"weight a_{j}{i} must be positive, got {w}")
-        return w
+        return float(self.weights)
 
     def _build_matrices(self):
         """One read-only operator L_p per graph (see ``operator``)."""
@@ -159,16 +159,18 @@ class ProtocolSpec:
         self._L = {}
         for p, g in self.family.items():
             try:
-                W = np.zeros((self.n, self.n))
+                L = np.zeros((self.n, self.n))
             except ValueError as exc:  # numpy refuses the shape without allocating
                 raise DomainError(f"too many nodes for an n x n operator: {exc}") from exc
-            S = np.ones((self.n, self.n))
-            for (j, i, s) in g.arcs:
-                if j == i:
-                    continue  # continuous-time protocols take N_i without i
-                W[i - 1, j - 1] = self.weight(j, i)
-                S[i - 1, j - 1] = s
-            L = (W * S if signed else W) - np.diag(W.sum(axis=1))
+            # Continuous-time protocols take N_i without i.
+            arcs = [(j, i, s) for (j, i, s) in g.arcs if j != i]
+            for j, i, _s in arcs:
+                L[i - 1, j - 1] = self.weight(j, i)
+            rowsum = L.sum(axis=1)  # rowsum(W), taken before the signs are applied
+            for j, i, s in arcs:
+                if signed and s < 0:
+                    L[i - 1, j - 1] = -L[i - 1, j - 1]
+            np.fill_diagonal(L, 0.0 - rowsum)
             L.flags.writeable = False  # shared by every caller
             self._L[p] = L
 

@@ -136,11 +136,16 @@ def _dense_facet_groups(traj, spec, signed, ftol):
 
 
 def dense_validate_feasibility(traj, spec, assumption, face_tolerance=0.0,
-                               strictness_tolerance=1e-12):
-    """The cone verdicts over dense bounds, as the validator reports them."""
+                               strictness_tolerance=1e-12, gamma=None):
+    """The cone verdicts over dense bounds, as the validator reports them.
+
+    Reads each violation with its own scalar indexing, independently of the
+    validator's bulk read-out.
+    """
     from compass_consensus.dynamics import Assumption, FeasibilityViolation
 
-    gamma, ftol, stol = spec.gamma, face_tolerance, strictness_tolerance
+    gamma = spec.gamma if gamma is None else float(gamma)
+    ftol, stol = face_tolerance, strictness_tolerance
     signed = assumption is Assumption.SIGNED_GAMMA_STRICT
     violations = []
     for p, sel, Fs, width, at_lower, at_upper, degen, active in _dense_facet_groups(

@@ -454,3 +454,34 @@ class TestRateBound:
         ])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_benchmark_trace_points_are_called(tmp_path, monkeypatch, capsys):
+    # perfbench/run.py times each layer by wrapping these module attributes,
+    # and skips a name that no longer exists: a rename would zero its metric
+    # silently. Each must still be called by one `run` and one `check-graphs`.
+    from compass_consensus import cli, dynamics, graphs, metrics, scenario
+
+    called = set()
+    for owner, attr in [
+        (cli, "scenario_from_dict"), (cli, "simulate"), (cli, "write_trajectory_csv"),
+        (cli, "write_metrics_json"), (cli, "check_uniform_joint_connectivity"),
+        (dynamics, "validate_feasibility"), (metrics, "build_report"),
+    ]:
+        def counted(*args, _fn=getattr(owner, attr), _name=f"{owner.__name__}.{attr}", **kwargs):
+            called.add(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+    cfg = write_json(tmp_path / "c.json", consensus_config(t_end=2.0, h=0.01))
+    assert main(["run", cfg, "--out-dir", str(tmp_path)]) == 0
+    assert main(["check-graphs", graphs_file(tmp_path), "--window", "2.0"]) == 0
+    assert called == {
+        f"compass_consensus.{name}" for name in [
+            "cli.scenario_from_dict", "cli.simulate", "cli.write_trajectory_csv",
+            "cli.write_metrics_json", "cli.check_uniform_joint_connectivity",
+            "dynamics.validate_feasibility", "metrics.build_report",
+        ]
+    }
+    # The benchmark also wraps these two (setup_probe.py the spec): they must resolve.
+    assert callable(graphs.union_graph) and callable(scenario.ProtocolSpec)

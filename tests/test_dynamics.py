@@ -569,9 +569,14 @@ class TestSparseKernelMatchesDense:
                     traj, spec, signed=signed, face_tolerance=ftol
                 ) == dense_gamma_margin(traj, spec, signed=signed, face_tolerance=ftol)
             for assumption in Assumption:
-                got = validate_feasibility(traj, spec, assumption, face_tolerance=ftol)
-                want = dense_validate_feasibility(traj, spec, assumption, face_tolerance=ftol)
-                assert got == want
+                for gamma in (None, 10.0):
+                    got = validate_feasibility(
+                        traj, spec, assumption, gamma=gamma, face_tolerance=ftol
+                    )
+                    want = dense_validate_feasibility(
+                        traj, spec, assumption, face_tolerance=ftol, gamma=gamma
+                    )
+                    assert got == want
 
 
 def skewed_degree_case(seed, n=14):
@@ -630,12 +635,13 @@ class TestBucketedKernelMatchesDense:
             assert empirical_gamma_margin(traj, spec, signed=signed) == dense_gamma_margin(
                 traj, spec, signed=signed
             )
-        found = 0
+        found = {None: 0, 10.0: 0}
         for assumption in Assumption:
-            got = validate_feasibility(traj, spec, assumption)
-            assert got == dense_validate_feasibility(traj, spec, assumption)
-            found += len(got)
-        assert found > 0
+            for gamma in found:
+                got = validate_feasibility(traj, spec, assumption, gamma=gamma)
+                assert got == dense_validate_feasibility(traj, spec, assumption, gamma=gamma)
+                found[gamma] += len(got)
+        assert found[None] > 0 and found[10.0] > found[None]
 
 
 def test_validator_memory_on_a_star_stays_per_chunk():

@@ -66,6 +66,16 @@ class TestSignedDigraph:
         with pytest.raises(DomainError):
             SignedDigraph(2, [(1, 3)])
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, "2", None])
+    def test_node_count_must_be_an_integer(self, n):
+        with pytest.raises(DomainError, match="node count"):
+            SignedDigraph(n, [(1, 2)])
+
+    def test_numpy_integer_node_count_accepted(self):
+        g = SignedDigraph(np.int64(2), [(1, 2)])
+        assert g.n == 2 and type(g.n) is int
+        assert is_quasi_strongly_connected(g)
+
 
 class TestConnectivity:
     def test_chain_is_quasi_strong_only(self):

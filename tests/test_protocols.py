@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,14 @@ class TestConsensusField:
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(DomainError):
             weighted(MUTUAL_PAIR, weights=0.0)
+
+    @pytest.mark.parametrize("weights", [
+        np.nan, np.inf, {(1, 2): np.nan, (2, 1): 1.0}, {(1, 2): 1.0, (2, 1): np.inf},
+        {(1, 2): 1.0, (2, 1): 1.0, (2, 2): np.nan},
+    ], ids=["nan", "inf", "map-nan", "map-inf", "unused-arc-nan"])
+    def test_weights_must_be_finite(self, weights):
+        with pytest.raises(DomainError, match="weights must be positive and finite"):
+            weighted(MUTUAL_PAIR, weights=weights)
 
     def test_self_loop_ignored(self):
         fam = {"g": SignedDigraph(2, [(1, 1), (2, 1)], allow_self_loops=True)}
@@ -185,6 +195,43 @@ class TestProtocolSpecValidation:
         # The operators are derived from the compared fields, not compared.
         assert weighted(MUTUAL_PAIR) == weighted(MUTUAL_PAIR)
         assert weighted(MUTUAL_PAIR) != weighted(MUTUAL_PAIR, weights=2.0)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_operator_bitwise_matches_the_dense_formula(self, seed):
+        # W∘S − diag(rowsum(W)) with all four n x n arrays, signs of zero included.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 9))
+        kind = ["WeightedConsensus", "SignedConsensus", "Custom"][seed % 3]
+        arcs = {(int(j), int(i)): 1 if kind == "WeightedConsensus" else int(rng.choice([-1, 1]))
+                for j, i in rng.integers(1, n + 1, size=(int(rng.integers(0, 3 * n)), 2))}
+        family = {"g": SignedDigraph(n, [(j, i, s) for (j, i), s in arcs.items()],
+                                     allow_self_loops=True)}
+        weights = ({a: float(rng.uniform(0.1, 3.0)) for a in arcs} if seed % 2
+                   else float(rng.uniform(0.1, 3.0)))
+        spec = ProtocolSpec(kind=kind, family=family, gamma=1.0, weights=weights,
+                            field_fn=(lambda p, x: -x) if kind == "Custom" else None)
+        W, S = np.zeros((n, n)), np.ones((n, n))
+        for (j, i), s in arcs.items():
+            if j != i:
+                W[i - 1, j - 1] = weights[j, i] if seed % 2 else weights
+                S[i - 1, j - 1] = s
+        want = (W * S if kind == "SignedConsensus" else W) - np.diag(W.sum(axis=1))
+        assert spec.operator("g").tobytes() == want.tobytes()
+
+    def test_operator_build_peaks_at_one_n_by_n_array(self):
+        rng = np.random.default_rng(0)
+        n = 1000
+        arcs = [(int(j), i, int(rng.choice([-1, 1])))
+                for i in range(1, n + 1)
+                for j in rng.choice([j for j in range(1, n + 1) if j != i], 3, replace=False)]
+        family = {"g": SignedDigraph(n, arcs)}
+        tracemalloc.start()
+        try:
+            ProtocolSpec(kind="SignedConsensus", family=family, gamma=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n * 8
 
     def test_node_count_numpy_refuses_is_domain_error(self):
         # numpy refuses a 2**63-row shape without allocating anything.

@@ -219,12 +219,24 @@ class TestCrossFieldChecks:
          "$.signal.pieces"),
         ({"n": 4, "initial_states": np.zeros((4, 1))}, "$.graphs.g"),
         ({"h": 0.0}, "$.integrator.h"),
-    ], ids=["unknown-label", "agents-over-graph", "h"])
+        ({"h": np.inf}, "$.integrator.h"),
+        ({"h": np.nan}, "$.integrator.h"),
+        ({"t_end": np.nan}, "$.integrator.t_end"),
+    ], ids=["unknown-label", "agents-over-graph", "h", "h-inf", "h-nan", "t_end-nan"])
     def test_library_config_rejected_when_built(self, changes, path):
         sc = scenario_from_dict(base_config())
         with pytest.raises(DomainError) as err:
             replace(sc, **changes)
         assert err.value.field == path
+
+    def test_periodic_horizon_needs_a_finite_end(self):
+        # An aperiodic horizon bounds t_end; a periodic one does not.
+        spec = ProtocolSpec(kind="WeightedConsensus", family={"g": complete_graph(2)}, gamma=1.0)
+        signal = SwitchingSignal([(0.0, "g")], tau_d=1.0, horizon_end=1.0, periodic=True)
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig(n=2, d=1, initial_states=np.zeros((2, 1)), protocol=spec,
+                           signal=signal, h=0.1, t_end=np.inf)
+        assert err.value.field == "$.integrator.t_end"
 
 
 class TestRoundTrip:

@@ -22,6 +22,8 @@ import json
 import logging
 import os
 import sys
+from itertools import chain
+from json.encoder import encode_basestring
 from pathlib import Path
 
 import numpy as np
@@ -100,10 +102,59 @@ def write_trajectory_csv(path: Path, traj: Trajectory, downsample: int = 1) -> i
     return rows
 
 
+_SLICE = 2048  # list items per repr/join call; the memory peak grows with it, not with the list
+
+
 def write_metrics_json(path: Path, report_dict: dict) -> None:
+    """Write the bytes of ``json.dump(report_dict, fh, sort_keys=True, indent=2,
+    ensure_ascii=False)`` and a newline, streamed value by value.
+
+    A list of floats (or of non-empty float rows) is formatted by one
+    ``repr`` per slice of ``_SLICE`` items, the C loop over the same
+    ``float.__repr__`` json calls, and a list of strings by joining the C
+    string encoder over each slice; anything else goes through ``json.dumps``.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report_dict, fh, sort_keys=True, indent=2, ensure_ascii=False)
+        _write_json(fh.write, report_dict, "\n")
         fh.write("\n")
+
+
+def _write_json(write, v, nl: str) -> None:
+    """Write ``v`` at the current position; ``nl`` is a newline and ``v``'s indent."""
+    inner = nl + "  "
+    if type(v) is dict and v and set(map(type, v)) == {str}:
+        sep = "{" + inner
+        for k in sorted(v):
+            write(sep + encode_basestring(k) + ": ")
+            _write_json(write, v[k], inner)
+            sep = "," + inner
+        write(nl + "}")
+        return
+    kinds = set(map(type, v)) if type(v) is list else None
+    if kinds == {float}:
+        fmt = lambda s: _repr_floats(s)[1:-1].replace(", ", "," + inner)
+    elif kinds == {list} and all(map(len, v)) and set(map(type, chain.from_iterable(v))) == {float}:
+        row = inner + "  "
+        fmt = lambda s: "[" + row + _repr_floats(s)[2:-2].replace(
+            "], [", inner + "]," + inner + "[" + row).replace(", ", "," + row) + inner + "]"
+    elif kinds == {str}:
+        fmt = lambda s: ("," + inner).join(map(encode_basestring, s))
+    else:
+        text = json.dumps(v, sort_keys=True, indent=2, ensure_ascii=False)
+        write(text.replace("\n", nl))
+        return
+    sep = "[" + inner
+    for k in range(0, len(v), _SLICE):
+        write(sep + fmt(v[k:k + _SLICE]))
+        sep = "," + inner
+    write(nl + "]")
+
+
+def _repr_floats(items: list) -> str:
+    """``repr`` of a list of floats, with json's spelling of the non-finite ones
+    (no finite float's repr has an ``n``)."""
+    text = repr(items)
+    return text.replace("nan", "NaN").replace("inf", "Infinity") if "n" in text else text
 
 
 def run_scenario(

@@ -48,7 +48,10 @@ class SignedDigraph:
                 j, i, s = arc[0], arc[1], 1
             else:
                 j, i, s = arc
-            j, i, s = int(j), int(i), int(s)
+            try:
+                j, i, s = operator.index(j), operator.index(i), operator.index(s)
+            except TypeError as exc:
+                raise DomainError(f"arc {tuple(arc)!r} needs integer nodes and sign") from exc
             if s not in (1, -1):
                 raise DomainError(f"arc ({j},{i}) sign must be +1 or -1, got {s}")
             if not (1 <= j <= n and 1 <= i <= n):
@@ -449,7 +452,7 @@ def graph_args(obj: Any, at: str = "$") -> tuple[int, list[tuple], bool]:
         arcs.append((
             _json.integer(arc[0], base, k, 0, minimum=1),
             _json.integer(arc[1], base, k, 1, minimum=1),
-            _json.enum(arc[2], (1, -1), base, k, 2) if len(arc) == 3 else 1,
+            int(_json.enum(arc[2], (1, -1), base, k, 2)) if len(arc) == 3 else 1,  # JSON -1.0 as an int
         ))
     return n, arcs, _json.flag(obj, "allow_self_loops", at)
 

@@ -156,6 +156,7 @@ class ProtocolSpec:
     def _build_matrices(self):
         """One read-only operator L_p per graph (see ``operator``)."""
         signed = self.kind is ProtocolKind.SIGNED_CONSENSUS
+        scalar = None if isinstance(self.weights, Mapping) else float(self.weights)
         self._L = {}
         for p, g in self.family.items():
             try:
@@ -165,7 +166,7 @@ class ProtocolSpec:
             # Continuous-time protocols take N_i without i.
             arcs = [(j, i, s) for (j, i, s) in g.arcs if j != i]
             for j, i, _s in arcs:
-                L[i - 1, j - 1] = self.weight(j, i)
+                L[i - 1, j - 1] = self.weight(j, i) if scalar is None else scalar
             rowsum = L.sum(axis=1)  # rowsum(W), taken before the signs are applied
             for j, i, s in arcs:
                 if signed and s < 0:

@@ -1,6 +1,7 @@
 """Shared builders for module and acceptance tests."""
 
 import itertools
+import json
 from typing import Mapping
 
 import numpy as np
@@ -317,6 +318,14 @@ def v0_simulate(scenario):
     return np.asarray(times), np.vstack(states), labels
 
 
+def reference_metrics_json(path, report_dict):
+    """The metrics.json writer as it was, through the pure-Python ``json.dump``
+    encoder: the oracle for ``cli.write_metrics_json``'s bytes."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(report_dict, fh, sort_keys=True, indent=2, ensure_ascii=False)
+        fh.write("\n")
+
+
 def v0_build_report(traj, eps_agreement=1e-6, monitor_mode=None, tol_monotone=None,
                     tail_fraction=0.5, abs_tol=None):
     """The report as it was built series by series, each reduced in agent order."""
@@ -568,7 +577,7 @@ def v0_graph_from_json(obj: Mapping) -> SignedDigraph:
     try:
         return SignedDigraph(
             int(obj["n"]),
-            [tuple(a) for a in obj["arcs"]],
+            [tuple(map(int, a)) for a in obj["arcs"]],  # the constructor's int() before it refused floats
             allow_self_loops=v0_flag(obj, "allow_self_loops"),
         )
     except (KeyError, TypeError, ValueError) as exc:

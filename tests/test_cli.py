@@ -462,7 +462,7 @@ def test_benchmark_trace_points_are_called(tmp_path, monkeypatch, capsys):
     # silently. Each must still be called by one `run` and one `check-graphs`.
     from compass_consensus import cli, dynamics, graphs, metrics, scenario
 
-    called = set()
+    called, json_calls = set(), []
     for owner, attr in [
         (cli, "scenario_from_dict"), (cli, "simulate"), (cli, "write_trajectory_csv"),
         (cli, "write_metrics_json"), (cli, "check_uniform_joint_connectivity"),
@@ -470,6 +470,8 @@ def test_benchmark_trace_points_are_called(tmp_path, monkeypatch, capsys):
     ]:
         def counted(*args, _fn=getattr(owner, attr), _name=f"{owner.__name__}.{attr}", **kwargs):
             called.add(_name)
+            if _name.endswith(".write_metrics_json"):
+                json_calls.append((args, kwargs))
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(owner, attr, counted)
@@ -483,5 +485,10 @@ def test_benchmark_trace_points_are_called(tmp_path, monkeypatch, capsys):
             "dynamics.validate_feasibility", "metrics.build_report",
         ]
     }
+    # `cli.json_s` times the whole writer, and `cli.json_bytes` reads the file
+    # at its first argument: the CLI must hand it (path, dict) and nothing else.
+    [(args, kwargs)] = json_calls
+    assert kwargs == {} and len(args) == 2 and type(args[1]) is dict
+    assert os.path.getsize(args[0]) == len((tmp_path / "metrics.json").read_bytes()) > 0
     # The benchmark also wraps these two (setup_probe.py the spec): they must resolve.
     assert callable(graphs.union_graph) and callable(scenario.ProtocolSpec)

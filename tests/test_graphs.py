@@ -76,6 +76,18 @@ class TestSignedDigraph:
         assert g.n == 2 and type(g.n) is int
         assert is_quasi_strongly_connected(g)
 
+    @pytest.mark.parametrize("arc", [(1.5, 2), (1, 2.0), ("1", 2), (2, 3, -1.7), (2, 3, -1.0),
+                                     (None, 2), (1, 2, "+")])
+    def test_arc_endpoints_and_signs_must_be_integers(self, arc):
+        # int() would truncate these to (1, 2, +1) or (2, 3, -1) without a word.
+        with pytest.raises(DomainError, match="integer"):
+            SignedDigraph(3, [arc])
+
+    def test_numpy_integer_arcs_accepted(self):
+        g = SignedDigraph(3, [tuple(np.array([1, 2, -1])), (np.int32(2), np.uint8(3))])
+        assert g.arcs == {(1, 2, -1), (2, 3, 1)}
+        assert all(type(x) is int for arc in g.arcs for x in arc)
+
 
 class TestConnectivity:
     def test_chain_is_quasi_strong_only(self):
@@ -520,3 +532,10 @@ class TestJsonRoundTrip:
     def test_bad_graph_object(self):
         with pytest.raises(DomainError):
             graph_from_json({"n": 2})
+
+    def test_integral_floats_in_a_graph_file_still_read(self):
+        # JSON 2.0 and -1.0 are integers to the reader, which hands the
+        # constructor ints; the constructor itself refuses floats.
+        g = graph_from_json({"n": 3, "arcs": [[1, 2.0, -1.0], [2.0, 3]]})
+        assert g.arcs == {(1, 2, -1), (2, 3, 1)}
+        assert all(type(x) is int for arc in g.arcs for x in arc)

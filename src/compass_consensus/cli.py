@@ -269,8 +269,10 @@ def cmd_check_graphs(args) -> int:
     except DomainError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    for start, end, ok in verdict.checked_windows:
-        print(f"window [{start:g}, {end:g}): {'connected' if ok else 'NOT connected'}")
+    sys.stdout.write("".join(
+        f"window [{start:g}, {end:g}): {'connected' if ok else 'NOT connected'}\n"
+        for start, end, ok in verdict.checked_windows
+    ))
     scope = verdict.scope
     if verdict.ok:
         print(f"uniformly jointly {args.mode} connected over {scope} (T={args.window:g})")

@@ -22,6 +22,13 @@ from . import _json
 from .errors import DomainError, InsufficientHorizonError
 
 
+def _index(x: Any) -> int:
+    """``operator.index(x)``, refusing booleans, whose index is 0 or 1."""
+    if isinstance(x, bool):
+        raise TypeError(f"{x!r} is a boolean")
+    return operator.index(x)
+
+
 @dataclass(frozen=True)
 class SignedDigraph:
     """Directed graph on nodes 1..n with +/-1 signed arcs."""
@@ -37,7 +44,7 @@ class SignedDigraph:
         allow_self_loops: bool = False,
     ):
         try:
-            n = operator.index(n)
+            n = _index(n)
         except TypeError as exc:
             raise DomainError(f"node count must be an integer, got {n!r}") from exc
         if n < 1:
@@ -49,7 +56,7 @@ class SignedDigraph:
             else:
                 j, i, s = arc
             try:
-                j, i, s = operator.index(j), operator.index(i), operator.index(s)
+                j, i, s = _index(j), _index(i), _index(s)
             except TypeError as exc:
                 raise DomainError(f"arc {tuple(arc)!r} needs integer nodes and sign") from exc
             if s not in (1, -1):
@@ -93,7 +100,29 @@ def _reachable_from(adj: list[list[int]], root: int) -> int:
 
 
 def _quasi_strong(adj: list[list[int]]) -> bool:
-    return any(_reachable_from(adj, r) == len(adj) for r in range(len(adj)))
+    """True iff some node reaches every node, in O(n + arcs).
+
+    One search over all nodes that never resets ``seen`` leaves the seen set
+    closed under successors after each tree. So the tree holding a node that
+    reaches everything is the last one started, and its root reaches that
+    node: one BFS from the last root decides the test (none is needed when
+    the first tree holds every node).
+    """
+    n = len(adj)
+    seen = [False] * n
+    last = 0
+    for root in range(n):
+        if seen[root]:
+            continue
+        last = root
+        seen[root] = True
+        stack = [root]
+        while stack:
+            for w in adj[stack.pop()]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+    return last == 0 or _reachable_from(adj, last) == n
 
 
 def _strong(adj: list[list[int]]) -> bool:
@@ -209,7 +238,8 @@ class SwitchingSignal:
 
     def _copy_starts(self, k: int) -> list[float]:
         """Piece starts of periodic copy k: ``start_l + k * period``."""
-        return [t + k * self.period for t, _ in self.pieces]
+        shift = k * self.period
+        return [t + shift for t, _ in self.pieces]
 
     def active_index(self, t: float) -> Any:
         """Family index active at time t (right-continuous), in O(pieces): the
@@ -361,10 +391,12 @@ def check_uniform_joint_connectivity(
     {t0, last start} and {s : s a segment start} the union never shrinks
     and contains the union at the left candidate. Connectivity only grows
     with the arc set, so the candidates decide every window and the first
-    failing one is the earliest failing start. One two-pointer sweep keeps
-    per-arc multiplicities and re-runs the BFS test only when an arc enters
-    or leaves the union: O(segments * arcs), plus O(n * (n + arcs)) per
-    change.
+    failing one is the earliest failing start. One two-pointer sweep counts
+    the segments of each label in the window and, per arc, the labels in the
+    window that hold it. A graph's arcs are touched only when its label
+    enters or leaves the window, and the connectivity test re-runs only when
+    an arc enters or leaves the union: O(segments + label crossings * arcs),
+    plus one O(n + arcs) test per change in the union's arc set.
     A periodic signal needs one period of starts and its verdict extends to
     all times. Its schedule is tiled only to last_start + min(T, period): a
     window at least one period long holds a whole period of segments, and so
@@ -395,7 +427,8 @@ def check_uniform_joint_connectivity(
     candidates.update(a for a, _b, _p in segs if t0 <= a <= last_start)
     arcs = {p: [(j - 1, i - 1) for j, i, _s in g.arcs if j != i] for p, g in family.items()}
 
-    count: dict[tuple[int, int], int] = {}
+    held = dict.fromkeys(arcs, 0)  # segments of each label in the window
+    count: dict[tuple[int, int], int] = {}  # labels in the window holding each arc
     lo = hi = 0
     ok = None
     checked = []
@@ -403,14 +436,20 @@ def check_uniform_joint_connectivity(
         end = start + T
         changed = ok is None
         while hi < len(segs) and segs[hi][0] < end:
-            for arc in arcs[segs[hi][2]]:
-                count[arc] = count.get(arc, 0) + 1
-                changed |= count[arc] == 1
+            p = segs[hi][2]
+            held[p] += 1
+            if held[p] == 1:
+                for arc in arcs[p]:
+                    count[arc] = count.get(arc, 0) + 1
+                    changed |= count[arc] == 1
             hi += 1
         while lo < hi and segs[lo][1] <= start:
-            for arc in arcs[segs[lo][2]]:
-                count[arc] -= 1
-                changed |= count[arc] == 0
+            p = segs[lo][2]
+            held[p] -= 1
+            if not held[p]:
+                for arc in arcs[p]:
+                    count[arc] -= 1
+                    changed |= count[arc] == 0
             lo += 1
         if changed:
             adj: list[list[int]] = [[] for _ in range(n)]

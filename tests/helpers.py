@@ -241,6 +241,23 @@ def v0_pieces_overlapping(signal, t1, t2):
     return [p for (start, p), end in zip(pieces, ends) if start < t2 and end > t1]
 
 
+def v0_quasi_strong(adj):
+    """The BFS-from-every-root quasi-strong test on 0-based successor lists:
+    True iff some root reaches all nodes."""
+    n = len(adj)
+    for root in range(n):
+        seen = {root}
+        queue = [root]
+        for u in queue:
+            for w in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        if len(seen) == n:
+            return True
+    return False
+
+
 def v0_union_graph(signal, family, t1, t2):
     """Union graph rebuilt from scratch for one window, signs dropped."""
     labels = v0_pieces_overlapping(signal, t1, t2)

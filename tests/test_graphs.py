@@ -2,7 +2,7 @@ import bisect
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from compass_consensus.errors import DomainError, InsufficientHorizonError
@@ -24,7 +24,7 @@ from compass_consensus.graphs import (
     union_graph,
     validate_switching_signal,
 )
-from helpers import v0_check_uniform_joint_connectivity, v0_union_graph
+from helpers import v0_check_uniform_joint_connectivity, v0_quasi_strong, v0_union_graph
 
 
 def closure_oracle(g: SignedDigraph) -> np.ndarray:
@@ -66,7 +66,7 @@ class TestSignedDigraph:
         with pytest.raises(DomainError):
             SignedDigraph(2, [(1, 3)])
 
-    @pytest.mark.parametrize("n", [2.5, 2.0, "2", None])
+    @pytest.mark.parametrize("n", [2.5, 2.0, "2", None, True, False])
     def test_node_count_must_be_an_integer(self, n):
         with pytest.raises(DomainError, match="node count"):
             SignedDigraph(n, [(1, 2)])
@@ -77,9 +77,11 @@ class TestSignedDigraph:
         assert is_quasi_strongly_connected(g)
 
     @pytest.mark.parametrize("arc", [(1.5, 2), (1, 2.0), ("1", 2), (2, 3, -1.7), (2, 3, -1.0),
-                                     (None, 2), (1, 2, "+")])
+                                     (None, 2), (1, 2, "+"), (True, 2), (1, True),
+                                     (2, 3, True), (2, 3, False)])
     def test_arc_endpoints_and_signs_must_be_integers(self, arc):
-        # int() would truncate these to (1, 2, +1) or (2, 3, -1) without a word.
+        # int() would truncate these to (1, 2, +1) or (2, 3, -1) without a word,
+        # and operator.index reads True as 1.
         with pytest.raises(DomainError, match="integer"):
             SignedDigraph(3, [arc])
 
@@ -140,6 +142,17 @@ class TestConnectivity:
             g = SignedDigraph(n, arcs)
             assert is_quasi_strongly_connected(g) == oracle_qsc(g)
             assert is_strongly_connected(g) == oracle_sc(g)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_quasi_strong_matches_bfs_from_every_root(self, data):
+        n = data.draw(st.integers(1, 6))
+        isolated = data.draw(st.sets(st.integers(1, n), max_size=n - 1))
+        arcs = data.draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)),
+                                  max_size=3 * n))
+        g = SignedDigraph(n, [(j, i) for j, i in arcs if not {j, i} & isolated],
+                          allow_self_loops=True)
+        assert is_quasi_strongly_connected(g) == v0_quasi_strong(g.out_adjacency())
 
 
 def alternating_signal(horizon=4.0, dwell=1.0):
@@ -459,6 +472,15 @@ class TestUniformJointConnectivity:
         assert [w[2] for w in v.checked_windows] == [True, False, True, False, False]
         assert v.witness == (0.5, 2.5)
 
+    def test_label_still_in_window_keeps_its_arcs(self):
+        # [1, 3.5) loses the first "a" segment but still holds the second one,
+        # so the union keeps a's arc and stays strongly connected.
+        sig = SwitchingSignal([(0.0, "a"), (1.0, "b"), (2.0, "a")], tau_d=1.0,
+                              horizon_end=4.0)
+        v = check_uniform_joint_connectivity(sig, ALT_FAMILY, 2.5, ConnectivityMode.STRONG)
+        assert v.checked_windows == ((0.0, 2.5, True), (1.0, 3.5, True), (1.5, 4.0, True))
+        assert v.ok and v.witness is None
+
 
 EIGHTHS = st.integers(1, 16).map(lambda k: k / 8)
 
@@ -491,17 +513,27 @@ def dyadic_signals(draw, names):
     )
 
 
-class TestSweepMatchesPerWindowChecker:
-    @given(data=st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_same_verdict_witness_and_windows(self, data):
-        """Dyadic times keep both tilings exact, so every comparison must agree."""
-        family = data.draw(signed_families())
-        sig = data.draw(dyadic_signals(list(family)))
-        span = 3 * sig.period if sig.periodic else sig.period
-        T = data.draw(st.integers(1, int(span * 8))) / 8
-        mode = data.draw(st.sampled_from(list(ConnectivityMode)))
+@st.composite
+def sweep_cases(draw):
+    family = draw(signed_families())
+    sig = draw(dyadic_signals(list(family)))
+    span = 3 * sig.period if sig.periodic else sig.period
+    T = draw(st.integers(1, int(span * 8))) / 8
+    return family, sig, T, draw(st.sampled_from(list(ConnectivityMode)))
 
+
+class TestSweepMatchesPerWindowChecker:
+    @given(case=sweep_cases())
+    @example(case=(  # a label's earlier segment leaves while its later one stays
+        ALT_FAMILY,
+        SwitchingSignal([(0.0, "a"), (1.0, "b"), (2.0, "a")], tau_d=1.0, horizon_end=4.0),
+        2.5,
+        ConnectivityMode.STRONG,
+    ))
+    @settings(max_examples=150, deadline=None)
+    def test_same_verdict_witness_and_windows(self, case):
+        """Dyadic times keep both tilings exact, so every comparison must agree."""
+        family, sig, T, mode = case
         v = check_uniform_joint_connectivity(sig, family, T, mode)
         ok, witness, verdicts = v0_check_uniform_joint_connectivity(sig, family, T, mode)
         assert (v.ok, v.witness) == (ok, witness)

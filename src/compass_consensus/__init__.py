@@ -66,7 +66,6 @@ from .dynamics import (
     Trajectory,
     empirical_gamma_margin,
     fields_along,
-    linear_system_matrix,
     simulate,
     validate_feasibility,
 )

@@ -7,10 +7,10 @@ constant within every step. The trajectory keeps the schedule as a run table,
 one (graph, first sample, end sample) row per segment: the integrator steps
 over it, and every reader of the sample labels reads it. For the linear
 built-ins, f_p(x) = A_p x, an RK4 step is exactly T4(hA_p) = I + hA +
-(hA)^2/2 + (hA)^3/6 + (hA)^4/24: they step with T4(hA_p), built once per
-graph and call, and take each segment's last (possibly short) step as the
-same polynomial in Horner form, matching generic RK4 up to rounding. Custom
-fields keep the generic RK4 loop.
+(hA)^2/2 + (hA)^3/6 + (hA)^4/24. Its Horner form needs only the action of
+A_p, ``ProtocolSpec.linear_field``: applied to a basis once per graph and
+call, it gives the step matrix; applied to the state, each segment's last
+(possibly short) step. Custom fields keep the generic RK4 loop.
 
 The feasibility validator replays a trajectory and checks, sample by sample
 and agent by agent, that the active field at the agent's state lies in the
@@ -121,11 +121,12 @@ def _rk4_step(f, x: np.ndarray, dt: float) -> np.ndarray:
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _taylor4(A: np.ndarray, dt: float, X: np.ndarray) -> np.ndarray:
-    """T4(dt A) X in Horner form: X + dt A (X + dt/2 A (X + dt/3 A (X + dt/4 A X)))."""
+def _taylor4(act, dt: float, X: np.ndarray) -> np.ndarray:
+    """T4(dt A) X in Horner form, X + dt A (X + dt/2 A (X + dt/3 A (X + dt/4 A X))),
+    from the action ``act(Y) = A Y`` of the linear field alone."""
     Y = X
     for c in (4.0, 3.0, 2.0, 1.0):
-        Y = X + (dt / c) * (A @ Y)
+        Y = X + (dt / c) * act(Y)
     return Y
 
 
@@ -184,7 +185,7 @@ def simulate(scenario: "ScenarioConfig") -> Trajectory:
     states[0] = x0
 
     custom = spec.kind is ProtocolKind.CUSTOM
-    propagators: dict[Any, tuple] = {}
+    propagators: dict[Any, np.ndarray] = {}
     for p, s, e in runs:
         k = min(e, m - 1) - s  # steps from sample s; the final sample ends the last run's
         if k == 0:
@@ -197,18 +198,19 @@ def simulate(scenario: "ScenarioConfig") -> Trajectory:
                 if not np.isfinite(block[j]).all():
                     break
         else:
+            act = partial(spec.linear_field, p)
             if p not in propagators:
-                # A_p acts on (n, d) blocks, or on the stacked state under a rotation.
+                # T4 on (n, d) blocks, or the stacked one whose column c is T4 e_c if rotated.
                 if spec.rotation is None:
-                    A, shape = spec.operator(p), (spec.n, scenario.d)
+                    propagators[p] = _taylor4(act, h, np.eye(spec.n))
                 else:
-                    A, shape = linear_system_matrix(spec, p, scenario.d), (x0.size, 1)
-                propagators[p] = (A, _taylor4(A, h, np.eye(shape[0])), shape)
-            A, P, shape = propagators[p]
-            X = block.reshape((k + 1,) + shape)
+                    basis = np.eye(x0.size).reshape(x0.size, spec.n, -1)
+                    propagators[p] = _taylor4(act, h, basis).reshape(x0.size, -1).T.copy()
+            P = propagators[p]
+            X = block.reshape(k + 1, len(P), -1)
             for j in range(1, k):
                 np.matmul(P, X[j - 1], out=X[j])
-            X[k] = _taylor4(A, T[k] - T[k - 1], X[k - 1])
+            block[k] = _taylor4(act, T[k] - T[k - 1], block[k - 1].reshape(spec.n, -1)).ravel()
         finite = np.isfinite(block[1:]).all(axis=1)
         if not finite.all():
             raise DivergenceError(float(T[1 + np.argmin(finite)]))
@@ -418,13 +420,3 @@ def empirical_gamma_margin(
         best = min(best, float(margins.min(initial=np.inf)))
     return best
 
-
-def linear_system_matrix(spec: ProtocolSpec, p: Any, d: int) -> np.ndarray:
-    """Stacked (n*d, n*d) matrix A with f_p(x) = A x: block (i, j) is (L_p)_ij R_i."""
-    if spec.kind is ProtocolKind.CUSTOM:
-        raise DomainError("custom protocols have no generic linear form")
-    R = spec.rotations(d)
-    if R is None:
-        R = np.eye(d)[None]
-    n = spec.n
-    return (spec.operator(p)[:, None, :, None] * R[:, :, None, :]).reshape(n * d, n * d)

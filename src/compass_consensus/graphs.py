@@ -12,6 +12,7 @@ tests the union graph at the window starts where it can lose arcs.
 from __future__ import annotations
 
 import bisect
+import math
 import operator
 from collections import deque
 from dataclasses import dataclass, field
@@ -49,6 +50,8 @@ class SignedDigraph:
             raise DomainError(f"node count must be an integer, got {n!r}") from exc
         if n < 1:
             raise DomainError("graph needs at least one node")
+        if not isinstance(allow_self_loops, bool):
+            raise DomainError(f"allow_self_loops must be True or False, got {allow_self_loops!r}")
         norm: dict[tuple[int, int], int] = {}
         for arc in arcs:
             if len(arc) == 2:
@@ -210,11 +213,16 @@ class SwitchingSignal:
         horizon_end: float,
         periodic: bool = False,
     ):
+        pieces = tuple(pieces)
+        if bool in set(map(type, (tau_d, horizon_end, *(t for t, _ in pieces)))):
+            raise DomainError("piece starts, tau_d and horizon_end must be numbers, not booleans")
         pieces = tuple((float(t), idx) for t, idx in pieces)
+        if not isinstance(periodic, bool):
+            raise DomainError(f"periodic must be True or False, got {periodic!r}")
         if not pieces:
             raise DomainError("signal needs at least one piece")
         times = [t for t, _ in pieces]
-        if not all(abs(t) < float("inf") for t in times) or times != sorted(times):
+        if not all(map(math.isfinite, times)) or times != sorted(times):
             raise DomainError("piece start times must be finite and nondecreasing")
         if not 0 < tau_d < float("inf"):
             raise DomainError(f"dwell time tau_d must be positive and finite, got {tau_d}")
@@ -223,7 +231,7 @@ class SwitchingSignal:
         object.__setattr__(self, "pieces", pieces)
         object.__setattr__(self, "tau_d", float(tau_d))
         object.__setattr__(self, "horizon_end", float(horizon_end))
-        object.__setattr__(self, "periodic", bool(periodic))
+        object.__setattr__(self, "periodic", periodic)
 
     @property
     def t0(self) -> float:

@@ -119,11 +119,11 @@ class ProtocolSpec:
         if len(ns) > 1:
             raise DomainError("family graphs disagree on node count")
         self.n = ns.pop()
-        if not 0 < self.gamma < np.inf:
+        if isinstance(self.gamma, bool) or not 0 < self.gamma < np.inf:
             raise DomainError(f"gamma must be positive and finite, got {self.gamma}")
         weights = self.weights.values() if isinstance(self.weights, Mapping) else [self.weights]
         for w in weights:
-            if not 0 < float(w) < np.inf:
+            if isinstance(w, bool) or not 0 < float(w) < np.inf:
                 raise DomainError(f"weights must be positive and finite, got {w}")
         if self.kind is ProtocolKind.CUSTOM:
             if self.field_fn is None:

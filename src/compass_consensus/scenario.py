@@ -82,10 +82,10 @@ class ScenarioConfig:
             self.protocol.rotations(d)
         except DomainError as exc:
             raise _json.fail(str(exc), "$.protocol.rotation") from exc
-        if not 0 < self.h < np.inf:
+        if isinstance(self.h, bool) or not 0 < self.h < np.inf:
             raise _json.fail(f"step size h must be positive and finite, got {self.h}",
                              "$.integrator.h")
-        if not signal.t0 < self.t_end < np.inf:
+        if isinstance(self.t_end, bool) or not signal.t0 < self.t_end < np.inf:
             raise _json.fail(f"t_end must be finite and exceed the signal start, got "
                              f"{self.t_end}", "$.integrator.t_end")
         if self.t_end > signal.horizon_end and not signal.periodic:

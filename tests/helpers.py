@@ -225,6 +225,21 @@ def linear_oracle_solution(
     return expm(A * t) @ x0
 
 
+def linear_system_matrix(spec: ProtocolSpec, p, d: int) -> np.ndarray:
+    """Stacked (n*d, n*d) matrix A with f_p(x) = A x: block (i, j) is (L_p)_ij R_i.
+
+    A dense rewrite of ``ProtocolSpec.linear_field``, kept as an oracle: the
+    package itself builds no stacked system matrix.
+    """
+    if spec.kind is ProtocolKind.CUSTOM:
+        raise DomainError("custom protocols have no generic linear form")
+    R = spec.rotations(d)
+    if R is None:
+        R = np.eye(d)[None]
+    n = spec.n
+    return (spec.operator(p)[:, None, :, None] * R[:, :, None, :]).reshape(n * d, n * d)
+
+
 def v0_pieces_overlapping(signal, t1, t2):
     """Labels of pieces active on [t1, t2), re-tiling from t0 by repeated addition."""
     if signal.periodic:

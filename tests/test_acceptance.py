@@ -17,6 +17,7 @@ from compass_consensus.cli import main as cli_main
 from helpers import (
     cyclic_signal,
     linear_oracle_solution,
+    linear_system_matrix,
     random_query,
     signed_ring_family_4,
     split_family_5,
@@ -249,7 +250,7 @@ def test_criterion_06_integrator_matches_linear_oracle():
     def run_case(kind, arcs, x0):
         family = {"g": cc.SignedDigraph(2, arcs)}
         spec = cc.ProtocolSpec(kind=kind, family=family, gamma=4.0, weights=4.0)
-        A = cc.linear_system_matrix(spec, "g", 1)
+        A = linear_system_matrix(spec, "g", 1)
         errs = []
         for h in (1e-3, 5e-4):
             sig = cc.SwitchingSignal([(0.0, "g")], tau_d=1.0, horizon_end=10.0)

@@ -9,7 +9,6 @@ from compass_consensus.dynamics import (
     Trajectory,
     empirical_gamma_margin,
     fields_along,
-    linear_system_matrix,
     simulate,
     validate_feasibility,
 )
@@ -34,6 +33,7 @@ from helpers import (
     dense_validate_feasibility,
     label_runs,
     linear_oracle_solution,
+    linear_system_matrix,
     v0_simulate,
 )
 
@@ -858,7 +858,7 @@ class TestStepPropagator:
         "kind, d",
         [("WeightedConsensus", 1), ("WeightedConsensus", 2), ("WeightedConsensus", 3),
          ("SignedConsensus", 1), ("SignedConsensus", 2), ("SignedConsensus", 3),
-         ("RotatedConsensus", 2), ("RotatedConsensus", 3)],
+         ("RotatedConsensus", 1), ("RotatedConsensus", 2), ("RotatedConsensus", 3)],
     )
     def test_matches_generic_rk4(self, kind, d, periodic):
         sc = propagator_case(kind, d, periodic, seed=d)
@@ -888,11 +888,15 @@ class TestStepPropagator:
         assert [calls[4 * k] for k in range(traj.num_samples - 1)] == traj.active_index[:-1]
 
     @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
-    def test_builtin_divergence_time_matches_generic_loop(self):
+    @pytest.mark.parametrize("spec, x0", [
+        (mutual_consensus(weights=1e3), [0.0, 1.0]),
+        (ProtocolSpec(kind="RotatedConsensus", family=MUTUAL, gamma=1.0, weights=1e3,
+                      rotation=0.3), [0.0, 1.0, 1.0, 0.0]),
+    ], ids=["weighted", "rotated"])
+    def test_builtin_divergence_time_matches_generic_loop(self, spec, x0):
         # h * |A| = 2000, far outside RK4's stability region: the disagreement
         # mode grows by about 6.7e11 per step until the state overflows.
-        spec = mutual_consensus(weights=1e3)
-        sc = scenario(spec, [0.0, 1.0], h=1.0, t_end=60.0, signal=static_signal(horizon=60.0))
+        sc = scenario(spec, x0, h=1.0, t_end=60.0, signal=static_signal(horizon=60.0))
         with pytest.raises(DivergenceError) as ref:
             v0_simulate(sc)
         with pytest.raises(DivergenceError) as err:

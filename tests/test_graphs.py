@@ -71,6 +71,15 @@ class TestSignedDigraph:
         with pytest.raises(DomainError, match="node count"):
             SignedDigraph(n, [(1, 2)])
 
+    @pytest.mark.parametrize("flag", ["no", 1, None])
+    def test_flags_must_be_booleans(self, flag):
+        # A flag that is not a bool would be written back to JSON as is,
+        # where the reader refuses it.
+        with pytest.raises(DomainError, match="allow_self_loops must be True or False"):
+            SignedDigraph(2, [(1, 2)], allow_self_loops=flag)
+        with pytest.raises(DomainError, match="periodic must be True or False"):
+            SwitchingSignal([(0.0, "a")], tau_d=1.0, horizon_end=2.0, periodic=flag)
+
     def test_numpy_integer_node_count_accepted(self):
         g = SignedDigraph(np.int64(2), [(1, 2)])
         assert g.n == 2 and type(g.n) is int
@@ -300,8 +309,11 @@ class TestCompiledSchedule:
         ([(0.0, "a")], float("inf"), 2.0, "tau_d"),
         ([(0.0, "a")], 0.1, float("inf"), "horizon_end"),
         ([(0.0, "a")], 0.1, float("nan"), "horizon_end"),
+        ([(False, "a"), (True, "b")], 0.1, 2.0, "not booleans"),
+        ([(0.0, "a")], True, 2.0, "not booleans"),
+        ([(0.0, "a")], 0.1, True, "not booleans"),
     ], ids=["nan-start", "infinite-start", "out-of-order", "nan-dwell", "infinite-dwell",
-            "infinite-horizon", "nan-horizon"])
+            "infinite-horizon", "nan-horizon", "bool-start", "bool-dwell", "bool-horizon"])
     def test_schedules_its_readers_cannot_handle_rejected(
         self, pieces, tau_d, horizon_end, match
     ):

@@ -52,8 +52,8 @@ class TestConsensusField:
 
     @pytest.mark.parametrize("weights", [
         np.nan, np.inf, {(1, 2): np.nan, (2, 1): 1.0}, {(1, 2): 1.0, (2, 1): np.inf},
-        {(1, 2): 1.0, (2, 1): 1.0, (2, 2): np.nan},
-    ], ids=["nan", "inf", "map-nan", "map-inf", "unused-arc-nan"])
+        {(1, 2): 1.0, (2, 1): 1.0, (2, 2): np.nan}, True, {(1, 2): True, (2, 1): 1.0},
+    ], ids=["nan", "inf", "map-nan", "map-inf", "unused-arc-nan", "bool", "map-bool"])
     def test_weights_must_be_finite(self, weights):
         with pytest.raises(DomainError, match="weights must be positive and finite"):
             weighted(MUTUAL_PAIR, weights=weights)
@@ -156,7 +156,7 @@ class TestProtocolSpecValidation:
         with pytest.raises(DomainError):
             ProtocolSpec(kind="WeightedConsensus", family=MUTUAL_PAIR, gamma=0.0)
 
-    @pytest.mark.parametrize("gamma", [np.nan, np.inf])
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, True])
     def test_gamma_must_be_finite(self, gamma):
         with pytest.raises(DomainError, match="gamma"):
             ProtocolSpec(kind="WeightedConsensus", family=MUTUAL_PAIR, gamma=gamma)

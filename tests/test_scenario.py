@@ -222,7 +222,10 @@ class TestCrossFieldChecks:
         ({"h": np.inf}, "$.integrator.h"),
         ({"h": np.nan}, "$.integrator.h"),
         ({"t_end": np.nan}, "$.integrator.t_end"),
-    ], ids=["unknown-label", "agents-over-graph", "h", "h-inf", "h-nan", "t_end-nan"])
+        ({"h": True}, "$.integrator.h"),
+        ({"t_end": True}, "$.integrator.t_end"),
+    ], ids=["unknown-label", "agents-over-graph", "h", "h-inf", "h-nan", "t_end-nan", "h-bool",
+            "t_end-bool"])
     def test_library_config_rejected_when_built(self, changes, path):
         sc = scenario_from_dict(base_config())
         with pytest.raises(DomainError) as err:

@@ -4,21 +4,20 @@ Each check returns the value it accepts or raises ``ConfigError`` whose
 ``field`` is the JSON path of the offending entry, such as
 ``$.graphs.g.arcs[0][2]``. A path is passed as a base string and the keys and
 indices below it, and is formatted only on failure: the checks run once per
-arc and per signal piece. Numbers must be finite (``json.load`` accepts NaN
-and Infinity, JSON has neither); a JSON integer is an integral number that is
-not a boolean.
+arc and per signal piece. A number is checked by ``errors.real``, so it must
+be finite (``json.load`` accepts NaN and Infinity, JSON has neither) and not
+a boolean, as for the library's constructors; a JSON integer is an integral
+number that is not a boolean (unlike the library, JSON writes ``2.0`` for 2).
 """
 
 from __future__ import annotations
 
 import re
-import sys
 from typing import Any, Callable
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, real
 
 _NAME = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
-_MAX = sys.float_info.max
 
 
 def path(base: str, *keys: str | int) -> str:
@@ -54,17 +53,11 @@ def obj(value: Any, base: str, *keys: str | int, required=(), allowed=None) -> d
 
 
 def number(value: Any, base: str, *keys: str | int, above=None, minimum=None) -> float:
-    """A finite number, as a float, greater than ``above`` and at least
-    ``minimum`` where given."""
-    if not (isinstance(value, float) or type(value) is int):
-        raise fail(f"must be a number, got {value!r}", base, *keys)
-    if not -_MAX <= value <= _MAX:  # NaN, infinities, and ints no float can hold
-        raise fail(f"must be a finite number, got {value!r}", base, *keys)
-    if above is not None and not value > above:
-        raise fail(f"must be greater than {above}, got {value!r}", base, *keys)
-    if minimum is not None and value < minimum:
-        raise fail(f"must be at least {minimum}, got {value!r}", base, *keys)
-    return float(value)
+    """The entry as ``errors.real`` checks it, with ``above`` and ``minimum``."""
+    try:
+        return real("value", value, above, minimum)
+    except DomainError as exc:
+        raise fail(str(exc), base, *keys) from exc
 
 
 def integer(value: Any, base: str, *keys: str | int, minimum: int) -> int:

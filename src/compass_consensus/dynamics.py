@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Any, Iterator
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError
+from .errors import DivergenceError, DomainError, real
 from .graphs import SwitchingSignal
 from .protocols import ProtocolKind, ProtocolSpec
 
@@ -357,13 +357,11 @@ def validate_feasibility(
     """
     if isinstance(assumption, str):
         assumption = Assumption(assumption)
-    gamma = spec.gamma if gamma is None else float(gamma)
     gamma_strict = assumption is not Assumption.RELATIVE_INTERIOR
-    if gamma_strict and not 0 < gamma < np.inf:
-        raise DomainError(f"gamma must be positive and finite, got {gamma}")
-    ftol, stol = float(face_tolerance), float(strictness_tolerance)
-    if not (0 <= ftol < np.inf and 0 <= stol < np.inf):
-        raise DomainError(f"tolerances must be nonnegative and finite, got {ftol}, {stol}")
+    if gamma_strict:  # unused, so unchecked, for the relative interior
+        gamma = real("gamma", spec.gamma if gamma is None else gamma, above=0)
+    ftol = real("face_tolerance", face_tolerance, minimum=0)
+    stol = real("strictness_tolerance", strictness_tolerance, minimum=0)
 
     signed = assumption is Assumption.SIGNED_GAMMA_STRICT
     # An active facet fails if its inward component is below the edge or, for
@@ -411,9 +409,7 @@ def empirical_gamma_margin(
     vanishes there, +inf when no facet is ever active. No numeric slack is
     applied.
     """
-    ftol = float(face_tolerance)
-    if not 0 <= ftol < np.inf:
-        raise DomainError(f"face_tolerance must be nonnegative and finite, got {ftol}")
+    ftol = real("face_tolerance", face_tolerance, minimum=0)
     best = np.inf
     for _p, _sel, _Fs, f in _facet_chunks(traj, spec, signed, ftol):
         margins = f.inward[f.active] / f.width[f.active]

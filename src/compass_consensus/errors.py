@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of each kind
+of numeric argument that raises them: ``real`` and ``integer``."""
+
+import math
+import numbers
+import operator
+from typing import Any
 
 
 class CompassError(Exception):
@@ -39,3 +45,33 @@ class ConfigError(DomainError):
     def __init__(self, message: str, field: str | None = None):
         self.field = field
         super().__init__(message if field is None else f"{field}: {message}")
+
+
+def real(name: str, value: Any, above: float | None = None, minimum: float | None = None) -> float:
+    """``value``, a real number (numpy's and Fraction too), as a finite float
+    greater than ``above`` and at least ``minimum`` where given; DomainError
+    naming ``name`` for booleans, strings, None, arrays, NaN and overflows."""
+    exact = type(value) in (float, int)  # before the slower test of the numbers ABC
+    if exact or not isinstance(value, bool) and isinstance(value, numbers.Real):
+        try:
+            x = float(value)
+        except OverflowError:  # an int or Fraction beyond the float range
+            x = math.inf
+        if math.isfinite(x) and (above is None or x > above) and (minimum is None or x >= minimum):
+            return x
+    bounds = [] if above is None else ["positive" if above == 0 else f"greater than {above}"]
+    if minimum is not None:
+        bounds.append("nonnegative" if minimum == 0 else f"at least {minimum}")
+    rule = " and ".join(bounds + ["finite"])
+    raise DomainError(f"{name} must be {rule} (numbers, not booleans or strings), got {value!r}")
+
+
+def integer(name: str, value: Any) -> int:
+    """``operator.index(value)``: an int or numpy integer, not a boolean, whose
+    index is 0 or 1; DomainError naming ``name`` for anything else."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise DomainError(f"{name} must be an integer (not booleans), got {value!r}")

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, OutsideBoxError
+from .errors import DomainError, OutsideBoxError, real
 
 DEFAULT_PROBE_STEPS: tuple[float, ...] = (1e-2, 1e-3, 1e-4, 1e-5)
 DEFAULT_STRICTNESS_TOLERANCE = 1e-12
@@ -118,21 +118,16 @@ class ConeQuery:
         object.__setattr__(self, "direction", np.asarray(self.direction, dtype=float))
         if self.point.shape != (self.box.dim,) or self.direction.shape != (self.box.dim,):
             raise DomainError("point and direction must match the box dimension")
-        if self.face_tolerance is not None:
-            _check_threshold("face_tolerance", self.face_tolerance)
-        _check_threshold("strictness_tolerance", self.strictness_tolerance)
-        _check_threshold("gamma", self.gamma)
+        ftol = self.face_tolerance
+        if ftol is not None:
+            object.__setattr__(self, "face_tolerance", real("face_tolerance", ftol, minimum=0))
+        for name in ("strictness_tolerance", "gamma"):
+            object.__setattr__(self, name, real(name, getattr(self, name), minimum=0))
 
     def resolved_face_tolerance(self) -> float:
         if self.face_tolerance is not None:
             return self.face_tolerance
         return default_face_tolerance(self.box)
-
-
-def _check_threshold(name: str, value: float) -> None:
-    """DomainError unless 0 <= value < inf: a NaN compares false and would pass every test."""
-    if not 0 <= value < np.inf:
-        raise DomainError(f"{name} must be nonnegative and finite, got {value}")
 
 
 def default_face_tolerance(box: Hyperrectangle) -> float:
@@ -175,7 +170,7 @@ def classify_point(
     if x.shape != (box.dim,):
         raise DomainError("point must match the box dimension")
     tol = default_face_tolerance(box) if face_tolerance is None else face_tolerance
-    _check_threshold("face_tolerance", tol)
+    tol = real("face_tolerance", tol, minimum=0)
     if not box.contains(x, tol):
         raise OutsideBoxError(f"point {x} outside box beyond tolerance {tol}")
     at_lower = np.abs(x - box.lo) <= tol
@@ -296,7 +291,7 @@ def cone_membership_probe(
         raise DomainError("point and direction must match the box dimension")
     if not box.contains(x, default_face_tolerance(box)):
         raise OutsideBoxError(f"probe base point {x} outside box")
-    steps = [float(z) for z in probe_steps]
-    if not steps or any(z <= 0 for z in steps):
-        raise DomainError("probe steps must be positive")
+    steps = [real("probe step", z, above=0) for z in probe_steps]
+    if not steps:
+        raise DomainError("need at least one probe step")
     return min(box.distance(x + z * v) / z for z in steps)

@@ -12,22 +12,13 @@ tests the union graph at the window starts where it can lose arcs.
 from __future__ import annotations
 
 import bisect
-import math
-import operator
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Iterable, Mapping
 
 from . import _json
-from .errors import DomainError, InsufficientHorizonError
-
-
-def _index(x: Any) -> int:
-    """``operator.index(x)``, refusing booleans, whose index is 0 or 1."""
-    if isinstance(x, bool):
-        raise TypeError(f"{x!r} is a boolean")
-    return operator.index(x)
+from .errors import DomainError, InsufficientHorizonError, integer, real
 
 
 @dataclass(frozen=True)
@@ -44,10 +35,7 @@ class SignedDigraph:
         arcs: Iterable[tuple[int, int] | tuple[int, int, int]] = (),
         allow_self_loops: bool = False,
     ):
-        try:
-            n = _index(n)
-        except TypeError as exc:
-            raise DomainError(f"node count must be an integer, got {n!r}") from exc
+        n = integer("node count", n)
         if n < 1:
             raise DomainError("graph needs at least one node")
         if not isinstance(allow_self_loops, bool):
@@ -59,8 +47,8 @@ class SignedDigraph:
             else:
                 j, i, s = arc
             try:
-                j, i, s = _index(j), _index(i), _index(s)
-            except TypeError as exc:
+                j, i, s = integer("node", j), integer("node", i), integer("sign", s)
+            except DomainError as exc:
                 raise DomainError(f"arc {tuple(arc)!r} needs integer nodes and sign") from exc
             if s not in (1, -1):
                 raise DomainError(f"arc ({j},{i}) sign must be +1 or -1, got {s}")
@@ -213,24 +201,20 @@ class SwitchingSignal:
         horizon_end: float,
         periodic: bool = False,
     ):
-        pieces = tuple(pieces)
-        if bool in set(map(type, (tau_d, horizon_end, *(t for t, _ in pieces)))):
-            raise DomainError("piece starts, tau_d and horizon_end must be numbers, not booleans")
-        pieces = tuple((float(t), idx) for t, idx in pieces)
+        pieces = tuple((real("piece start", t), idx) for t, idx in pieces)
         if not isinstance(periodic, bool):
             raise DomainError(f"periodic must be True or False, got {periodic!r}")
         if not pieces:
             raise DomainError("signal needs at least one piece")
         times = [t for t, _ in pieces]
-        if not all(map(math.isfinite, times)) or times != sorted(times):
+        if times != sorted(times):
             raise DomainError("piece start times must be finite and nondecreasing")
-        if not 0 < tau_d < float("inf"):
-            raise DomainError(f"dwell time tau_d must be positive and finite, got {tau_d}")
-        if not times[-1] < horizon_end < float("inf"):
+        object.__setattr__(self, "tau_d", real("dwell time tau_d", tau_d, above=0))
+        horizon_end = real("horizon_end", horizon_end)
+        if not times[-1] < horizon_end:
             raise DomainError("horizon_end must be finite and exceed the last piece start")
         object.__setattr__(self, "pieces", pieces)
-        object.__setattr__(self, "tau_d", float(tau_d))
-        object.__setattr__(self, "horizon_end", float(horizon_end))
+        object.__setattr__(self, "horizon_end", horizon_end)
         object.__setattr__(self, "periodic", periodic)
 
     @property
@@ -253,8 +237,9 @@ class SwitchingSignal:
         """Family index active at time t (right-continuous), in O(pieces): the
         label of the segment of ``segments`` holding t, bounded by the same
         float expressions, so the two agree at every switch instant."""
-        if not self.t0 <= t < float("inf"):
-            raise DomainError(f"t={t} is not a finite time from the signal start {self.t0}")
+        t = real("t", t)
+        if t < self.t0:
+            raise DomainError(f"t={t} is before the signal start {self.t0}")
         if t > self.horizon_end and not self.periodic:
             raise DomainError(f"t={t} is past the horizon_end {self.horizon_end} of the signal")
         k = int((t - self.t0) // self.period) if self.periodic else 0
@@ -273,8 +258,7 @@ class SwitchingSignal:
         included. Periodic copy k starts at ``start_l + k * period``: integer
         period counts, so no rounding accumulates over periods.
         """
-        if not t_end < float("inf"):
-            raise DomainError(f"t_end must be finite, got {t_end}")
+        t_end = real("t_end", t_end)
         if t_end > self.horizon_end and not self.periodic:
             raise DomainError("t_end exceeds the horizon of an aperiodic signal")
         labels = [p for _, p in self.pieces]
@@ -412,8 +396,7 @@ def check_uniform_joint_connectivity(
     horizon. A label missing from the family, or graphs of different sizes,
     raise DomainError before the sweep.
     """
-    if not 0 < T < float("inf"):
-        raise DomainError(f"window length T must be positive and finite, got {T}")
+    T = real("window length T", T, above=0)
     n = _node_count(signal, family)
     t0 = signal.t0
     if signal.periodic:

@@ -35,7 +35,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, integer, real
 from .dynamics import Trajectory
 
 
@@ -74,9 +74,7 @@ class _Series:
         """``tol_monotone``, by default 1e-8 * max(1, V(t0))."""
         if tol_monotone is None:
             return 1e-8 * max(1.0, float(self.v[0]))
-        if not 0 <= tol_monotone < math.inf:
-            raise DomainError(f"tol_monotone must be nonnegative and finite, got {tol_monotone}")
-        return float(tol_monotone)
+        return real("tol_monotone", tol_monotone, minimum=0)
 
 
 def max_series(traj: Trajectory) -> np.ndarray:
@@ -180,9 +178,10 @@ class RateFit:
         return iter((self.lambda_hat, self.r_squared))
 
 
-def _check_tail_fraction(tail_fraction: float) -> None:
-    if not 0 < tail_fraction <= 1:
+def _tail_fraction(tail_fraction: float) -> float:
+    if real("tail_fraction", tail_fraction, above=0) > 1:
         raise DomainError(f"tail_fraction must be in (0, 1], got {tail_fraction}")
+    return float(tail_fraction)
 
 
 def fit_exponential_rate(
@@ -195,7 +194,7 @@ def fit_exponential_rate(
     truncate the fit there (flagged in the result). A constant series fits
     exactly with rate zero.
     """
-    _check_tail_fraction(tail_fraction)
+    tail_fraction = _tail_fraction(tail_fraction)
     t, v = series
     t = np.asarray(t, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -250,8 +249,7 @@ def agreement_verdict(traj: Trajectory, eps: float) -> AgreementVerdict:
 
 
 def _verdict(ser: _Series, eps: float) -> AgreementVerdict:
-    if not 0 < eps < math.inf:
-        raise DomainError(f"eps must be positive and finite, got {eps}")
+    eps = real("eps", eps, above=0)
     v = ser.v
     if v[-1] > eps:
         return AgreementVerdict(False, eps, None, float(v[-1]))
@@ -275,13 +273,12 @@ def absolute_value_agreement(
     to zero, while the envelope shrinks whenever the signed cone condition
     holds, so it is the sound guard against a lucky final dip.
     """
-    _check_tail_fraction(tail_fraction)
+    tail_fraction = _tail_fraction(tail_fraction)
     return _abs_agreement(_Series(traj), tol, tol_monotone, tail_fraction)
 
 
 def _abs_agreement(ser: _Series, tol: float, tol_monotone, tail_fraction) -> np.ndarray:
-    if not 0 < tol < math.inf:
-        raise DomainError(f"tol must be positive and finite, got {tol}")
+    tol = real("tol", tol, above=0)
     spread, envelope = ser.abs_spread, ser.abs_hi
     start = spread.shape[0] - max(2, int(math.ceil(tail_fraction * spread.shape[0])))
     tail = envelope[max(start, 0):]
@@ -306,10 +303,10 @@ class RateBound:
 
 def t_bar_from_window(n: int, T: float, tau_d: float) -> float:
     """Sweep length n^2 (T + 2 tau_d) from a connectivity window and dwell time."""
+    n = integer("n", n)
     if n < 2:
         raise DomainError("need at least 2 agents")
-    if not (0 < T < math.inf and 0 < tau_d < math.inf):
-        raise DomainError("T and tau_d must be positive and finite")
+    T, tau_d = real("T", T, above=0), real("tau_d", tau_d, above=0)
     if n * n > sys.float_info.max or n * n * (T + 2.0 * tau_d) == math.inf:
         raise DomainError("n^2 (T + 2 tau_d) is not a finite float")
     return n * n * (T + 2.0 * tau_d)
@@ -325,21 +322,16 @@ def rate_bound(
     L_plus: float,
 ) -> RateBound:
     """Closed-form (beta, beta*) for the given sweep length and constants."""
+    n, d = integer("n", n), integer("d", d)
     if n < 2:
         raise DomainError("need at least 2 agents")
     if d < 1:
         raise DomainError("dimension must be positive")
     if n > sys.float_info.max or d > sys.float_info.max:
         raise DomainError("n and d must be within the float range")
-    for name, val in (
-        ("T_bar", T_bar),
-        ("gamma", gamma),
-        ("tau_d", tau_d),
-        ("L_star", L_star),
-        ("L_plus", L_plus),
-    ):
-        if not 0 < val < math.inf:
-            raise DomainError(f"{name} must be positive and finite, got {val}")
+    names = ("T_bar", "gamma", "tau_d", "L_star", "L_plus")
+    values = (T_bar, gamma, tau_d, L_star, L_plus)
+    T_bar, gamma, tau_d, L_star, L_plus = (real(k, x, above=0) for k, x in zip(names, values))
     # min(r^(n-1) / 2, 1/2) as 0.5 * min(r, 1)^(n-1): the power stays in [0, 1].
     shrink = 0.5 * min(gamma * tau_d / (L_plus * tau_d + 1.0), 1.0) ** (n - 1)
     beta = math.exp(-n * L_star * T_bar) * shrink
@@ -403,7 +395,7 @@ def build_report(
 ) -> AgreementReport:
     """Compute the full metric set for a trajectory from one pass over it;
     ``tail_fraction`` sets the tail of both the rate fit and ``abs_agreement``."""
-    _check_tail_fraction(tail_fraction)
+    tail_fraction = _tail_fraction(tail_fraction)
     ser = _Series(traj)
     lam: float | None
     try:

@@ -24,7 +24,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, real
 from .graphs import SignedDigraph
 
 
@@ -49,8 +49,8 @@ def rotation_matrix(angles: float | Sequence[float], d: int) -> np.ndarray:
     if d < 1:
         raise DomainError("dimension must be positive")
     if np.isscalar(angles):
-        angles = [float(angles)]
-    angles = [float(a) for a in angles]
+        angles = [angles]
+    angles = [real("rotation angle", a) for a in angles]
     planes = givens_planes(d)
     if len(angles) != len(planes):
         raise DomainError(
@@ -119,12 +119,10 @@ class ProtocolSpec:
         if len(ns) > 1:
             raise DomainError("family graphs disagree on node count")
         self.n = ns.pop()
-        if isinstance(self.gamma, bool) or not 0 < self.gamma < np.inf:
-            raise DomainError(f"gamma must be positive and finite, got {self.gamma}")
+        self.gamma = real("gamma", self.gamma, above=0)
         weights = self.weights.values() if isinstance(self.weights, Mapping) else [self.weights]
         for w in weights:
-            if isinstance(w, bool) or not 0 < float(w) < np.inf:
-                raise DomainError(f"weights must be positive and finite, got {w}")
+            real("weights", w, above=0)
         if self.kind is ProtocolKind.CUSTOM:
             if self.field_fn is None:
                 raise DomainError("Custom protocol needs a field_fn")

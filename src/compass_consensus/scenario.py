@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _json
 from .dynamics import Assumption
-from .errors import DomainError
+from .errors import DomainError, integer, real
 from .graphs import (
     SignedDigraph,
     SwitchingSignal,
@@ -59,9 +59,9 @@ class ScenarioConfig:
         the config path of the offending entry."""
         n, d, family, signal = self.n, self.d, self.protocol.family, self.signal
         shape = np.shape(self.initial_states)
-        if shape != (n, d):
+        if shape != (n, d) or not np.isfinite(self.initial_states).all():
             raise _json.fail(
-                f"initial_states must be shaped ({n}, {d}), got {shape}",
+                f"initial_states must be a finite ({n}, {d}) array, got shape {shape}",
                 "$.agents.initial_states",
             )
         for name, g in family.items():
@@ -82,17 +82,25 @@ class ScenarioConfig:
             self.protocol.rotations(d)
         except DomainError as exc:
             raise _json.fail(str(exc), "$.protocol.rotation") from exc
-        if isinstance(self.h, bool) or not 0 < self.h < np.inf:
-            raise _json.fail(f"step size h must be positive and finite, got {self.h}",
-                             "$.integrator.h")
-        if isinstance(self.t_end, bool) or not signal.t0 < self.t_end < np.inf:
-            raise _json.fail(f"t_end must be finite and exceed the signal start, got "
-                             f"{self.t_end}", "$.integrator.t_end")
+        for at, name, above, minimum in (
+            ("$.integrator.h", "h", 0, None),
+            ("$.integrator.t_end", "t_end", None, None),
+            ("$.validation.face_tolerance", "face_tolerance", None, 0),
+            ("$.validation.strictness_tolerance", "strictness_tolerance", None, 0),
+            ("$.monitors.eps_agreement", "eps_agreement", 0, None),
+        ):
+            setattr(self, name, _json.build(real, at, name, getattr(self, name), above, minimum))
+        if self.tol_monotone is not None:  # kept as given: dump-config echoes it
+            _json.build(real, "$.monitors.tol_monotone", "tol_monotone", self.tol_monotone, 0)
+        self.downsample = _json.build(integer, "$.outputs.downsample", "downsample",
+                                      self.downsample)
+        if self.downsample < 1:
+            raise _json.fail(f"must be at least 1, got {self.downsample}", "$.outputs.downsample")
+        at = "$.integrator.t_end"
+        if not signal.t0 < self.t_end:
+            raise _json.fail(f"t_end must exceed the signal start {signal.t0}", at)
         if self.t_end > signal.horizon_end and not signal.periodic:
-            raise _json.fail(
-                "t_end exceeds horizon_end of an aperiodic signal",
-                "$.integrator.t_end",
-            )
+            raise _json.fail("t_end exceeds horizon_end of an aperiodic signal", at)
 
 
 _KINDS = ("WeightedConsensus", "RotatedConsensus", "SignedConsensus")

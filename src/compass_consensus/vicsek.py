@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, real
 
 NeighborRule = Callable[["VicsekState"], Sequence[np.ndarray]]
 
@@ -47,10 +47,8 @@ class VicsekState:
             raise DomainError("positions must be an (n, 2) array")
         if headings.shape != (pos.shape[0],):
             raise DomainError("need one heading per agent")
-        if not 0 < self.speed < np.inf:
-            raise DomainError(f"speed must be positive and finite, got {self.speed}")
-        if not 0 < self.radius < np.inf:
-            raise DomainError(f"radius must be positive and finite, got {self.radius}")
+        object.__setattr__(self, "speed", real("speed", self.speed, above=0))
+        object.__setattr__(self, "radius", real("radius", self.radius, above=0))
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "headings", headings)
 

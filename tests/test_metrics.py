@@ -256,6 +256,18 @@ class TestRateBound:
             with pytest.raises(DomainError, match="finite float"):
                 t_bar_from_window(n, 1.0, 1.0)
 
+    @pytest.mark.parametrize("n, d", [(2.5, 1), (3, True), (True, 1), (3, 1.0), ("3", 1)],
+                             ids=["n-float", "d-bool", "n-bool", "d-float", "n-string"])
+    def test_counts_must_be_integers(self, n, d):
+        # rate_bound(2.5, ...) gave a bound for 2.5 agents, and d=True took d=1.
+        with pytest.raises(DomainError, match="integer"):
+            rate_bound(n, d, 1.0, 1.0, 1.0, 1.0, 1.0)
+        if n != 3:
+            with pytest.raises(DomainError, match="integer"):
+                t_bar_from_window(n, 1.0, 1.0)
+        assert rate_bound(np.int64(3), np.int64(2), 1.0, 1.0, 1.0, 1.0, 1.0) == rate_bound(
+            3, 2, 1.0, 1.0, 1.0, 1.0, 1.0)
+
     def test_t_bar_constructor(self):
         # T1 = T + 2 tau_d, sweep = n^2 T1
         assert t_bar_from_window(2, 0.5, 0.25) == pytest.approx(4.0)

@@ -224,8 +224,20 @@ class TestCrossFieldChecks:
         ({"t_end": np.nan}, "$.integrator.t_end"),
         ({"h": True}, "$.integrator.h"),
         ({"t_end": True}, "$.integrator.t_end"),
+        ({"h": "0.1"}, "$.integrator.h"),
+        ({"face_tolerance": np.nan}, "$.validation.face_tolerance"),
+        ({"strictness_tolerance": -1.0}, "$.validation.strictness_tolerance"),
+        ({"eps_agreement": -1.0}, "$.monitors.eps_agreement"),
+        ({"tol_monotone": -1.0}, "$.monitors.tol_monotone"),
+        ({"tol_monotone": 0.0}, "$.monitors.tol_monotone"),
+        ({"downsample": 0}, "$.outputs.downsample"),
+        ({"downsample": True}, "$.outputs.downsample"),
+        ({"downsample": 2.5}, "$.outputs.downsample"),
+        ({"initial_states": np.array([[0.0], [np.nan]])}, "$.agents.initial_states"),
     ], ids=["unknown-label", "agents-over-graph", "h", "h-inf", "h-nan", "t_end-nan", "h-bool",
-            "t_end-bool"])
+            "t_end-bool", "h-string", "face_tolerance-nan", "strictness_tolerance-negative",
+            "eps_agreement-negative", "tol_monotone-negative", "tol_monotone-zero",
+            "downsample-zero", "downsample-bool", "downsample-fraction", "initial_states-nan"])
     def test_library_config_rejected_when_built(self, changes, path):
         sc = scenario_from_dict(base_config())
         with pytest.raises(DomainError) as err:

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -10,8 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import compass_consensus
 from compass_consensus.cli import build_parser, main, write_trajectory_csv
 from compass_consensus.dynamics import Trajectory
+from compass_consensus.errors import DomainError
 from helpers import label_runs
 from test_scenario import rotated_config
 
@@ -186,6 +189,21 @@ class TestRun:
         assert [row[3] for row in rows[1:]] == labels
         assert all(len(row) == 4 for row in rows)
         assert path.read_bytes().endswith(b"3.0,1,3.0,g\n")  # plain labels as before
+
+    @pytest.mark.parametrize("downsample", [True, 2.5, "2", 0, -1])
+    def test_writer_refuses_non_count_downsample(self, tmp_path, downsample):
+        # The writer is public: it must not read True as 1 or leak range()'s TypeError.
+        traj = Trajectory(times=np.arange(4.0), states=np.arange(4.0)[:, None], n=1, d=1,
+                          runs=label_runs(["g"] * 4))
+        with pytest.raises(DomainError, match="downsample"):
+            write_trajectory_csv(tmp_path / "traj.csv", traj, downsample)
+
+    def test_writer_takes_numpy_integer_downsample(self, tmp_path):
+        traj = Trajectory(times=np.arange(4.0), states=np.arange(4.0)[:, None], n=1, d=1,
+                          runs=label_runs(["a", "a", "b", "b"]))
+        assert write_trajectory_csv(tmp_path / "traj.csv", traj, np.int64(2)) == 3
+        rows = (tmp_path / "traj.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert rows == ["0.0,1,0.0,a", "2.0,1,2.0,b", "3.0,1,3.0,b"]
 
 
 class TestLogging:
@@ -492,3 +510,52 @@ def test_benchmark_trace_points_are_called(tmp_path, monkeypatch, capsys):
     assert os.path.getsize(args[0]) == len((tmp_path / "metrics.json").read_bytes()) > 0
     # The benchmark also wraps these two (setup_probe.py the spec): they must resolve.
     assert callable(graphs.union_graph) and callable(scenario.ProtocolSpec)
+
+
+SRC = Path(compass_consensus.__file__).parents[1]
+
+
+def modules_added_by(code: str) -> tuple[set[str], set[str]]:
+    """Run ``code`` in a fresh interpreter; return the third-party top-level
+    packages and the package's own modules it adds to ``sys.modules`` (site
+    hooks may preload some before it)."""
+    script = f"import sys; base = set(sys.modules)\n{code}\nprint(*set(sys.modules) - base)"
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    ).stdout
+    added = out.splitlines()[-1].split()
+    third_party = {m.split(".")[0] for m in added} - set(sys.stdlib_module_names)
+    ours = {m.split(".")[1] for m in added if m.startswith("compass_consensus.")}
+    return third_party - {"compass_consensus"}, ours
+
+
+class TestCommandImports:
+    # Each command imports only the layers it runs. check-graphs needs only
+    # graphs, _json and errors; run loads the runtime dependencies in
+    # pyproject.toml and no more: no scipy, and no test-only jsonschema.
+    RUN_LAYERS = {"dynamics", "metrics", "scenario", "protocols", "geometry", "vicsek"}
+
+    @pytest.mark.parametrize("module", ["compass_consensus", "compass_consensus.cli"])
+    def test_import_loads_no_run_layer(self, module):
+        third_party, ours = modules_added_by(f"import {module}")
+        assert third_party == set()
+        assert not ours & self.RUN_LAYERS
+
+    def test_check_graphs_loads_no_third_party_module(self, tmp_path):
+        argv = ["check-graphs", graphs_file(tmp_path), "--window", "2.0"]
+        third_party, ours = modules_added_by(
+            f"from compass_consensus.cli import main; assert main({argv!r}) == 0")
+        assert third_party == set()
+        assert ours == {"cli", "graphs", "_json", "errors"}
+
+    def test_run_loads_only_runtime_dependencies(self, tmp_path):
+        tomllib = pytest.importorskip("tomllib")
+        with open(SRC.parent / "pyproject.toml", "rb") as f:
+            deps = tomllib.load(f)["project"]["dependencies"]
+        argv = ["run", write_json(tmp_path / "c.json", consensus_config(t_end=1.0)),
+                "--out-dir", str(tmp_path)]
+        third_party, ours = modules_added_by(
+            f"from compass_consensus.cli import main; assert main({argv!r}) == 0")
+        assert third_party == {re.match(r"[\w.-]+", dep)[0] for dep in deps}
+        assert ours >= {"dynamics", "metrics", "scenario"}

@@ -11,17 +11,11 @@ the schema reports exactly one error.
 import copy
 import json
 import math
-import os
-import re
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import compass_consensus
 from compass_consensus.errors import ConfigError
 from compass_consensus.graphs import graph_from_json, signal_from_json
 from compass_consensus.scenario import scenario_from_dict, scenario_to_dict
@@ -266,23 +260,3 @@ def test_base_objects_load():
         assert graph_from_json(obj) == v0_graph_from_json(obj)
     for obj in SIGNALS:
         assert signal_from_json(obj) == v0_signal_from_json(obj)
-
-
-def test_cli_import_loads_only_runtime_dependencies():
-    # Third-party top-level packages that the import adds to a bare
-    # interpreter's modules (site hooks may preload some before it) must be
-    # the runtime dependencies: no scipy, and no test-only jsonschema.
-    tomllib = pytest.importorskip("tomllib")
-    code = (
-        "import sys; base = set(sys.modules); import compass_consensus.cli; "
-        "print(*sorted({m.split('.')[0] for m in set(sys.modules) - base}))"
-    )
-    src = Path(compass_consensus.__file__).parents[1]
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    ).stdout
-    loaded = set(out.split()) - set(sys.stdlib_module_names) - {"compass_consensus"}
-    with open(src.parent / "pyproject.toml", "rb") as f:
-        deps = tomllib.load(f)["project"]["dependencies"]
-    assert loaded == {re.match(r"[\w.-]+", dep)[0] for dep in deps}

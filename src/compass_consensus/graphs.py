@@ -233,6 +233,26 @@ class SwitchingSignal:
         shift = k * self.period
         return [t + shift for t, _ in self.pieces]
 
+    def _copy_index(self, t: float) -> int:
+        """The last periodic copy k whose start ``t0 + k * period`` is at or
+        before t >= t0 (0 for an aperiodic signal)."""
+        if not self.periodic:
+            return 0
+        k = int((t - self.t0) // self.period)
+        # The quotient can round to either neighbouring copy; step to the right one.
+        while k > 0 and self.t0 + k * self.period > t:
+            k -= 1
+        while self.t0 + (k + 1) * self.period <= t:
+            k += 1
+        return k
+
+    def _copy_segments(self, k: int) -> list[tuple[float, float, Any]]:
+        """Constant pieces (a, b, label) of periodic copy k, the last one ending
+        at ``t0 + (k + 1) * period`` (``horizon_end`` if aperiodic)."""
+        tiled = self._copy_starts(k)
+        end = self.t0 + (k + 1) * self.period if self.periodic else self.horizon_end
+        return list(zip(tiled, tiled[1:] + [end], (p for _, p in self.pieces)))
+
     def active_index(self, t: float) -> Any:
         """Family index active at time t (right-continuous), in O(pieces): the
         label of the segment of ``segments`` holding t, bounded by the same
@@ -242,12 +262,7 @@ class SwitchingSignal:
             raise DomainError(f"t={t} is before the signal start {self.t0}")
         if t > self.horizon_end and not self.periodic:
             raise DomainError(f"t={t} is past the horizon_end {self.horizon_end} of the signal")
-        k = int((t - self.t0) // self.period) if self.periodic else 0
-        # The quotient can round to either neighbouring copy; step to the right one.
-        while k > 0 and self.t0 + k * self.period > t:
-            k -= 1
-        while self.periodic and self.t0 + (k + 1) * self.period <= t:
-            k += 1
+        k = self._copy_index(t)
         return self.pieces[bisect.bisect_right(self._copy_starts(k), t) - 1][1]
 
     def segments(self, t_end: float) -> list[tuple[float, float, Any]]:
@@ -261,13 +276,10 @@ class SwitchingSignal:
         t_end = real("t_end", t_end)
         if t_end > self.horizon_end and not self.periodic:
             raise DomainError("t_end exceeds the horizon of an aperiodic signal")
-        labels = [p for _, p in self.pieces]
         segs: list[tuple[float, float, Any]] = []
         k = 0
         while not segs or (self.periodic and segs[-1][1] <= t_end):
-            tiled = self._copy_starts(k)
-            end = self.t0 + (k + 1) * self.period if self.periodic else self.horizon_end
-            segs.extend(zip(tiled, tiled[1:] + [end], labels))
+            segs += self._copy_segments(k)
             k += 1
         return segs[: bisect.bisect_right(segs, t_end, key=lambda seg: seg[0])]
 
@@ -334,9 +346,12 @@ def union_graph(
     """Union of the arc sets of all graphs active on [t1, t2), signs dropped.
 
     Connectivity of the joint graph does not depend on arc signs, so an arc
-    present under either sign is present (with sign +1) in the union. The
-    segments with start < t2 and end > t1 are found by bisection.
+    present under either sign is present (with sign +1) in the union. Only
+    the periodic copies from the one holding t1 to the one holding t2 are
+    read, each built as ``segments`` builds it, and the segments with
+    start < t2 and end > t1 are kept; the scan stops once every label is in.
     """
+    t1, t2 = real("t1", t1), real("t2", t2)
     if not t1 < t2:
         raise DomainError("need t1 < t2")
     if t1 < signal.t0 or (not signal.periodic and t2 > signal.horizon_end):
@@ -344,10 +359,12 @@ def union_graph(
             f"[{t1}, {t2}) outside signal horizon [{signal.t0}, {signal.horizon_end}]"
         )
     n = _node_count(signal, family)
-    segs = signal.segments(t2)
-    first = bisect.bisect_right(segs, t1, key=lambda seg: seg[1])
-    last = bisect.bisect_left(segs, t2, key=lambda seg: seg[0])
-    labels = {p for _a, _b, p in segs[first:last]}
+    every = {p for _t, p in signal.pieces}
+    labels: set = set()
+    for k in range(signal._copy_index(t1), signal._copy_index(t2) + 1):
+        labels.update(p for a, b, p in signal._copy_segments(k) if a < t2 and b > t1)
+        if labels == every:
+            break
     arcs = {(j, i, 1) for p in labels for (j, i, _s) in family[p].arcs}
     loops = any(family[p].allow_self_loops for p in labels)
     return SignedDigraph(n, arcs, allow_self_loops=loops)

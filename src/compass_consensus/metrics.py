@@ -36,6 +36,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DomainError, integer, real
+from . import dynamics
 from .dynamics import Trajectory
 
 
@@ -50,21 +51,35 @@ class MonitorMode(Enum):
 class _Series:
     """Per-axis max/min over agents of x and of |x|, each (samples, d), and V.
 
-    Four reductions of one contiguous (samples, d, agents) copy of the
-    states; every series, verdict and monitor is derived from them.
+    The states are reduced one chunk of samples at a time, each chunk sized
+    like the validator's (``dynamics._CHUNK_ELEMENTS`` floats) and copied
+    into one reused (samples, d, agents) buffer, so the working memory is one
+    chunk plus the O(samples * d) series. Every series, verdict and monitor
+    is derived from the four reductions.
     """
 
     def __init__(self, traj: Trajectory):
         X = traj.blocks()
-        Y = np.ascontiguousarray(X.transpose(0, 2, 1))
-        self.hi, self.lo = Y.max(axis=2), Y.min(axis=2)
-        # Which zero an all-zero tie returns, +0.0 or -0.0, depends on the
-        # reduction order: redo such samples in agent order, as X.max(axis=1).
-        for out, reduce in ((self.hi, np.maximum.reduce), (self.lo, np.minimum.reduce)):
-            rows = np.flatnonzero((out == 0).any(axis=1))
-            out[rows] = reduce(X[rows], axis=1)
-        A = np.abs(Y)
-        self.abs_hi, self.abs_lo = A.max(axis=2), A.min(axis=2)
+        m, n, d = X.shape
+        self.hi, self.lo, self.abs_hi, self.abs_lo = (np.empty((m, d), X.dtype) for _ in range(4))
+        step = max(1, dynamics._CHUNK_ELEMENTS // (n * d))
+        # A copy, never a view: for d == 1 or n == 1 the transpose of X is
+        # already contiguous, and |x| is taken in place below.
+        buffer = np.empty((min(step, m), d, n), X.dtype)
+        for k in range(0, m, step):
+            chunk = slice(k, k + step)
+            Xc = X[chunk]
+            Y = buffer[: len(Xc)]
+            np.copyto(Y, Xc.transpose(0, 2, 1))
+            hi, lo = Y.max(axis=2, out=self.hi[chunk]), Y.min(axis=2, out=self.lo[chunk])
+            # Which zero an all-zero tie returns, +0.0 or -0.0, depends on the
+            # reduction order: redo such samples in agent order, as X.max(axis=1).
+            for out, reduce in ((hi, np.maximum.reduce), (lo, np.minimum.reduce)):
+                rows = np.flatnonzero((out == 0).any(axis=1))
+                out[rows] = reduce(Xc[rows], axis=1)
+            np.abs(Y, out=Y)
+            Y.max(axis=2, out=self.abs_hi[chunk])
+            Y.min(axis=2, out=self.abs_lo[chunk])
         self.abs_spread = self.abs_hi - self.abs_lo
         self.diameters = self.hi - self.lo
         self.v = self.diameters.max(axis=1)

@@ -1,5 +1,6 @@
 """Shared builders for module and acceptance tests."""
 
+import bisect
 import itertools
 import json
 from typing import Mapping
@@ -279,6 +280,18 @@ def v0_union_graph(signal, family, t1, t2):
     arcs = {(j, i, 1) for p in labels for (j, i, _s) in family[p].arcs}
     loops = any(family[p].allow_self_loops for p in labels)
     return SignedDigraph(family[labels[0]].n, arcs, allow_self_loops=loops)
+
+
+def v1_union_graph(signal, family, t1, t2):
+    """Union graph from ``signal.segments(t2)``, every copy from t0 on, cut to
+    the window by two bisections."""
+    segs = signal.segments(t2)
+    first = bisect.bisect_right(segs, t1, key=lambda seg: seg[1])
+    last = bisect.bisect_left(segs, t2, key=lambda seg: seg[0])
+    labels = {p for _a, _b, p in segs[first:last]}
+    arcs = {(j, i, 1) for p in labels for (j, i, _s) in family[p].arcs}
+    loops = any(family[p].allow_self_loops for p in labels)
+    return SignedDigraph(next(iter(family.values())).n, arcs, allow_self_loops=loops)
 
 
 def v0_check_uniform_joint_connectivity(signal, family, T, mode):

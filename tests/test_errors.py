@@ -33,6 +33,7 @@ from compass_consensus.graphs import (
     check_uniform_joint_connectivity,
     complete_graph,
     signal_from_json,
+    union_graph,
 )
 from compass_consensus.protocols import ProtocolSpec
 from compass_consensus.scenario import scenario_from_dict
@@ -97,6 +98,8 @@ ENTRIES = {
     "active_index-t": (lambda x: SIGNAL.active_index(x), 3, None),
     "segments-t_end": (lambda x: SIGNAL.segments(x), 5, None),
     "checker-T": (lambda x: check_uniform_joint_connectivity(SIGNAL, ALT, x), 4, None),
+    "union-t1": (lambda x: sorted(union_graph(SIGNAL, ALT, x, 5.0).arcs), 1, None),
+    "union-t2": (lambda x: sorted(union_graph(SIGNAL, ALT, 0.5, x).arcs), 3, None),
     "spec-gamma": (lambda x: ProtocolSpec("WeightedConsensus", PAIR, x).gamma, 2, None),
     "spec-weights": (lambda x: ProtocolSpec("WeightedConsensus", PAIR, 1.0, x)
                      .operator("g").tolist(), 2, None),

@@ -1,4 +1,6 @@
 import bisect
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +26,12 @@ from compass_consensus.graphs import (
     union_graph,
     validate_switching_signal,
 )
-from helpers import v0_check_uniform_joint_connectivity, v0_quasi_strong, v0_union_graph
+from helpers import (
+    v0_check_uniform_joint_connectivity,
+    v0_quasi_strong,
+    v0_union_graph,
+    v1_union_graph,
+)
 
 
 def closure_oracle(g: SignedDigraph) -> np.ndarray:
@@ -218,6 +225,62 @@ class TestUnionGraph:
             b2 = rng.uniform(b, 8)
             outer = union_graph(sig, ALT_FAMILY, a2, b2)
             assert inner.arcs <= outer.arcs
+
+
+UNION_FAMILY = {
+    "a": SignedDigraph(3, [(1, 2)]),
+    "b": SignedDigraph(3, [(2, 3, -1)]),
+    "c": SignedDigraph(3, [(3, 1), (2, 2)], allow_self_loops=True),
+}
+UNION_SIGNALS = {
+    "two-piece": SwitchingSignal([(0.0, "a"), (0.5, "b")], 0.5, 1.0, periodic=True),
+    "inexact-period": SwitchingSignal([(0.3, "a"), (0.4, "b"), (0.7, "c")], 0.1, 1.2,
+                                      periodic=True),
+    "zero-length-piece": SwitchingSignal([(0.0, "a"), (0.25, "b"), (0.25, "c"), (0.6, "a")],
+                                         0.1, 1.1, periodic=True),
+    "aperiodic": SwitchingSignal([(0.3, "a"), (0.4, "b"), (0.7, "c"), (0.9, "b")], 0.1,
+                                 45.0),
+}
+
+
+class TestUnionGraphCopies:
+    """``union_graph`` reads only the periodic copies over its window."""
+
+    @pytest.mark.parametrize("name", UNION_SIGNALS)
+    def test_matches_union_over_all_segments(self, name):
+        # Windows in the first ~50 periods; most ends sit exactly on a piece or
+        # copy boundary or one ulp off it, the rest anywhere.
+        sig = UNION_SIGNALS[name]
+        horizon = sig.horizon_end if not sig.periodic else sig.t0 + 50 * sig.period
+        bounds = sorted({x for a, b, _p in sig.segments(horizon) for x in (a, b)
+                         if x <= horizon})
+        points = np.array(bounds + list(np.nextafter(bounds, np.inf))
+                          + list(np.nextafter(bounds, -np.inf)))
+        points = points[(points >= sig.t0) & (points <= horizon)]
+        rng = np.random.default_rng(3)
+        for _ in range(1500):
+            t1, t2 = sorted(float(x) for x in (
+                rng.choice(points) if rng.random() < 0.8 else rng.uniform(sig.t0, horizon)
+                for _ in range(2)))
+            if t1 == t2:
+                continue
+            assert union_graph(sig, UNION_FAMILY, t1, t2) == v1_union_graph(
+                sig, UNION_FAMILY, t1, t2), (t1, t2)
+
+    def test_window_far_from_start_reads_only_its_copies(self):
+        # Tiling from t0 took ~3 s and ~23 MB for this window at t1 = 1e5.
+        sig = UNION_SIGNALS["two-piece"]
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            g = union_graph(sig, UNION_FAMILY, 1e5, 1e5 + 0.25)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.arcs == {(1, 2, 1)}
+        assert peak < 100_000 and elapsed < 0.5
+        assert union_graph(sig, UNION_FAMILY, 0.25, 1e4).arcs == {(1, 2, 1), (2, 3, 1)}
 
 
 class TestSwitchingSignalValidation:

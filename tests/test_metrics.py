@@ -1,9 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from compass_consensus import dynamics
 from compass_consensus.dynamics import Trajectory, simulate
 from compass_consensus.errors import DomainError
 from compass_consensus.graphs import SignedDigraph, SwitchingSignal
@@ -423,3 +425,87 @@ class TestSinglePassReport:
                 got = fn(traj)
                 assert np.array_equal(got, want)
                 assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def at_least_four_samples(traj):
+    """``traj`` with its last sample repeated until there are at least 4."""
+    extra = max(0, 4 - traj.num_samples)
+    X = np.concatenate([traj.blocks(), np.repeat(traj.blocks()[-1:], extra, axis=0)])
+    times = np.append(traj.times, traj.times[-1] + np.arange(1.0, extra + 1))
+    return make_traj(times, X, n=traj.n, d=traj.d)
+
+
+class TestChunkedReport:
+    """The report reduced chunk by chunk equals the series-by-series report
+    wherever the chunk edges fall."""
+
+    @pytest.mark.parametrize("edge", ["one-sample", "ragged", "zero-on-edge"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_series_by_series_report(self, seed, edge, monkeypatch):
+        rng = np.random.default_rng(1000 + seed)
+        traj = at_least_four_samples(tie_heavy_trajectory(rng))
+        m, nd = traj.num_samples, traj.n * traj.d
+        step = {"one-sample": 1, "ragged": m // 2 + 1, "zero-on-edge": m // 2}[edge]
+        elements = nd - 1 if edge == "one-sample" else step * nd
+        if edge == "zero-on-edge":  # zeros of both signs on each side of the chunk edge
+            X = traj.blocks()
+            for s in (step - 1, step):
+                X[s] = np.where(rng.random(X[s].shape) < 0.5, 0.0, -0.0)
+                X[s].flat[:2] = (0.0, -0.0)
+        assert max(1, elements // nd) == step and (m % step or edge != "ragged")
+        monkeypatch.setattr(dynamics, "_CHUNK_ELEMENTS", elements)
+        for mode in (None, "CooperativeBox", "SignedSquare"):
+            kw = dict(eps_agreement=float(rng.choice([1e-6, 0.5, 3.0])), monitor_mode=mode)
+            got, want = build_report(traj, **kw), v0_build_report(traj, **kw)
+            for name in REPORT_ARRAYS:
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+                assert np.array_equal(np.signbit(a), np.signbit(b)), name
+            assert got.monitor_violations == want.monitor_violations
+            dump = lambda r: json.dumps(r.to_json_dict(), sort_keys=True, indent=2)
+            assert dump(got) == dump(want)
+
+
+SERIES_CALLS = [
+    metrics.max_series, metrics.min_series, diameters_series, lyapunov_series,
+    metrics.abs_max_series, metrics.square_max_series, abs_spread_series,
+    lambda t: monotonicity_monitor(t, "SignedSquare"),
+    lambda t: agreement_verdict(t, 0.5),
+    lambda t: absolute_value_agreement(t, 0.5),
+    lambda t: build_report(t, monitor_mode="CooperativeBox"),
+]
+
+
+@pytest.mark.parametrize("m, n, d, elements", [
+    (7, 5, 1, None),     # d = 1: the (samples, d, agents) transpose is a view of the states
+    (7, 1, 3, None),     # n = 1
+    (9, 1, 1, None),
+    (50, 6, 2, 4 * 12),  # multi-chunk, ragged last chunk
+    (50, 6, 1, 4 * 6),   # multi-chunk with d = 1
+])
+def test_reductions_leave_the_states_unchanged(m, n, d, elements, monkeypatch):
+    if elements is not None:
+        monkeypatch.setattr(dynamics, "_CHUNK_ELEMENTS", elements)
+    rng = np.random.default_rng(m * n * d)
+    X = rng.choice([0.0, -0.0, 1.5, -1.5, -3.0], size=(m, n, d))
+    traj = make_traj(np.arange(float(m)), X, n=n, d=d)
+    before = traj.states.copy()
+    for call in SERIES_CALLS:
+        call(traj)
+        # Bit for bit: np.array_equal would miss a -0.0 turned into +0.0.
+        assert traj.states.tobytes() == before.tobytes()
+
+
+def test_report_memory_is_a_chunk_not_a_copy_of_the_states():
+    # Two full (samples, d, agents) copies, the transpose and its |x|, would
+    # peak at twice the states' size.
+    rng = np.random.default_rng(5)
+    m, n, d = 2000, 100, 3
+    traj = make_traj(np.arange(float(m)), rng.normal(size=(m, n, d)), n=n, d=d)
+    tracemalloc.start()
+    try:
+        build_report(traj, monitor_mode="SignedSquare")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * traj.states.nbytes

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import bisect
 import json
-import logging
 import os
 import sys
 from itertools import chain
@@ -53,13 +52,15 @@ EXIT_FEASIBILITY = 3
 EXIT_MONITOR = 4
 EXIT_DIVERGENCE = 5
 
-log = logging.getLogger("compass")
-
 
 def _setup_logging():
-    level = os.environ.get("COMPASS_LOG", "WARNING").upper()
+    if "COMPASS_LOG" not in os.environ:  # importing logging alone costs milliseconds
+        return
+    import logging
+
+    level = logging.getLevelName(os.environ["COMPASS_LOG"].upper())  # an int for a level name
     logging.basicConfig(
-        level=getattr(logging, level, logging.WARNING),
+        level=level if isinstance(level, int) else logging.WARNING,
         stream=sys.stderr,
         format="%(levelname)s %(name)s: %(message)s",
     )
@@ -82,8 +83,10 @@ def _load_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"no such file: {path}")
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ConfigError(exc.strerror or str(exc), field=path)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"not UTF-8 text ({exc.reason})", field=path)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"line {exc.lineno} column {exc.colno}: {exc.msg}", field=path)
 
@@ -178,6 +181,8 @@ def run_scenario(
     seed: int | None = None,
 ) -> int:
     """Simulate one config and write its artifacts; returns the exit code."""
+    import logging
+
     from . import metrics
 
     try:
@@ -205,7 +210,7 @@ def run_scenario(
     )
     rows = write_trajectory_csv(out / sc.trajectory_csv, traj, sc.downsample)
     write_metrics_json(out / sc.metrics_json, report.to_json_dict())
-    log.info(
+    logging.getLogger("compass").info(
         "wrote %s (%d rows) and %s", sc.trajectory_csv, rows, sc.metrics_json
     )
 

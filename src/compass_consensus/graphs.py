@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import bisect
 from collections import deque
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Iterable, Mapping
 
@@ -21,8 +20,34 @@ from . import _json
 from .errors import DomainError, InsufficientHorizonError, integer, real
 
 
-@dataclass(frozen=True)
-class SignedDigraph:
+class _Record:
+    """The value semantics of ``@dataclass(frozen=True)`` over the fields
+    annotated in the class body, without importing dataclasses. Constructors
+    fill ``__dict__``; no ``__slots__``, so pickle and copy can too."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in type(self).__annotations__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in type(self).__annotations__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SignedDigraph(_Record):
     """Directed graph on nodes 1..n with +/-1 signed arcs."""
 
     n: int
@@ -59,11 +84,8 @@ class SignedDigraph:
             if norm.get((j, i), s) != s:
                 raise DomainError(f"arc ({j},{i}) appears with conflicting signs")
             norm[(j, i)] = s
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "allow_self_loops", allow_self_loops)
-        object.__setattr__(
-            self, "arcs", frozenset((j, i, s) for (j, i), s in norm.items())
-        )
+        arcs = frozenset((j, i, s) for (j, i), s in norm.items())
+        self.__dict__.update(n=n, arcs=arcs, allow_self_loops=allow_self_loops)
 
     def out_adjacency(self) -> list[list[int]]:
         """Successor lists indexed 0..n-1 (self-loops dropped)."""
@@ -177,8 +199,7 @@ class ConnectivityMode(Enum):
         return _strong(adj)
 
 
-@dataclass(frozen=True)
-class SwitchingSignal:
+class SwitchingSignal(_Record):
     """Piecewise-constant family index over time.
 
     ``pieces`` is a list of (start_time, index); piece l is active on
@@ -209,13 +230,11 @@ class SwitchingSignal:
         times = [t for t, _ in pieces]
         if times != sorted(times):
             raise DomainError("piece start times must be finite and nondecreasing")
-        object.__setattr__(self, "tau_d", real("dwell time tau_d", tau_d, above=0))
+        tau_d = real("dwell time tau_d", tau_d, above=0)
         horizon_end = real("horizon_end", horizon_end)
         if not times[-1] < horizon_end:
             raise DomainError("horizon_end must be finite and exceed the last piece start")
-        object.__setattr__(self, "pieces", pieces)
-        object.__setattr__(self, "horizon_end", horizon_end)
-        object.__setattr__(self, "periodic", periodic)
+        self.__dict__.update(pieces=pieces, tau_d=tau_d, horizon_end=horizon_end, periodic=periodic)
 
     @property
     def t0(self) -> float:
@@ -284,13 +303,15 @@ class SwitchingSignal:
         return segs[: bisect.bisect_right(segs, t_end, key=lambda seg: seg[0])]
 
 
-@dataclass(frozen=True)
-class DwellViolation:
+class DwellViolation(_Record):
     """A switching-signal defect: two piece starts closer than the dwell time."""
 
     index: int
     gap: float
     required: float
+
+    def __init__(self, index, gap, required):
+        self.__dict__.update(index=index, gap=gap, required=required)
 
     def __str__(self) -> str:
         return (
@@ -370,8 +391,7 @@ def union_graph(
     return SignedDigraph(n, arcs, allow_self_loops=loops)
 
 
-@dataclass(frozen=True)
-class ConnectivityVerdict:
+class ConnectivityVerdict(_Record):
     """Outcome of a uniform joint connectivity check."""
 
     ok: bool
@@ -379,8 +399,13 @@ class ConnectivityVerdict:
     window: float
     scope: str
     windows_checked: int
-    witness: tuple[float, float] | None = None
-    checked_windows: tuple[tuple[float, float, bool], ...] = field(default=())
+    witness: tuple[float, float] | None
+    checked_windows: tuple[tuple[float, float, bool], ...]
+
+    def __init__(self, ok, mode, window, scope, windows_checked, witness=None, checked_windows=()):
+        self.__dict__.update(ok=ok, mode=mode, window=window, scope=scope,
+                             windows_checked=windows_checked, witness=witness,
+                             checked_windows=checked_windows)
 
     def __bool__(self) -> bool:
         return self.ok

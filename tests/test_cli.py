@@ -20,6 +20,18 @@ from test_scenario import rotated_config
 
 pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
 
+SRC = Path(compass_consensus.__file__).parents[1]
+
+
+def fresh_python(code: str, **env: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports the package from
+    ``SRC``; ``COMPASS_LOG`` is set only if ``env`` sets it."""
+    environ = {k: v for k, v in os.environ.items() if k != "COMPASS_LOG"}
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**environ, "PYTHONPATH": str(SRC), **env},
+    )
+
 
 def write_json(path, obj):
     path.write_text(json.dumps(obj), encoding="utf-8")
@@ -206,6 +218,29 @@ class TestRun:
         assert rows == ["0.0,1,0.0,a", "2.0,1,2.0,b", "3.0,1,3.0,b"]
 
 
+@pytest.mark.parametrize("argv, prefix", [
+    (["run", "{}", "--out-dir", "{out}"], "config error: "),
+    (["check-graphs", "{}", "--window", "1.0"], "parse error: "),
+    (["dump-config", "{}"], "config error: "),
+], ids=["run", "check-graphs", "dump-config"])
+@pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+def test_unreadable_input_exit_2_with_one_line(tmp_path, capsys, argv, prefix, kind):
+    # Exit 1 is check-graphs' "not connected": an input that cannot be read
+    # is a config error, reported in one line.
+    if kind == "directory":
+        path, reason = tmp_path / "in.json", "Is a directory"
+        path.mkdir()
+    else:
+        path, reason = tmp_path / "in.json", "not UTF-8 text"
+        path.write_bytes(b'{"graphs": "\xff"}')
+    argv = [a.format(path, out=tmp_path / "out") for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{prefix}{path}: ") and reason in captured.err
+    assert captured.err.count("\n") == 1
+
+
 class TestLogging:
     def test_compass_log_env_sets_level(self, tmp_path, monkeypatch):
         import logging
@@ -217,6 +252,38 @@ class TestLogging:
         # basicConfig only applies once per process; accept either state but
         # the run must succeed with the env var present
         assert logging.getLogger().level in (root_level_before, logging.DEBUG)
+
+    def test_info_line_in_a_fresh_process(self, tmp_path):
+        argv = ["run", write_json(tmp_path / "c.json", consensus_config(t_end=1.0)),
+                "--out-dir", str(tmp_path)]
+        done = fresh_python(f"from compass_consensus.cli import main; assert main({argv!r}) == 0",
+                            COMPASS_LOG="INFO")
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == "INFO compass: wrote traj.csv (2002 rows) and metrics.json\n"
+
+    def test_no_handler_and_no_output_without_compass_log(self, tmp_path):
+        argv = ["run", write_json(tmp_path / "c.json", consensus_config(t_end=1.0)),
+                "--out-dir", str(tmp_path)]
+        done = fresh_python(
+            "import logging; from compass_consensus.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "assert logging.getLogger().handlers == []")
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+
+    @pytest.mark.parametrize("name, level", [
+        ("basic_format", "WARNING"), ("bogus", "WARNING"), ("debug", "DEBUG"),
+    ])
+    def test_level_names(self, tmp_path, name, level):
+        # Only a level name sets the level: logging.BASIC_FORMAT is a string.
+        argv = ["check-graphs", graphs_file(tmp_path), "--window", "2.0"]
+        done = fresh_python(
+            "import logging; from compass_consensus.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            f"assert logging.getLogger().level == logging.{level}",
+            COMPASS_LOG=name)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
 
 
 class TestDumpConfig:
@@ -512,42 +579,43 @@ def test_benchmark_trace_points_are_called(tmp_path, monkeypatch, capsys):
     assert callable(graphs.union_graph) and callable(scenario.ProtocolSpec)
 
 
-SRC = Path(compass_consensus.__file__).parents[1]
-
-
-def modules_added_by(code: str) -> tuple[set[str], set[str]]:
+def modules_added_by(code: str) -> tuple[set[str], set[str], set[str]]:
     """Run ``code`` in a fresh interpreter; return the third-party top-level
-    packages and the package's own modules it adds to ``sys.modules`` (site
-    hooks may preload some before it)."""
+    packages, the package's own modules and the standard-library modules it
+    adds to ``sys.modules`` (site hooks may preload some before it)."""
     script = f"import sys; base = set(sys.modules)\n{code}\nprint(*set(sys.modules) - base)"
-    out = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, check=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": str(SRC)},
-    ).stdout
-    added = out.splitlines()[-1].split()
+    done = fresh_python(script)
+    assert done.returncode == 0, done.stderr
+    added = done.stdout.splitlines()[-1].split()
+    stdlib = {m for m in added if m.split(".")[0] in sys.stdlib_module_names}
     third_party = {m.split(".")[0] for m in added} - set(sys.stdlib_module_names)
     ours = {m.split(".")[1] for m in added if m.startswith("compass_consensus.")}
-    return third_party - {"compass_consensus"}, ours
+    return third_party - {"compass_consensus"}, ours, stdlib
 
 
 class TestCommandImports:
     # Each command imports only the layers it runs. check-graphs needs only
     # graphs, _json and errors; run loads the runtime dependencies in
     # pyproject.toml and no more: no scipy, and no test-only jsonschema.
+    # Neither the import nor check-graphs loads the standard library's slow
+    # starters: dataclasses (which brings inspect) and logging.
     RUN_LAYERS = {"dynamics", "metrics", "scenario", "protocols", "geometry", "vicsek"}
+    SLOW_STDLIB = {"dataclasses", "inspect", "logging"}
 
     @pytest.mark.parametrize("module", ["compass_consensus", "compass_consensus.cli"])
     def test_import_loads_no_run_layer(self, module):
-        third_party, ours = modules_added_by(f"import {module}")
+        third_party, ours, stdlib = modules_added_by(f"import {module}")
         assert third_party == set()
         assert not ours & self.RUN_LAYERS
+        assert not stdlib & self.SLOW_STDLIB
 
     def test_check_graphs_loads_no_third_party_module(self, tmp_path):
         argv = ["check-graphs", graphs_file(tmp_path), "--window", "2.0"]
-        third_party, ours = modules_added_by(
+        third_party, ours, stdlib = modules_added_by(
             f"from compass_consensus.cli import main; assert main({argv!r}) == 0")
         assert third_party == set()
         assert ours == {"cli", "graphs", "_json", "errors"}
+        assert not stdlib & self.SLOW_STDLIB
 
     def test_run_loads_only_runtime_dependencies(self, tmp_path):
         tomllib = pytest.importorskip("tomllib")
@@ -555,7 +623,7 @@ class TestCommandImports:
             deps = tomllib.load(f)["project"]["dependencies"]
         argv = ["run", write_json(tmp_path / "c.json", consensus_config(t_end=1.0)),
                 "--out-dir", str(tmp_path)]
-        third_party, ours = modules_added_by(
+        third_party, ours, _stdlib = modules_added_by(
             f"from compass_consensus.cli import main; assert main({argv!r}) == 0")
         assert third_party == {re.match(r"[\w.-]+", dep)[0] for dep in deps}
         assert ours >= {"dynamics", "metrics", "scenario"}

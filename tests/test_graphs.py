@@ -1,4 +1,6 @@
 import bisect
+import copy
+import pickle
 import time
 import tracemalloc
 
@@ -10,6 +12,8 @@ from hypothesis import strategies as st
 from compass_consensus.errors import DomainError, InsufficientHorizonError
 from compass_consensus.graphs import (
     ConnectivityMode,
+    ConnectivityVerdict,
+    DwellViolation,
     SignedDigraph,
     SwitchingSignal,
     chain_graph,
@@ -646,3 +650,65 @@ class TestJsonRoundTrip:
         g = graph_from_json({"n": 3, "arcs": [[1, 2.0, -1.0], [2.0, 3]]})
         assert g.arcs == {(1, 2, -1), (2, 3, 1)}
         assert all(type(x) is int for arc in g.arcs for x in arc)
+
+
+# (build, build a record that differs in one field, field names, repr). The
+# reprs are what @dataclass(frozen=True) printed for these records.
+RECORDS = [
+    (lambda: SignedDigraph(2, [(1, 2, -1)]),
+     lambda: SignedDigraph(2, [(1, 2, 1)]),
+     ("n", "arcs", "allow_self_loops"),
+     "SignedDigraph(n=2, arcs=frozenset({(1, 2, -1)}), allow_self_loops=False)"),
+    (lambda: SwitchingSignal([(0.0, "a"), (1.5, "b")], 0.5, 3.0, periodic=True),
+     lambda: SwitchingSignal([(0.0, "a"), (1.5, "b")], 0.5, 3.0),
+     ("pieces", "tau_d", "horizon_end", "periodic"),
+     "SwitchingSignal(pieces=((0.0, 'a'), (1.5, 'b')), tau_d=0.5, horizon_end=3.0, "
+     "periodic=True)"),
+    (lambda: validate_switching_signal(SwitchingSignal([(0.0, "a"), (0.25, "b")], 0.5, 3.0))[0],
+     lambda: DwellViolation(1, 0.25, 0.75),
+     ("index", "gap", "required"),
+     "DwellViolation(index=1, gap=0.25, required=0.5)"),
+    (lambda: check_uniform_joint_connectivity(
+        SwitchingSignal([(0.0, "a")], 1.0, 2.0), {"a": SignedDigraph(2, [(1, 2)])}, 1.0,
+        ConnectivityMode.STRONG),
+     lambda: ConnectivityVerdict(False, ConnectivityMode.STRONG, 1.0, "horizon [0.0, 2.0)", 2,
+                                 (0.0, 1.0)),
+     ("ok", "mode", "window", "scope", "windows_checked", "witness", "checked_windows"),
+     "ConnectivityVerdict(ok=False, mode=<ConnectivityMode.STRONG: 'Strong'>, window=1.0, "
+     "scope='horizon [0.0, 2.0)', windows_checked=2, witness=(0.0, 1.0), "
+     "checked_windows=((0.0, 1.0, False), (1.0, 2.0, False)))"),
+]
+RECORD_IDS = ["SignedDigraph", "SwitchingSignal", "DwellViolation", "ConnectivityVerdict"]
+
+
+@pytest.mark.parametrize("build, other, fields, text", RECORDS, ids=RECORD_IDS)
+class TestRecordValueSemantics:
+    # The graph records keep the value semantics of frozen dataclasses.
+
+    def test_repr(self, build, other, fields, text):
+        assert repr(build()) == text
+
+    def test_equality_and_hash_over_the_fields(self, build, other, fields, text):
+        a, b = build(), build()
+        assert a is not b and a == b and not a != b
+        assert hash(a) == hash(b) == hash(tuple(getattr(a, f) for f in fields))
+        assert a != other() and a != tuple(getattr(a, f) for f in fields)
+        assert a.__eq__(object()) is NotImplemented
+
+    def test_pickle_and_copy_round_trips(self, build, other, fields, text):
+        a = build()
+        copies = [pickle.loads(pickle.dumps(a, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        copies += [copy.copy(a), copy.deepcopy(a)]
+        for back in copies:
+            assert type(back) is type(a) and back == a and hash(back) == hash(a)
+            assert repr(back) == text
+
+    def test_assignment_and_deletion_raise(self, build, other, fields, text):
+        a = build()
+        for name in (*fields, "extra"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(a, name, 1)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(a, name)
+        assert repr(a) == text

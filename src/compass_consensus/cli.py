@@ -187,29 +187,27 @@ def run_scenario(
 
     try:
         sc = scenario_from_dict(_load_json(config_path), seed_override=seed)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
         traj = simulate(sc)
+        report = metrics.build_report(
+            traj,
+            eps_agreement=sc.eps_agreement,
+            monitor_mode=sc.monitor_mode,
+            tol_monotone=sc.tol_monotone,
+        )
+        rows = write_trajectory_csv(out / sc.trajectory_csv, traj, sc.downsample)
+        write_metrics_json(out / sc.metrics_json, report.to_json_dict())
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
+    except OSError as exc:  # the output directory or an artifact cannot be made or written
+        print(f"config error: {ConfigError(exc.strerror or str(exc), exc.filename)}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     except CompassError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-    report = metrics.build_report(
-        traj,
-        eps_agreement=sc.eps_agreement,
-        monitor_mode=sc.monitor_mode,
-        tol_monotone=sc.tol_monotone,
-    )
-    rows = write_trajectory_csv(out / sc.trajectory_csv, traj, sc.downsample)
-    write_metrics_json(out / sc.metrics_json, report.to_json_dict())
     logging.getLogger("compass").info(
         "wrote %s (%d rows) and %s", sc.trajectory_csv, rows, sc.metrics_json
     )

@@ -20,6 +20,8 @@ on antagonistic arcs when the signed condition is requested). The boxes are
 reduced over hull lists read from each graph's arcs, and the fields evaluated,
 a bounded chunk of samples at a time: O(m * nnz * d) time for m samples, nnz
 hull members (arcs plus self) and d axes, in working memory bounded per chunk.
+One walker over the run table yields those chunks, each graph's samples
+gathered from its runs; ``fields_along`` reads the states through it too.
 Agents are bucketed by hull size rounded up to a power of two, and each list
 is padded to its bucket's size with the agent itself (exact, as min and max
 are idempotent): padding at most doubles nnz, and a hub of a star graph
@@ -35,7 +37,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 import numpy as np
 
@@ -227,26 +229,37 @@ def simulate(scenario: "ScenarioConfig") -> Trajectory:
     return traj
 
 
-def _sample_groups(traj: Trajectory, spec: ProtocolSpec) -> dict[Any, np.ndarray]:
-    """Sample indices of each active graph label, gathered from its runs.
+# Float64 elements per array of a sample chunk: bounds a reader's working set
+# whatever the trajectory length, and at 512 KB keeps a chunk cache-resident
+# (larger budgets measured slower).
+_CHUNK_ELEMENTS = 1 << 16
 
-    Rejects with DomainError a trajectory the protocol cannot have produced.
-    """
+
+def _label_chunks(
+    traj: Trajectory, spec: ProtocolSpec, floats_per_sample: Callable[[Any], int]
+) -> Iterator[tuple[Any, np.ndarray, np.ndarray]]:
+    """Yield (p, samples, states) per active graph label, gathered from all of
+    its runs, in chunks of max(1, _CHUNK_ELEMENTS // floats_per_sample(p))
+    samples; ``states`` is their copy shaped (samples, n, d). First rejects
+    with DomainError a trajectory the protocol cannot have produced."""
     if traj.n != spec.n:
         raise DomainError(f"trajectory has n={traj.n} but the protocol has n={spec.n}")
     spans: dict[Any, list[tuple[int, int]]] = {}
     for p, a, b in traj.runs:
-        spans.setdefault(p, []).append((a, b))
-    groups = {}
-    for p, ab in spans.items():
         if p not in spec.family:
             raise DomainError(f"active index {p!r} is not in the graph family")
+        spans.setdefault(p, []).append((a, b))
+    X = traj.blocks()
+    for p, ab in spans.items():
         # Sample a + j of a run sits at position offset + j of the label's
         # concatenated runs: shift the positions by a - offset, run by run.
         a, b = np.array(ab).T
         n = b - a
-        groups[p] = np.arange(n.sum()) + np.repeat(a - (np.cumsum(n) - n), n)
-    return groups
+        sel = np.arange(n.sum()) + np.repeat(a - (np.cumsum(n) - n), n)
+        step = max(1, _CHUNK_ELEMENTS // floats_per_sample(p))
+        for k in range(0, sel.size, step):
+            idx = sel[k : k + step]
+            yield p, idx, X[idx]
 
 
 def _field_block(spec: ProtocolSpec, p: Any, X: np.ndarray) -> np.ndarray:
@@ -258,17 +271,12 @@ def _field_block(spec: ProtocolSpec, p: Any, X: np.ndarray) -> np.ndarray:
 
 def fields_along(traj: Trajectory, spec: ProtocolSpec) -> np.ndarray:
     """Active vector field evaluated at every sample, shaped (m, n, d)."""
-    X = traj.blocks()
-    F = np.empty_like(X)
-    for p, sel in _sample_groups(traj, spec).items():
-        F[sel] = _field_block(spec, p, X[sel])
+    F = np.empty_like(traj.blocks())
+    for p, sel, Xs in _label_chunks(traj, spec, lambda p: traj.n * traj.d):
+        F[sel] = _field_block(spec, p, Xs)
     return F
 
 
-# Float64 elements in one chunk's gathered hull candidates and negated copy:
-# bounds the validator's working set whatever the trajectory length, and at
-# 512 KB keeps a chunk cache-resident (larger budgets measured slower).
-_CHUNK_ELEMENTS = 1 << 16
 # A sample chunk's box bounds, facet masks and inward field, each (samples, n, d).
 _Facets = namedtuple("_Facets", "lo hi width at_lower degen active inward")
 
@@ -314,29 +322,27 @@ def _facet_chunks(
     axis is on one facet (on both, it is degenerate); ``inward`` is the field
     component into the box: f_k at the lower facet, -f_k at the upper.
     """
-    X = traj.blocks()
-    n, d = spec.n, traj.d
-    for p, sel in _sample_groups(traj, spec).items():
-        tables = _hull_tables(spec, p, signed)
-        entries = sum(table.size for table in tables) + (2 * n if signed else n)
-        step = max(1, _CHUNK_ELEMENTS // (entries * d))
-        for k in range(0, sel.size, step):
-            idx = sel[k : k + step]
-            Xs = X[idx]
-            Y = np.concatenate([Xs, -Xs], axis=1) if signed else Xs
-            if len(tables) == 1:  # every agent in one bucket, in agent order
-                lo, hi = _box(Y, tables[0])
-            else:
-                lo, hi = np.empty_like(Xs), np.empty_like(Xs)
-                for table in tables:
-                    lo[:, table[0]], hi[:, table[0]] = _box(Y, table)
-            width = hi - lo
-            at_lower = np.abs(Xs - lo) <= ftol
-            degen = width <= 2 * ftol
-            active = (at_lower | (np.abs(Xs - hi) <= ftol)) & ~degen
-            Fs = _field_block(spec, p, Xs)
-            inward = np.where(at_lower, Fs, -Fs)
-            yield p, idx, Fs, _Facets(lo, hi, width, at_lower, degen, active, inward)
+    tables: dict[Any, list[np.ndarray]] = {}
+
+    def floats_per_sample(p):  # builds each label's tables once, before its chunks
+        tables[p] = _hull_tables(spec, p, signed)
+        return (sum(table.size for table in tables[p]) + (2 if signed else 1) * spec.n) * traj.d
+
+    for p, idx, Xs in _label_chunks(traj, spec, floats_per_sample):
+        Y = np.concatenate([Xs, -Xs], axis=1) if signed else Xs
+        if len(tables[p]) == 1:  # every agent in one bucket, in agent order
+            lo, hi = _box(Y, tables[p][0])
+        else:
+            lo, hi = np.empty_like(Xs), np.empty_like(Xs)
+            for table in tables[p]:
+                lo[:, table[0]], hi[:, table[0]] = _box(Y, table)
+        width = hi - lo
+        at_lower = np.abs(Xs - lo) <= ftol
+        degen = width <= 2 * ftol
+        active = (at_lower | (np.abs(Xs - hi) <= ftol)) & ~degen
+        Fs = _field_block(spec, p, Xs)
+        inward = np.where(at_lower, Fs, -Fs)
+        yield p, idx, Fs, _Facets(lo, hi, width, at_lower, degen, active, inward)
 
 
 def validate_feasibility(

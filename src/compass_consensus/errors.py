@@ -63,7 +63,11 @@ def real(name: str, value: Any, above: float | None = None, minimum: float | Non
     if minimum is not None:
         bounds.append("nonnegative" if minimum == 0 else f"at least {minimum}")
     rule = " and ".join(bounds + ["finite"])
-    raise DomainError(f"{name} must be {rule} (numbers, not booleans or strings), got {value!r}")
+    try:
+        got = repr(value)
+    except ValueError:  # an int past the interpreter's limit on digits to print
+        got = "a number too long to print"
+    raise DomainError(f"{name} must be {rule} (numbers, not booleans or strings), got {got}")
 
 
 def integer(name: str, value: Any) -> int:

@@ -14,7 +14,8 @@ from __future__ import annotations
 import bisect
 from collections import deque
 from enum import Enum
-from typing import Any, Iterable, Mapping
+from itertools import count
+from typing import Any, Iterable, Iterator, Mapping
 
 from . import _json
 from .errors import DomainError, InsufficientHorizonError, integer, real
@@ -247,59 +248,49 @@ class SwitchingSignal(_Record):
     def start_times(self) -> list[float]:
         return [t for t, _ in self.pieces]
 
-    def _copy_starts(self, k: int) -> list[float]:
-        """Piece starts of periodic copy k: ``start_l + k * period``."""
-        shift = k * self.period
-        return [t + shift for t, _ in self.pieces]
-
-    def _copy_index(self, t: float) -> int:
-        """The last periodic copy k whose start ``t0 + k * period`` is at or
-        before t >= t0 (0 for an aperiodic signal)."""
-        if not self.periodic:
-            return 0
-        k = int((t - self.t0) // self.period)
-        # The quotient can round to either neighbouring copy; step to the right one.
-        while k > 0 and self.t0 + k * self.period > t:
-            k -= 1
-        while self.t0 + (k + 1) * self.period <= t:
-            k += 1
-        return k
-
-    def _copy_segments(self, k: int) -> list[tuple[float, float, Any]]:
-        """Constant pieces (a, b, label) of periodic copy k, the last one ending
-        at ``t0 + (k + 1) * period`` (``horizon_end`` if aperiodic)."""
-        tiled = self._copy_starts(k)
-        end = self.t0 + (k + 1) * self.period if self.periodic else self.horizon_end
-        return list(zip(tiled, tiled[1:] + [end], (p for _, p in self.pieces)))
+    def _copies(self, t: float) -> Iterator[list[tuple[float, float, Any]]]:
+        """Segments (a, b, label) of each periodic copy in turn, from the one
+        holding t >= t0: copy k's pieces start at ``start_l + k * period``
+        (integer period counts, so no rounding accumulates over periods) and
+        its last ends at ``t0 + (k + 1) * period``, the next copy's start. An
+        aperiodic signal is one copy, ending at ``horizon_end``."""
+        starts, labels = self.start_times(), [p for _, p in self.pieces]
+        # The quotient can round to either neighbour: start below it, skip copies ending by t.
+        first = max(0, int((t - self.t0) // self.period) - 1) if self.periodic else 0
+        for k in count(first) if self.periodic else [0]:
+            end = self.t0 + (k + 1) * self.period if self.periodic else self.horizon_end
+            if end > t or not self.periodic:
+                tiled = list(map((k * self.period).__add__, starts))
+                yield list(zip(tiled, tiled[1:] + [end], labels))
 
     def active_index(self, t: float) -> Any:
         """Family index active at time t (right-continuous), in O(pieces): the
-        label of the segment of ``segments`` holding t, bounded by the same
-        float expressions, so the two agree at every switch instant."""
+        label of the segment of ``segments`` holding t, read from the same
+        periodic copy, so the two agree at every switch instant."""
         t = real("t", t)
         if t < self.t0:
             raise DomainError(f"t={t} is before the signal start {self.t0}")
         if t > self.horizon_end and not self.periodic:
             raise DomainError(f"t={t} is past the horizon_end {self.horizon_end} of the signal")
-        k = self._copy_index(t)
-        return self.pieces[bisect.bisect_right(self._copy_starts(k), t) - 1][1]
+        segs = next(self._copies(t))
+        return segs[bisect.bisect_right(segs, t, key=lambda seg: seg[0]) - 1][2]
 
     def segments(self, t_end: float) -> list[tuple[float, float, Any]]:
         """Constant pieces (a, b, label) in time order, through the one active at t_end.
 
         ``b`` is the next segment's start (``horizon_end`` for the last piece
         of an aperiodic signal), so a segment starting exactly at t_end is
-        included. Periodic copy k starts at ``start_l + k * period``: integer
-        period counts, so no rounding accumulates over periods.
+        included. The periodic copies are tiled from t0 until one ends past
+        t_end; ``active_index`` and ``union_graph`` read the same copies.
         """
         t_end = real("t_end", t_end)
         if t_end > self.horizon_end and not self.periodic:
             raise DomainError("t_end exceeds the horizon of an aperiodic signal")
         segs: list[tuple[float, float, Any]] = []
-        k = 0
-        while not segs or (self.periodic and segs[-1][1] <= t_end):
-            segs += self._copy_segments(k)
-            k += 1
+        for copy in self._copies(self.t0):
+            segs += copy
+            if copy[-1][1] > t_end:
+                break
         return segs[: bisect.bisect_right(segs, t_end, key=lambda seg: seg[0])]
 
 
@@ -368,9 +359,9 @@ def union_graph(
 
     Connectivity of the joint graph does not depend on arc signs, so an arc
     present under either sign is present (with sign +1) in the union. Only
-    the periodic copies from the one holding t1 to the one holding t2 are
-    read, each built as ``segments`` builds it, and the segments with
-    start < t2 and end > t1 are kept; the scan stops once every label is in.
+    the periodic copies from the one holding t1 until one ends at or after t2
+    are read, from ``_copies`` as ``segments`` reads them, and the segments
+    with start < t2 and end > t1 are kept; it stops early once every label is in.
     """
     t1, t2 = real("t1", t1), real("t2", t2)
     if not t1 < t2:
@@ -382,9 +373,9 @@ def union_graph(
     n = _node_count(signal, family)
     every = {p for _t, p in signal.pieces}
     labels: set = set()
-    for k in range(signal._copy_index(t1), signal._copy_index(t2) + 1):
-        labels.update(p for a, b, p in signal._copy_segments(k) if a < t2 and b > t1)
-        if labels == every:
+    for copy in signal._copies(t1):
+        labels.update(p for a, b, p in copy if a < t2 and b > t1)
+        if copy[-1][1] >= t2 or labels == every:
             break
     arcs = {(j, i, 1) for p in labels for (j, i, _s) in family[p].arcs}
     loops = any(family[p].allow_self_loops for p in labels)

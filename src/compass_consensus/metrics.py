@@ -27,7 +27,6 @@ calculator and never asserted against measured rates.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
@@ -322,9 +321,7 @@ def t_bar_from_window(n: int, T: float, tau_d: float) -> float:
     if n < 2:
         raise DomainError("need at least 2 agents")
     T, tau_d = real("T", T, above=0), real("tau_d", tau_d, above=0)
-    if n * n > sys.float_info.max or n * n * (T + 2.0 * tau_d) == math.inf:
-        raise DomainError("n^2 (T + 2 tau_d) is not a finite float")
-    return n * n * (T + 2.0 * tau_d)
+    return real("n^2 (T + 2 tau_d)", real("n^2", n * n) * (T + 2.0 * tau_d))
 
 
 def rate_bound(
@@ -342,8 +339,8 @@ def rate_bound(
         raise DomainError("need at least 2 agents")
     if d < 1:
         raise DomainError("dimension must be positive")
-    if n > sys.float_info.max or d > sys.float_info.max:
-        raise DomainError("n and d must be within the float range")
+    real("n", n)  # n and d within the float range, as n L* T' and d T' use them
+    real("d", d)
     names = ("T_bar", "gamma", "tau_d", "L_star", "L_plus")
     values = (T_bar, gamma, tau_d, L_star, L_plus)
     T_bar, gamma, tau_d, L_star, L_plus = (real(k, x, above=0) for k, x in zip(names, values))

@@ -82,6 +82,22 @@ class TestRun:
     def test_missing_file_exit_2(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json"), "--out-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("where", ["out-dir is a file", "out-dir below a file",
+                                       "csv is a directory"])
+    def test_unusable_out_dir_exit_2_with_one_line(self, tmp_path, capsys, where):
+        # Exit 1 is check-graphs' "not connected": an output path that cannot
+        # be made or written is a config error, reported in one line.
+        cfg = write_json(tmp_path / "c.json", consensus_config(t_end=1.0, h=0.1))
+        blocker = tmp_path / "taken"
+        blocker.write_text("", encoding="utf-8")
+        out = {"out-dir is a file": blocker, "out-dir below a file": blocker / "sub",
+               "csv is a directory": tmp_path / "out"}[where]
+        (tmp_path / "out" / "traj.csv").mkdir(parents=True)
+        assert main(["run", cfg, "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+
     def test_strict_feasibility_exit_3(self, tmp_path, capsys):
         # quarter-turn rotation on a flat two-agent box: field leaves the
         # carrier subspace at once
@@ -523,6 +539,17 @@ class TestRateBound:
         code = main(["rate-bound", *(s for kv in args.items() for s in kv)])
         assert code == 2
         assert "finite" in capsys.readouterr().err
+
+    def test_agent_count_squared_too_long_to_print_exit_2(self, capsys):
+        # n has 2201 digits, so argparse reads it, but n^2 has more than str()
+        # prints by default: its refusal still ends in one error line.
+        code = main([
+            "rate-bound", "--n", "1" + "0" * 2200, "--d", "1", "--T", "1", "--tau-d", "1",
+            "--gamma", "1", "--L-star", "1", "--L-plus", "1",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_many_agents_exit_0(self, capsys):
         code = main([

@@ -819,6 +819,24 @@ def test_validator_memory_grows_with_arcs_not_n_squared():
     assert peak < 24e6
 
 
+def test_fields_along_memory_is_its_output_and_a_chunk():
+    # One label over 6.4 MB of states: the field array and one sample chunk,
+    # not a gathered copy of the label's states and its field on top.
+    rng = np.random.default_rng(13)
+    n, d, m = 100, 2, 4000
+    spec = ProtocolSpec(kind="WeightedConsensus", family={"g": complete_graph(n)}, gamma=1.0)
+    traj = sampled_trajectory(rng.normal(size=(m, n, d)), ["g"] * m)
+    spec.linear_field("g", traj.blocks()[:1])  # builds the operator outside the trace
+    tracemalloc.start()
+    try:
+        F = fields_along(traj, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(F, spec.linear_field("g", traj.blocks()))
+    assert peak < traj.states.nbytes + 2e6
+
+
 def propagator_case(kind, d, periodic, seed):
     """A three-graph scenario on 5 agents whose segments end off the h grid.
 

@@ -220,6 +220,13 @@ class TestReal:
                                               r"booleans or strings\), got "):
             real("width", value)
 
+    @pytest.mark.parametrize("value", [10**5000, -(10**5000), Fraction(10**5000, 3)],
+                             ids=["int", "negative-int", "fraction"])
+    def test_refuses_a_number_too_long_to_print(self, value):
+        # repr() raises ValueError past the interpreter's limit on int digits.
+        with pytest.raises(DomainError, match="^width must be finite .* got a number too long"):
+            real("width", value)
+
     def test_bounds(self):
         assert real("x", 0, minimum=0) == 0.0 and real("x", 1e-300, above=0) == 1e-300
         with pytest.raises(DomainError, match="^x must be positive and finite"):
@@ -247,7 +254,8 @@ class TestInteger:
 
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "compass_consensus"
-HAND_WRITTEN_RANGE = re.compile(r"<\s*(np\.inf|math\.inf|float\(\s*['\"]inf['\"]\s*\))")
+HAND_WRITTEN_RANGE = re.compile(
+    r"<\s*(np\.inf|math\.inf|float\(\s*['\"]inf['\"]\s*\))|float_info\.max")
 
 
 def test_range_checks_are_written_once():

@@ -1,5 +1,6 @@
 import bisect
 import copy
+import math
 import pickle
 import time
 import tracemalloc
@@ -285,6 +286,21 @@ class TestUnionGraphCopies:
         assert g.arcs == {(1, 2, 1)}
         assert peak < 100_000 and elapsed < 0.5
         assert union_graph(sig, UNION_FAMILY, 0.25, 1e4).arcs == {(1, 2, 1), (2, 3, 1)}
+
+    @pytest.mark.parametrize("name", ["inexact-period", "zero-length-piece"])
+    def test_far_copy_lookup_union_and_tiling_agree(self, name):
+        # At every piece start of copy k = 10**6 and one ulp either side, the
+        # lookup, a one-ulp union window and start_l + k * period name one label.
+        sig, k = UNION_SIGNALS[name], 10**6
+        tiled = [(s + j * sig.period, p) for j in (k - 1, k, k + 1) for s, p in sig.pieces]
+        arcs = {p: {(j, i, 1) for j, i, _s in g.arcs} for p, g in UNION_FAMILY.items()}
+        for s, _p in sig.pieces:
+            a = s + k * sig.period
+            for t in (math.nextafter(a, -math.inf), a, math.nextafter(a, math.inf)):
+                expect = [p for start, p in tiled if start <= t][-1]
+                union = union_graph(sig, UNION_FAMILY, t, math.nextafter(t, math.inf))
+                assert sig.active_index(t) == expect, t
+                assert [p for p in arcs if arcs[p] == union.arcs] == [expect], t
 
 
 class TestSwitchingSignalValidation:

@@ -252,10 +252,10 @@ class TestRateBound:
     def test_counts_beyond_the_float_range_rejected(self):
         # 10**400 has no float; 10**154 has one, but n^2 (T + 2 tau_d) does not.
         for n, d in ((10**400, 1), (3, 10**400)):
-            with pytest.raises(DomainError, match="float range"):
+            with pytest.raises(DomainError, match="must be finite"):
                 rate_bound(n, d, 1.0, 1.0, 1.0, 1.0, 1.0)
         for n in (10**400, 10**154):
-            with pytest.raises(DomainError, match="finite float"):
+            with pytest.raises(DomainError, match="must be finite"):
                 t_bar_from_window(n, 1.0, 1.0)
 
     @pytest.mark.parametrize("n, d", [(2.5, 1), (3, True), (True, 1), (3, 1.0), ("3", 1)],

@@ -17,14 +17,12 @@ errors; 3 feasibility violations under --strict; 4 monitor violations under
 from __future__ import annotations
 
 import argparse
-import bisect
 import json
 import os
 import sys
 from itertools import chain
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import _json
 from .errors import (
@@ -33,7 +31,6 @@ from .errors import (
     DivergenceError,
     DomainError,
     InsufficientHorizonError,
-    integer,
 )
 from .graphs import (
     ConnectivityMode,
@@ -41,9 +38,6 @@ from .graphs import (
     graph_from_json,
     signal_from_json,
 )
-
-if TYPE_CHECKING:
-    from .dynamics import Trajectory
 
 EXIT_OK = 0
 EXIT_NOT_CONNECTED = 1
@@ -67,8 +61,9 @@ def _setup_logging():
 
 
 # numpy and the run layers load on a command's first call to them, so that
-# check-graphs never imports them. The commands call these through the module
-# attributes, which the benchmark wraps to time each layer.
+# check-graphs never imports them. The benchmark wraps these module attributes
+# to time each layer. `run` streams its states and calls only the first; the
+# other two stay importable here for the stored-trajectory path.
 def scenario_from_dict(*args, **kwargs):
     from .scenario import scenario_from_dict
     return scenario_from_dict(*args, **kwargs)
@@ -77,6 +72,11 @@ def scenario_from_dict(*args, **kwargs):
 def simulate(*args, **kwargs):
     from .dynamics import simulate
     return simulate(*args, **kwargs)
+
+
+def write_trajectory_csv(*args, **kwargs):
+    from .artifacts import write_trajectory_csv
+    return write_trajectory_csv(*args, **kwargs)
 
 
 def _load_json(path: str) -> dict:
@@ -89,34 +89,6 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"not UTF-8 text ({exc.reason})", field=path)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"line {exc.lineno} column {exc.colno}: {exc.msg}", field=path)
-
-
-def write_trajectory_csv(path: Path, traj: Trajectory, downsample: int = 1) -> int:
-    """One row per (sample, agent): t, agent, x_1..x_d, active_p. Returns rows written."""
-    downsample = integer("downsample", downsample)
-    if downsample < 1:
-        raise DomainError(f"downsample must be at least 1, got {downsample}")
-    idx = list(range(0, traj.num_samples, downsample))
-    if idx[-1] != traj.num_samples - 1:
-        idx.append(traj.num_samples - 1)
-    blocks = traj.blocks()
-    labels = {p: str(p) for p, _a, _b in traj.runs}
-    for p, text in labels.items():
-        if any(c in text for c in ',"\r\n'):  # quoted as RFC 4180 asks
-            labels[p] = '"' + text.replace('"', '""') + '"'
-    texts = [labels[p] for p, _a, _b in traj.runs]
-    ends = [b for _p, _a, b in traj.runs]
-    rows = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,agent," + ",".join(f"x_{k}" for k in range(1, traj.d + 1)) + ",active_p\n")
-        for s in idx:
-            t_str = repr(float(traj.times[s]))
-            p = texts[bisect.bisect_right(ends, s)]  # its run: the number of runs ending by s
-            # One tolist per sample: the whole file's would raise the peak memory.
-            for i, x in enumerate(blocks[s].tolist(), 1):
-                fh.write(f"{t_str},{i},{','.join(map(repr, x))},{p}\n")
-            rows += traj.n
-    return rows
 
 
 _SLICE = 2048  # list items per repr/join call; the memory peak grows with it, not with the list
@@ -180,42 +152,44 @@ def run_scenario(
     strict: bool = False,
     seed: int | None = None,
 ) -> int:
-    """Simulate one config and write its artifacts; returns the exit code."""
+    """Simulate one config and write its artifacts; returns the exit code.
+
+    The states go from the integrator to the validator, the report's series
+    and the CSV rows one sample chunk at a time. Both artifacts are renamed
+    into place only once both are complete, so a failed run leaves neither.
+    """
     import logging
 
-    from . import metrics
+    from . import artifacts, metrics
 
     try:
         sc = scenario_from_dict(_load_json(config_path), seed_override=seed)
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        traj = simulate(sc)
-        report = metrics.build_report(
-            traj,
-            eps_agreement=sc.eps_agreement,
-            monitor_mode=sc.monitor_mode,
-            tol_monotone=sc.tol_monotone,
-        )
-        rows = write_trajectory_csv(out / sc.trajectory_csv, traj, sc.downsample)
-        write_metrics_json(out / sc.metrics_json, report.to_json_dict())
+        paths = [Path(out_dir) / sc.trajectory_csv, Path(out_dir) / sc.metrics_json]
+        for path in paths:  # before integrating, which a missing directory would waste
+            path.parent.mkdir(parents=True, exist_ok=True)
+        with artifacts.staged(paths) as (csv_path, json_path):
+            with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
+                rows = artifacts.TrajectoryRows(fh, sc.d, sc.downsample)
+                report = metrics.run_report(sc, rows)
+            write_metrics_json(json_path, report.to_json_dict())
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except OSError as exc:  # the output directory or an artifact cannot be made or written
-        print(f"config error: {ConfigError(exc.strerror or str(exc), exc.filename)}",
-              file=sys.stderr)
+    except OSError as exc:  # an artifact or its directory cannot be made, written or renamed
+        at = exc.filename2 or exc.filename  # a failed rename names its target second
+        print(f"config error: {ConfigError(exc.strerror or str(exc), at)}", file=sys.stderr)
         return EXIT_CONFIG
     except CompassError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     logging.getLogger("compass").info(
-        "wrote %s (%d rows) and %s", sc.trajectory_csv, rows, sc.metrics_json
+        "wrote %s (%d rows) and %s", sc.trajectory_csv, rows.count, sc.metrics_json
     )
 
     n_feas = len(report.feasibility_violations)
     n_mono = len(report.monitor_violations)
     print(
-        f"{config_path}: samples={traj.num_samples} V_end="
+        f"{config_path}: samples={report.times.size} V_end="
         f"{report.agreement.final_value:.3e} feasibility_violations={n_feas} "
         f"monitor_violations={n_mono}"
     )

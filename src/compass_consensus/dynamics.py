@@ -5,7 +5,11 @@ switching signal. Integration uses classical fixed-step RK4 over the signal's
 compiled segments, with steps split at their ends so the active field is
 constant within every step. The trajectory keeps the schedule as a run table,
 one (graph, first sample, end sample) row per segment: the integrator steps
-over it, and every reader of the sample labels reads it. For the linear
+over it, and every reader of the sample labels reads it. The integrator
+yields the states run by run, in chunks of samples: ``simulate`` stores
+them, and ``compass run`` hands each to the validator, the report and the
+CSV writer before integrating the next, so it never holds the trajectory.
+For the linear
 built-ins, f_p(x) = A_p x, an RK4 step is exactly T4(hA_p) = I + hA +
 (hA)^2/2 + (hA)^3/6 + (hA)^4/24. Its Horner form needs only the action of
 A_p, ``ProtocolSpec.linear_field``: applied to a basis once per graph and
@@ -20,8 +24,10 @@ on antagonistic arcs when the signed condition is requested). The boxes are
 reduced over hull lists read from each graph's arcs, and the fields evaluated,
 a bounded chunk of samples at a time: O(m * nnz * d) time for m samples, nnz
 hull members (arcs plus self) and d axes, in working memory bounded per chunk.
-One walker over the run table yields those chunks, each graph's samples
-gathered from its runs; ``fields_along`` reads the states through it too.
+On a stored trajectory one walker over the run table yields those chunks,
+each graph's samples gathered from its runs; ``fields_along`` reads the
+states through it too. While integrating, ``_gathered`` copies the
+integrator's chunks into the same ones, one buffer per graph.
 Agents are bucketed by hull size rounded up to a power of two, and each list
 is padded to its bucket's size with the agent itself (exact, as min and max
 are idempotent): padding at most doubles nnz, and a hub of a star graph
@@ -159,14 +165,31 @@ def simulate(scenario: "ScenarioConfig") -> Trajectory:
     a feasibility assumption, the validator runs over the accepted samples and
     its verdicts are attached to the returned trajectory.
     """
-    spec: ProtocolSpec = scenario.protocol
+    times, runs = _schedule(scenario)
+    states = np.empty((times.size, scenario.n * scenario.d))
+    for _chunk in _sample_chunks(scenario, times, runs, states):
+        pass
+    traj = Trajectory(times=times, states=states, n=scenario.n, d=scenario.d, runs=runs)
+    if getattr(scenario, "assumption", None) is not None:
+        traj.feasibility_violations = validate_feasibility(
+            traj,
+            scenario.protocol,
+            scenario.assumption,
+            face_tolerance=scenario.face_tolerance,
+            strictness_tolerance=scenario.strictness_tolerance,
+        )
+    return traj
+
+
+def _schedule(scenario: "ScenarioConfig") -> tuple[np.ndarray, list[tuple[Any, int, int]]]:
+    """The sample times of the scenario's trajectory and its runs (p, a, b).
+
+    One run per segment from the sample at its start, which ends the
+    previous segment: labels are right-continuous. The final sample opens
+    the run of the segment active at t_end, which may start there.
+    """
     signal: SwitchingSignal = scenario.signal
     h, t0, t_end = float(scenario.h), signal.t0, float(scenario.t_end)
-    x0 = np.asarray(scenario.initial_states, dtype=float).reshape(-1)
-
-    # One run per segment from the sample at its start, which ends the
-    # previous segment: labels are right-continuous. The step end times are
-    # gathered first, so the sample arrays are allocated once.
     targets: list[float] = [t0]
     runs: list[tuple[Any, int, int]] = []
     for a, b, p in signal.segments(t_end):
@@ -175,58 +198,12 @@ def simulate(scenario: "ScenarioConfig") -> Trajectory:
             s = len(targets) - 1
             targets.extend(_segment_targets(a, b, h))
             runs.append((p, s, len(targets) - 1))
-    # The final sample opens the run of the segment active at t_end, which
-    # may start there.
     m = len(targets)
     if runs[-1][0] == p:
         runs[-1] = (p, runs[-1][1], m)
     else:
         runs.append((p, m - 1, m))
-    times = np.array(targets)
-    states = np.empty((m, x0.size))
-    states[0] = x0
-
-    custom = spec.kind is ProtocolKind.CUSTOM
-    propagators: dict[Any, np.ndarray] = {}
-    for p, s, e in runs:
-        k = min(e, m - 1) - s  # steps from sample s; the final sample ends the last run's
-        if k == 0:
-            continue
-        block, T = states[s : s + k + 1], times[s : s + k + 1]
-        if custom:
-            f = partial(spec.field, p)
-            for j in range(1, k + 1):
-                block[j] = _rk4_step(f, block[j - 1], T[j] - T[j - 1])
-                if not np.isfinite(block[j]).all():
-                    break
-        else:
-            act = partial(spec.linear_field, p)
-            if p not in propagators:
-                # T4 on (n, d) blocks, or the stacked one whose column c is T4 e_c if rotated.
-                if spec.rotation is None:
-                    propagators[p] = _taylor4(act, h, np.eye(spec.n))
-                else:
-                    basis = np.eye(x0.size).reshape(x0.size, spec.n, -1)
-                    propagators[p] = _taylor4(act, h, basis).reshape(x0.size, -1).T.copy()
-            P = propagators[p]
-            X = block.reshape(k + 1, len(P), -1)
-            for j in range(1, k):
-                np.matmul(P, X[j - 1], out=X[j])
-            block[k] = _taylor4(act, T[k] - T[k - 1], block[k - 1].reshape(spec.n, -1)).ravel()
-        finite = np.isfinite(block[1:]).all(axis=1)
-        if not finite.all():
-            raise DivergenceError(float(T[1 + np.argmin(finite)]))
-
-    traj = Trajectory(times=times, states=states, n=scenario.n, d=scenario.d, runs=runs)
-    if getattr(scenario, "assumption", None) is not None:
-        traj.feasibility_violations = validate_feasibility(
-            traj,
-            spec,
-            scenario.assumption,
-            face_tolerance=scenario.face_tolerance,
-            strictness_tolerance=scenario.strictness_tolerance,
-        )
-    return traj
+    return np.array(targets), runs
 
 
 # Float64 elements per array of a sample chunk: bounds a reader's working set
@@ -235,13 +212,75 @@ def simulate(scenario: "ScenarioConfig") -> Trajectory:
 _CHUNK_ELEMENTS = 1 << 16
 
 
+def _sample_chunks(
+    scenario: "ScenarioConfig", times: np.ndarray, runs: list, states: np.ndarray | None = None
+) -> Iterator[tuple[Any, np.ndarray, np.ndarray]]:
+    """Integrate the scenario over its schedule ``_schedule(scenario)``, run
+    by run; yield (p, samples, states) per run, split into chunks of at most
+    max(1, _CHUNK_ELEMENTS // (n * d)) samples: ``samples`` are contiguous
+    indices, all driven by graph p, and ``states`` their (samples, n, d)
+    states. With ``states`` given, every sample is written in place there and
+    the chunks are views of it; otherwise they are views of one reused
+    buffer, overwritten by the next chunk. Raises DivergenceError at the
+    first sample that is not finite.
+    """
+    spec: ProtocolSpec = scenario.protocol
+    h, x0 = float(scenario.h), np.asarray(scenario.initial_states, dtype=float).reshape(-1)
+    m, size = times.size, max(1, _CHUNK_ELEMENTS // x0.size)
+    # One row beyond the chunk: the step into the next chunk's first sample
+    # lands there, so the state carries across a split or a switch.
+    buffer = np.empty((min(size + 1, m), x0.size)) if states is None else None
+    (states if buffer is None else buffer)[0] = x0
+    custom = spec.kind is ProtocolKind.CUSTOM
+    propagators: dict[Any, np.ndarray] = {}
+    for p, s, e in runs:
+        last = min(e, m - 1)  # the run steps from s to last: e, or the final sample
+        if custom:
+            f = partial(spec.field, p)
+        else:
+            act = partial(spec.linear_field, p)
+            if last - s > 1 and p not in propagators:  # full steps come before the last one
+                # T4 on (n, d) blocks, or the stacked one whose column c is T4 e_c if rotated.
+                if spec.rotation is None:
+                    propagators[p] = _taylor4(act, h, np.eye(spec.n))
+                else:
+                    basis = np.eye(x0.size).reshape(x0.size, spec.n, -1)
+                    propagators[p] = _taylor4(act, h, basis).reshape(x0.size, -1).T.copy()
+        for c in range(s, e, size):
+            c2 = min(c + size, e)
+            k = min(c2, last) - c  # steps from sample c; a step into c2 opens the next chunk
+            block = states[c : c + k + 1] if buffer is None else buffer[: k + 1]
+            T = times[c : c + k + 1]
+            if custom:
+                for j in range(1, k + 1):
+                    block[j] = _rk4_step(f, block[j - 1], T[j] - T[j - 1])
+                    if not np.isfinite(block[j]).all():
+                        break
+            elif k:  # a one-sample run, opened at t_end, takes no step
+                full = k if c + k < last else k - 1  # the step into sample last may be short
+                if full > 0:
+                    P = propagators[p]
+                    X = block.reshape(k + 1, len(P), -1)
+                    for j in range(1, full + 1):
+                        np.matmul(P, X[j - 1], out=X[j])
+                if full < k:
+                    Xk = block[k - 1].reshape(spec.n, -1)
+                    block[k] = _taylor4(act, T[k] - T[k - 1], Xk).ravel()
+            finite = np.isfinite(block[1:]).all(axis=1)
+            if not finite.all():
+                raise DivergenceError(float(T[1 + np.argmin(finite)]))
+            yield p, np.arange(c, c2), block[: c2 - c].reshape(c2 - c, spec.n, -1)
+            if buffer is not None:
+                buffer[0] = block[k]
+
+
 def _label_chunks(
-    traj: Trajectory, spec: ProtocolSpec, floats_per_sample: Callable[[Any], int]
+    traj: Trajectory, spec: ProtocolSpec, chunk_samples: Callable[[Any, int], int]
 ) -> Iterator[tuple[Any, np.ndarray, np.ndarray]]:
     """Yield (p, samples, states) per active graph label, gathered from all of
-    its runs, in chunks of max(1, _CHUNK_ELEMENTS // floats_per_sample(p))
-    samples; ``states`` is their copy shaped (samples, n, d). First rejects
-    with DomainError a trajectory the protocol cannot have produced."""
+    its runs, in chunks of chunk_samples(p, d) samples; ``states`` is their
+    copy shaped (samples, n, d). First rejects with DomainError a trajectory
+    the protocol cannot have produced."""
     if traj.n != spec.n:
         raise DomainError(f"trajectory has n={traj.n} but the protocol has n={spec.n}")
     spans: dict[Any, list[tuple[int, int]]] = {}
@@ -256,10 +295,41 @@ def _label_chunks(
         a, b = np.array(ab).T
         n = b - a
         sel = np.arange(n.sum()) + np.repeat(a - (np.cumsum(n) - n), n)
-        step = max(1, _CHUNK_ELEMENTS // floats_per_sample(p))
+        step = chunk_samples(p, traj.d)
         for k in range(0, sel.size, step):
             idx = sel[k : k + step]
             yield p, idx, X[idx]
+
+
+def _gathered(
+    chunks: Iterator[tuple[Any, np.ndarray, np.ndarray]],
+    chunk_samples: Callable[[Any, int], int],
+) -> Iterator[tuple[Any, np.ndarray, np.ndarray]]:
+    """The label walker over a trajectory being integrated: the (p, samples,
+    states) chunks ``_sample_chunks`` yields, regrouped into those
+    ``_label_chunks`` yields on the stored trajectory. Each label's samples
+    are copied, in order, into one buffer of chunk_samples(p, d) samples,
+    yielded whenever it fills and, if not empty, once the chunks end. A
+    yielded chunk is overwritten when the next is asked for."""
+    held: dict[Any, list] = {}  # p -> [samples, states, samples filled]
+    for p, samples, X in chunks:
+        if p not in held:
+            size = chunk_samples(p, X.shape[2])
+            held[p] = [np.empty(size, samples.dtype), np.empty((size, *X.shape[1:]), X.dtype), 0]
+        entry = held[p]
+        idx, buf, k = entry
+        j = 0
+        while j < len(X):
+            take = min(len(X) - j, len(buf) - k)
+            idx[k : k + take], buf[k : k + take] = samples[j : j + take], X[j : j + take]
+            j, k = j + take, k + take
+            if k == len(buf):
+                yield p, idx, buf
+                k = 0
+        entry[2] = k
+    for p, (idx, buf, k) in held.items():
+        if k:
+            yield p, idx[:k], buf[:k]
 
 
 def _field_block(spec: ProtocolSpec, p: Any, X: np.ndarray) -> np.ndarray:
@@ -272,7 +342,8 @@ def _field_block(spec: ProtocolSpec, p: Any, X: np.ndarray) -> np.ndarray:
 def fields_along(traj: Trajectory, spec: ProtocolSpec) -> np.ndarray:
     """Active vector field evaluated at every sample, shaped (m, n, d)."""
     F = np.empty_like(traj.blocks())
-    for p, sel, Xs in _label_chunks(traj, spec, lambda p: traj.n * traj.d):
+    step = max(1, _CHUNK_ELEMENTS // (traj.n * traj.d))
+    for p, sel, Xs in _label_chunks(traj, spec, lambda p, d: step):
         F[sel] = _field_block(spec, p, Xs)
     return F
 
@@ -312,23 +383,32 @@ def _box(Y: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _facet_chunks(
-    traj: Trajectory, spec: ProtocolSpec, signed: bool, ftol: float
+    source: Trajectory | Iterator, spec: ProtocolSpec, signed: bool, ftol: float
 ) -> Iterator[tuple[Any, np.ndarray, np.ndarray, _Facets]]:
     """Yield (p, samples, fields, facets) per active graph and sample chunk.
 
-    Row i of the bounds is the supporting box of {x_i} union {sign_ij x_j :
-    j in N_i(p)}, reduced over the padded hull tables of p; a chunk, its
-    fields included, holds about _CHUNK_ELEMENTS floats per array. An active
-    axis is on one facet (on both, it is degenerate); ``inward`` is the field
-    component into the box: f_k at the lower facet, -f_k at the upper.
+    ``source`` is a trajectory, read through the label walker, or the
+    (p, samples, states) chunks ``_sample_chunks`` yields while integrating,
+    regrouped by ``_gathered`` into the same chunks. Each label's hull tables
+    are built once, before its first chunk, and a chunk, its fields included,
+    holds about _CHUNK_ELEMENTS floats per array. Row i of the bounds is the
+    supporting box of {x_i} union {sign_ij x_j : j in N_i(p)}, reduced over
+    the padded hull tables of p. An active axis is on one facet (on both, it
+    is degenerate); ``inward`` is the field component into the box: f_k at
+    the lower facet, -f_k at the upper.
     """
     tables: dict[Any, list[np.ndarray]] = {}
 
-    def floats_per_sample(p):  # builds each label's tables once, before its chunks
+    def step(p, d):  # builds each label's tables once, before its chunks
         tables[p] = _hull_tables(spec, p, signed)
-        return (sum(table.size for table in tables[p]) + (2 if signed else 1) * spec.n) * traj.d
+        floats = (sum(table.size for table in tables[p]) + (2 if signed else 1) * spec.n) * d
+        return max(1, _CHUNK_ELEMENTS // floats)
 
-    for p, idx, Xs in _label_chunks(traj, spec, floats_per_sample):
+    if isinstance(source, Trajectory):
+        source = _label_chunks(source, spec, step)
+    else:
+        source = _gathered(source, step)
+    for p, idx, Xs in source:
         Y = np.concatenate([Xs, -Xs], axis=1) if signed else Xs
         if len(tables[p]) == 1:  # every agent in one bucket, in agent order
             lo, hi = _box(Y, tables[p][0])
@@ -361,6 +441,17 @@ def validate_feasibility(
     comparisons. The decision logic matches the scalar geometry predicates
     (see the equivalence tests); it is merely evaluated in bulk.
     """
+    return _violations(traj, traj.times, spec, assumption, gamma, face_tolerance,
+                       strictness_tolerance)
+
+
+def _violations(
+    source: Trajectory | Iterator, times: np.ndarray, spec: ProtocolSpec,
+    assumption: Assumption | str, gamma: float | None, face_tolerance: float,
+    strictness_tolerance: float,
+) -> list[FeasibilityViolation]:
+    """``validate_feasibility`` over a trajectory or the chunks of one being
+    integrated (see ``_facet_chunks``); ``times`` are the sample times."""
     if isinstance(assumption, str):
         assumption = Assumption(assumption)
     gamma_strict = assumption is not Assumption.RELATIVE_INTERIOR
@@ -375,7 +466,7 @@ def validate_feasibility(
     edge = -stol if gamma_strict else stol
     word = "sign" if gamma_strict else "strict-sign"
     violations: list[FeasibilityViolation] = []
-    for p, sel, Fs, f in _facet_chunks(traj, spec, signed, ftol):
+    for p, sel, Fs, f in _facet_chunks(source, spec, signed, ftol):
         carrier = f.degen & (np.abs(Fs) > stol)
         outward = f.active & (f.inward < edge)
         bad = carrier | outward
@@ -386,7 +477,7 @@ def validate_feasibility(
         # One .tolist() per column: indexing and formatting numpy scalars one by one
         # costs microseconds per violation.
         at = np.nonzero(bad)
-        columns = (traj.times[sel[at[0]]], at[1] + 1, at[2] + 1, Fs[at], carrier[at],
+        columns = (times[sel[at[0]]], at[1] + 1, at[2] + 1, Fs[at], carrier[at],
                    outward[at], f.at_lower[at], f.width[at])
         for t, i, k, fval, flat, out, lower, width in zip(*(c.tolist() for c in columns)):
             if flat:

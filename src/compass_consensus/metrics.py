@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -50,39 +50,64 @@ class MonitorMode(Enum):
 class _Series:
     """Per-axis max/min over agents of x and of |x|, each (samples, d), and V.
 
-    The states are reduced one chunk of samples at a time, each chunk sized
-    like the validator's (``dynamics._CHUNK_ELEMENTS`` floats) and copied
-    into one reused (samples, d, agents) buffer, so the working memory is one
-    chunk plus the O(samples * d) series. Every series, verdict and monitor
-    is derived from the four reductions.
+    ``add`` takes the states of the next samples, in any number of pieces,
+    into one reused (samples, d, agents) buffer of at most
+    ``dynamics._CHUNK_ELEMENTS`` floats, reduced into the preallocated series
+    each time it fills, so the working memory is one chunk plus the
+    O(samples * d) series; ``done`` reduces the rest and derives the series
+    the four reductions give. Every series, verdict and monitor is derived
+    from them.
     """
 
-    def __init__(self, traj: Trajectory):
-        X = traj.blocks()
-        m, n, d = X.shape
-        self.hi, self.lo, self.abs_hi, self.abs_lo = (np.empty((m, d), X.dtype) for _ in range(4))
-        step = max(1, dynamics._CHUNK_ELEMENTS // (n * d))
-        # A copy, never a view: for d == 1 or n == 1 the transpose of X is
-        # already contiguous, and |x| is taken in place below.
-        buffer = np.empty((min(step, m), d, n), X.dtype)
-        for k in range(0, m, step):
-            chunk = slice(k, k + step)
-            Xc = X[chunk]
-            Y = buffer[: len(Xc)]
-            np.copyto(Y, Xc.transpose(0, 2, 1))
-            hi, lo = Y.max(axis=2, out=self.hi[chunk]), Y.min(axis=2, out=self.lo[chunk])
-            # Which zero an all-zero tie returns, +0.0 or -0.0, depends on the
-            # reduction order: redo such samples in agent order, as X.max(axis=1).
-            for out, reduce in ((hi, np.maximum.reduce), (lo, np.minimum.reduce)):
-                rows = np.flatnonzero((out == 0).any(axis=1))
-                out[rows] = reduce(Xc[rows], axis=1)
-            np.abs(Y, out=Y)
-            Y.max(axis=2, out=self.abs_hi[chunk])
-            Y.min(axis=2, out=self.abs_lo[chunk])
+    def __init__(self, times: np.ndarray, n: int, d: int, dtype=float):
+        m = times.size
+        self.times = times
+        self.hi, self.lo, self.abs_hi, self.abs_lo = (np.empty((m, d), dtype) for _ in range(4))
+        # A copy, never a view: for d == 1 or n == 1 the transpose of a chunk
+        # is already contiguous, and |x| is taken in place below.
+        self.buffer = np.empty((min(max(1, dynamics._CHUNK_ELEMENTS // (n * d)), m), d, n), dtype)
+        self.reduced = self.filled = 0  # samples in the series; samples in the buffer
+
+    def add(self, X: np.ndarray) -> None:
+        """Take the states X, shaped (samples, n, d), of the next samples."""
+        while len(X):
+            k = self.filled
+            take = min(len(X), len(self.buffer) - k)
+            np.copyto(self.buffer[k : k + take], X[:take].transpose(0, 2, 1))
+            self.filled, X = k + take, X[take:]
+            if self.filled == len(self.buffer):
+                self._reduce()
+
+    def _reduce(self) -> None:
+        chunk = slice(self.reduced, self.reduced + self.filled)
+        Y = self.buffer[: self.filled]
+        hi, lo = Y.max(axis=2, out=self.hi[chunk]), Y.min(axis=2, out=self.lo[chunk])
+        # Which zero an all-zero tie returns, +0.0 or -0.0, depends on the
+        # reduction order: redo such samples in agent order, as X.max(axis=1)
+        # on their (samples, n, d) copy.
+        for out, reduce in ((hi, np.maximum.reduce), (lo, np.minimum.reduce)):
+            rows = np.flatnonzero((out == 0).any(axis=1))
+            out[rows] = reduce(Y[rows].transpose(0, 2, 1).copy(), axis=1)
+        np.abs(Y, out=Y)
+        Y.max(axis=2, out=self.abs_hi[chunk])
+        Y.min(axis=2, out=self.abs_lo[chunk])
+        self.reduced, self.filled = chunk.stop, 0
+
+    def done(self) -> "_Series":
+        if self.filled:
+            self._reduce()
         self.abs_spread = self.abs_hi - self.abs_lo
         self.diameters = self.hi - self.lo
         self.v = self.diameters.max(axis=1)
-        self.times = traj.times
+        return self
+
+    @classmethod
+    def of(cls, traj: Trajectory) -> "_Series":
+        """The series of a stored trajectory."""
+        X = traj.blocks()
+        ser = cls(traj.times, traj.n, traj.d, X.dtype)
+        ser.add(X)
+        return ser.done()
 
     def tol(self, tol_monotone: float | None) -> float:
         """``tol_monotone``, by default 1e-8 * max(1, V(t0))."""
@@ -93,38 +118,38 @@ class _Series:
 
 def max_series(traj: Trajectory) -> np.ndarray:
     """M_k(t): per-axis maxima over agents, shape (samples, d)."""
-    return _Series(traj).hi
+    return _Series.of(traj).hi
 
 
 def min_series(traj: Trajectory) -> np.ndarray:
     """m_k(t): per-axis minima over agents, shape (samples, d)."""
-    return _Series(traj).lo
+    return _Series.of(traj).lo
 
 
 def diameters_series(traj: Trajectory) -> np.ndarray:
     """D_k(t) = M_k - m_k, shape (samples, d)."""
-    return _Series(traj).diameters
+    return _Series.of(traj).diameters
 
 
 def lyapunov_series(traj: Trajectory) -> np.ndarray:
     """V(t): maximum side length of the supporting box of the agent states."""
-    return _Series(traj).v
+    return _Series.of(traj).v
 
 
 def abs_max_series(traj: Trajectory) -> np.ndarray:
     """Per-axis max_i |x_ik|, shape (samples, d)."""
-    return _Series(traj).abs_hi
+    return _Series.of(traj).abs_hi
 
 
 def square_max_series(traj: Trajectory) -> np.ndarray:
     """y_k(t) = max_i x_ik^2, shape (samples, d): exactly (max_i |x_ik|)^2,
     since rounding x^2 is monotone in |x|."""
-    return _Series(traj).abs_hi ** 2
+    return _Series.of(traj).abs_hi ** 2
 
 
 def abs_spread_series(traj: Trajectory) -> np.ndarray:
     """Per-axis max_i |x_ik| - min_i |x_ik|, shape (samples, d)."""
-    return _Series(traj).abs_spread
+    return _Series.of(traj).abs_spread
 
 
 @dataclass(frozen=True)
@@ -155,7 +180,7 @@ def monotonicity_monitor(
     between consecutive samples by more than the tolerance. SignedSquare: any
     increase of y_k = max_i x_ik^2 beyond the tolerance.
     """
-    ser = _Series(traj)
+    ser = _Series.of(traj)
     return _monitor(ser, MonitorMode(mode), ser.tol(tol_monotone))
 
 
@@ -259,7 +284,7 @@ class AgreementVerdict:
 def agreement_verdict(traj: Trajectory, eps: float) -> AgreementVerdict:
     """True iff V at the final sample is within eps; reports the first time
     V drops below eps and never exceeds it again through the horizon."""
-    return _verdict(_Series(traj), eps)
+    return _verdict(_Series.of(traj), eps)
 
 
 def _verdict(ser: _Series, eps: float) -> AgreementVerdict:
@@ -288,7 +313,7 @@ def absolute_value_agreement(
     holds, so it is the sound guard against a lucky final dip.
     """
     tail_fraction = _tail_fraction(tail_fraction)
-    return _abs_agreement(_Series(traj), tol, tol_monotone, tail_fraction)
+    return _abs_agreement(_Series.of(traj), tol, tol_monotone, tail_fraction)
 
 
 def _abs_agreement(ser: _Series, tol: float, tol_monotone, tail_fraction) -> np.ndarray:
@@ -408,16 +433,54 @@ def build_report(
     """Compute the full metric set for a trajectory from one pass over it;
     ``tail_fraction`` sets the tail of both the rate fit and ``abs_agreement``."""
     tail_fraction = _tail_fraction(tail_fraction)
-    ser = _Series(traj)
+    return _report(_Series.of(traj), list(traj.feasibility_violations or []), eps_agreement,
+                   monitor_mode, tol_monotone, tail_fraction)
+
+
+def run_report(scenario, rows: Callable, tail_fraction: float = 0.5) -> AgreementReport:
+    """Integrate ``scenario`` and report on it while holding one sample chunk
+    of its states at a time, never the trajectory.
+
+    Every chunk (p, samples, states) the integrator yields goes to the series
+    reduction, then to ``rows(times, p, samples, states)`` with the sample
+    times, then to the feasibility validator when the scenario names an
+    assumption. The report is the one ``build_report`` gives for
+    ``simulate(scenario)`` with this ``tail_fraction``.
+    """
+    tail_fraction = _tail_fraction(tail_fraction)
+    times, runs = dynamics._schedule(scenario)
+    ser = _Series(times, scenario.n, scenario.d)
+
+    def chunks():
+        for p, samples, X in dynamics._sample_chunks(scenario, times, runs):
+            ser.add(X)
+            rows(times, p, samples, X)
+            yield p, samples, X
+
+    violations: list = []
+    if scenario.assumption is None:
+        for _chunk in chunks():
+            pass
+    else:
+        violations = dynamics._violations(
+            chunks(), times, scenario.protocol, scenario.assumption, None,
+            scenario.face_tolerance, scenario.strictness_tolerance,
+        )
+    return _report(ser.done(), violations, scenario.eps_agreement, scenario.monitor_mode,
+                   scenario.tol_monotone, tail_fraction)
+
+
+def _report(ser: _Series, violations: list, eps_agreement, monitor_mode, tol_monotone,
+            tail_fraction: float) -> AgreementReport:
     lam: float | None
     try:
-        fit = fit_exponential_rate((traj.times, ser.v), tail_fraction)
+        fit = fit_exponential_rate((ser.times, ser.v), tail_fraction)
         lam, r2, truncated = fit.lambda_hat, fit.r_squared, fit.truncated
     except DomainError:
         lam, r2, truncated = None, None, True
     mode = MonitorMode(monitor_mode) if isinstance(monitor_mode, str) else monitor_mode
     return AgreementReport(
-        times=traj.times,
+        times=ser.times,
         lyapunov=ser.v,
         diameters=ser.diameters,
         axis_max=ser.hi,
@@ -434,5 +497,5 @@ def build_report(
         monitor_violations=(
             _monitor(ser, mode, ser.tol(tol_monotone)) if mode else []
         ),
-        feasibility_violations=list(traj.feasibility_violations or []),
+        feasibility_violations=violations,
     )

@@ -6,13 +6,15 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import compass_consensus
-from compass_consensus.cli import build_parser, main, write_trajectory_csv
+from compass_consensus.artifacts import write_trajectory_csv
+from compass_consensus.cli import build_parser, main, run_scenario
 from compass_consensus.dynamics import Trajectory
 from compass_consensus.errors import DomainError
 from helpers import label_runs
@@ -139,6 +141,29 @@ class TestRun:
         cfg["validation"]["assumption"] = None
         path = write_json(tmp_path / "stiff.json", cfg)
         assert main(["run", path, "--out-dir", str(tmp_path)]) == 5
+        assert [p.name for p in tmp_path.iterdir()] == ["stiff.json"]  # no artifact, no temporary
+
+    def test_metrics_path_a_directory_leaves_no_artifact(self, tmp_path, capsys):
+        # The CSV is complete when the metrics file fails to land: it must not
+        # be left beside no metrics.
+        cfg = write_json(tmp_path / "c.json", consensus_config(t_end=1.0, h=0.1))
+        out = tmp_path / "out"
+        (out / "metrics.json").mkdir(parents=True)
+        assert main(["run", cfg, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert str(out / "metrics.json") in err
+        assert [p.name for p in out.iterdir()] == ["metrics.json"]
+        assert list((out / "metrics.json").iterdir()) == []
+
+    def test_artifact_paths_with_a_directory_part(self, tmp_path, capsys):
+        cfg = consensus_config(t_end=1.0, h=0.1)
+        cfg["outputs"] = {"trajectory_csv": "sub/traj.csv", "metrics_json": "a/b/metrics.json"}
+        out = tmp_path / "out"
+        assert main(["run", write_json(tmp_path / "c.json", cfg), "--out-dir", str(out)]) == 0
+        assert (out / "sub" / "traj.csv").read_text(encoding="utf-8").count("\n") == 1 + 2 * 11
+        metrics = json.loads((out / "a" / "b" / "metrics.json").read_text(encoding="utf-8"))
+        assert len(metrics["V"]) == 11
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg = consensus_config(t_end=2.0)
@@ -232,6 +257,92 @@ class TestRun:
         assert write_trajectory_csv(tmp_path / "traj.csv", traj, np.int64(2)) == 3
         rows = (tmp_path / "traj.csv").read_text(encoding="utf-8").splitlines()[1:]
         assert rows == ["0.0,1,0.0,a", "2.0,1,2.0,b", "3.0,1,3.0,b"]
+
+
+def switching_config(kind, assumption, monitor):
+    """Two graphs on a periodic signal whose copies join "a" to "a"."""
+    sign = -1 if kind == "SignedConsensus" else 1
+    return {
+        "agents": {"n": 4, "d": 2, "sample": {"seed": 3, "lo": [-1.0, -1.0], "hi": [1.0, 1.0]}},
+        "protocol": {"kind": kind, "gamma": 5.0, "weights": 1.0,
+                     **({"rotation": 0.7} if kind == "RotatedConsensus" else {})},
+        "graphs": {"a": {"n": 4, "arcs": [[1, 2, 1], [2, 3, sign], [3, 4, 1]]},
+                   "b": {"n": 4, "arcs": [[4, 1, sign], [2, 1, 1], [3, 2, 1]]}},
+        "signal": {"tau_d": 0.1, "pieces": [[0.0, "a"], [0.13, "b"], [0.3, "a"]],
+                   "horizon_end": 0.5, "periodic": True},
+        "integrator": {"h": 0.01, "t_end": 2.0},
+        "validation": {"assumption": assumption},
+        "monitors": {"mode": monitor},
+        "outputs": {"downsample": 3},
+    }
+
+
+class TestStreamedRun:
+    """`compass run` integrates, validates, reduces and writes a chunk at a
+    time; its artifacts are those of the library path on the whole trajectory."""
+
+    @pytest.mark.parametrize("elements", [None, 1, 37])
+    @pytest.mark.parametrize("kind, assumption, monitor", [
+        ("SignedConsensus", "SignedGammaStrict", "SignedSquare"),
+        ("RotatedConsensus", "GammaStrict", "CooperativeBox"),
+        ("WeightedConsensus", None, None),
+    ])
+    def test_artifacts_match_the_library_path(self, tmp_path, monkeypatch, capsys,
+                                              kind, assumption, monitor, elements):
+        from compass_consensus import dynamics
+        from compass_consensus.cli import write_metrics_json
+        from compass_consensus.metrics import build_report
+        from compass_consensus.scenario import scenario_from_dict
+
+        cfg = switching_config(kind, assumption, monitor)
+        sc = scenario_from_dict(cfg)
+        traj = dynamics.simulate(sc)
+        report = build_report(traj, sc.eps_agreement, sc.monitor_mode, sc.tol_monotone)
+        ref, out = tmp_path / "ref", tmp_path / "out"
+        ref.mkdir()
+        rows = write_trajectory_csv(ref / "trajectory.csv", traj, sc.downsample)
+        write_metrics_json(ref / "metrics.json", report.to_json_dict())
+        if elements:  # runs split into chunks of max(1, elements // 8) samples
+            monkeypatch.setattr(dynamics, "_CHUNK_ELEMENTS", elements)
+            assert dynamics.simulate(sc).states.tobytes() == traj.states.tobytes()
+        assert main(["run", write_json(tmp_path / "c.json", cfg), "--out-dir", str(out)]) == 0
+        for name in ("trajectory.csv", "metrics.json"):
+            assert (out / name).read_bytes() == (ref / name).read_bytes()
+        assert rows == 4 * len(range(0, traj.num_samples, 3)) + 4  # the last sample too
+        assert f"samples={traj.num_samples} " in capsys.readouterr().out
+        if assumption:
+            assert len(report.feasibility_violations) > 0
+
+    def test_memory_does_not_grow_with_the_states(self, tmp_path, capsys):
+        # n * d = 400, so each sample's states take 3200 bytes. Doubling t_end
+        # may grow the traced peak only by the O(samples * d) series and their
+        # JSON text: 400 bytes per sample and axis is over twice what they need.
+        n, d = 100, 4
+        cfg = {
+            "agents": {"n": n, "d": d, "sample": {"seed": 0, "lo": [-1.0] * d, "hi": [1.0] * d}},
+            "protocol": {"kind": "WeightedConsensus", "gamma": 0.5, "weights": 1.0},
+            "graphs": {"g": {"n": n, "arcs": [[i % n + 1, i, 1] for i in range(1, n + 1)]}},
+            "signal": {"tau_d": 1.0, "pieces": [[0.0, "g"]], "horizon_end": 1.0, "periodic": True},
+            "integrator": {"h": 0.01, "t_end": 1.0},
+            "validation": {"assumption": "GammaStrict"},
+            "monitors": {"mode": "CooperativeBox"},
+            "outputs": {"downsample": 100},
+        }
+
+        def peak(t_end):
+            cfg["integrator"]["t_end"] = t_end
+            path = write_json(tmp_path / "c.json", cfg)
+            tracemalloc.start()
+            try:
+                assert run_scenario(path, str(tmp_path)) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1.0)  # warm-up: imports and caches
+        growth = peak(10.0) - peak(5.0)  # 500 samples more
+        assert "feasibility_violations=0" in capsys.readouterr().out
+        assert growth < 500 * 400 * d
 
 
 @pytest.mark.parametrize("argv, prefix", [
@@ -571,37 +682,48 @@ class TestRateBound:
 def test_benchmark_trace_points_are_called(tmp_path, monkeypatch, capsys):
     # perfbench/run.py times each layer by wrapping these module attributes,
     # and skips a name that no longer exists: a rename would zero its metric
-    # silently. Each must still be called by one `run` and one `check-graphs`.
+    # silently. Each must still be called by one `run`, one `check-graphs` or
+    # the stored-trajectory path that `run` streamed until `metrics.run_report`
+    # (which the benchmark does not wrap yet) took its place.
     from compass_consensus import cli, dynamics, graphs, metrics, scenario
 
-    called, json_calls = set(), []
+    called, json_sizes = [], []
     for owner, attr in [
         (cli, "scenario_from_dict"), (cli, "simulate"), (cli, "write_trajectory_csv"),
         (cli, "write_metrics_json"), (cli, "check_uniform_joint_connectivity"),
-        (dynamics, "validate_feasibility"), (metrics, "build_report"),
+        (dynamics, "validate_feasibility"), (metrics, "build_report"), (metrics, "run_report"),
     ]:
         def counted(*args, _fn=getattr(owner, attr), _name=f"{owner.__name__}.{attr}", **kwargs):
-            called.add(_name)
+            called.append(_name.removeprefix("compass_consensus."))
+            result = _fn(*args, **kwargs)
             if _name.endswith(".write_metrics_json"):
-                json_calls.append((args, kwargs))
-            return _fn(*args, **kwargs)
+                # `cli.json_bytes` reads the file at the first argument when the
+                # writer returns, before the run renames it into place: the CLI
+                # must hand it (path, dict) and nothing else.
+                assert kwargs == {} and len(args) == 2 and type(args[1]) is dict
+                json_sizes.append(os.path.getsize(args[0]))
+            return result
 
         monkeypatch.setattr(owner, attr, counted)
-    cfg = write_json(tmp_path / "c.json", consensus_config(t_end=2.0, h=0.01))
-    assert main(["run", cfg, "--out-dir", str(tmp_path)]) == 0
+    cfg = consensus_config(t_end=2.0, h=0.01)
+    assert main(["run", write_json(tmp_path / "c.json", cfg), "--out-dir", str(tmp_path)]) == 0
     assert main(["check-graphs", graphs_file(tmp_path), "--window", "2.0"]) == 0
-    assert called == {
-        f"compass_consensus.{name}" for name in [
-            "cli.scenario_from_dict", "cli.simulate", "cli.write_trajectory_csv",
-            "cli.write_metrics_json", "cli.check_uniform_joint_connectivity",
-            "dynamics.validate_feasibility", "metrics.build_report",
-        ]
-    }
-    # `cli.json_s` times the whole writer, and `cli.json_bytes` reads the file
-    # at its first argument: the CLI must hand it (path, dict) and nothing else.
-    [(args, kwargs)] = json_calls
-    assert kwargs == {} and len(args) == 2 and type(args[1]) is dict
-    assert os.path.getsize(args[0]) == len((tmp_path / "metrics.json").read_bytes()) > 0
+    assert called == ["cli.scenario_from_dict", "metrics.run_report", "cli.write_metrics_json",
+                      "cli.check_uniform_joint_connectivity"]
+    assert json_sizes == [len((tmp_path / "metrics.json").read_bytes())]
+    # The stored-trajectory path, through the names the benchmark wraps, with
+    # the results its hooks read: the trajectory, the violations, the report
+    # and the rows of a file at the first argument.
+    sc = cli.scenario_from_dict(cfg)
+    traj = cli.simulate(sc)
+    assert dynamics.validate_feasibility(traj, sc.protocol, sc.assumption) == []
+    report = metrics.build_report(traj, sc.eps_agreement, sc.monitor_mode, sc.tol_monotone)
+    assert cli.write_trajectory_csv(tmp_path / "t.csv", traj, sc.downsample) == 2 * 201
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "traj.csv").read_bytes()
+    assert report.monitor_violations == [] and traj.num_samples == 201
+    assert called[4:] == ["cli.scenario_from_dict", "cli.simulate", "dynamics.validate_feasibility",
+                          "dynamics.validate_feasibility", "metrics.build_report",
+                          "cli.write_trajectory_csv"]
     # The benchmark also wraps these two (setup_probe.py the spec): they must resolve.
     assert callable(graphs.union_graph) and callable(scenario.ProtocolSpec)
 

@@ -923,6 +923,100 @@ class TestStepPropagator:
         assert err.value.time == ref.value.time
 
 
+def custom_case(sc, field):
+    spec = ProtocolSpec(kind="Custom", family=sc.protocol.family, gamma=1.0, field_fn=field)
+    return ScenarioConfig(n=sc.n, d=sc.d, initial_states=sc.initial_states, protocol=spec,
+                          signal=sc.signal, h=sc.h, t_end=sc.t_end)
+
+
+class TestSampleChunks:
+    """The one integrator, read chunk by chunk as `compass run` streams it
+    through one reused buffer, gives the states `simulate` stores."""
+
+    @pytest.mark.parametrize("elements", [None, 1, 50])
+    @pytest.mark.parametrize("kind", ["Custom", "SignedConsensus", "RotatedConsensus"])
+    def test_chunks_are_the_stored_states(self, kind, elements, monkeypatch):
+        sc = propagator_case("SignedConsensus" if kind == "Custom" else kind, 2, True, seed=4)
+        if kind == "Custom":
+            sc = custom_case(sc, lambda p, x: np.sin(x[::-1]) - x)
+        traj = simulate(sc)
+        if elements:
+            monkeypatch.setattr(dynamics, "_CHUNK_ELEMENTS", elements)
+        size = max(1, dynamics._CHUNK_ELEMENTS // (sc.n * sc.d))
+        times, runs = dynamics._schedule(sc)
+        states, labels, start = np.full_like(traj.states, np.nan), [], 0
+        for p, samples, X in dynamics._sample_chunks(sc, times, runs):
+            assert samples[0] == start and 0 < len(samples) <= size
+            states[samples] = X.reshape(len(X), -1)
+            labels += [p] * len(samples)
+            start = samples[-1] + 1
+        assert states.tobytes() == traj.states.tobytes()
+        assert labels == traj.active_index and times.tobytes() == traj.times.tobytes()
+
+    @pytest.mark.parametrize("elements", [None, 50])
+    def test_gathered_chunks_are_the_label_walkers(self, elements, monkeypatch):
+        # The streamed validator's chunks, regrouped per label from the
+        # integrator's, are those the label walker cuts from the stored states.
+        sc = propagator_case("SignedConsensus", 2, True, seed=4)
+        if elements:
+            monkeypatch.setattr(dynamics, "_CHUNK_ELEMENTS", elements)
+        traj = simulate(sc)
+        sizes = {"a": 3, "b": 1, "c": 7}
+
+        def by_label(chunks):
+            out = {}
+            for p, samples, X in chunks:  # each chunk is read before the next overwrites it
+                out.setdefault(p, []).append((samples.tolist(), X.tobytes()))
+            return out
+
+        ref = by_label(dynamics._label_chunks(traj, sc.protocol, lambda p, d: sizes[p]))
+        times, runs = dynamics._schedule(sc)
+        got = dynamics._gathered(dynamics._sample_chunks(sc, times, runs), lambda p, d: sizes[p])
+        assert by_label(got) == ref
+
+    def test_a_switch_at_t_end_takes_no_step(self, monkeypatch):
+        # The segment opened at t_end holds only the final sample: its run is
+        # one sample long, and the state there is the previous run's last step.
+        family = {"a": MUTUAL["g"], "b": SignedDigraph(2, [(1, 2)])}
+        spec = ProtocolSpec(kind="WeightedConsensus", family=family, gamma=1.0, weights=1.0)
+        switched = SwitchingSignal([(0.0, "a"), (1.0, "b")], tau_d=1.0, horizon_end=2.0)
+        sc = scenario(spec, [-0.0, 0.5, -0.0, -0.25], h=0.1, t_end=1.0, signal=switched)
+        ref = simulate(scenario(spec, sc.initial_states, h=0.1, t_end=1.0,
+                                signal=static_signal("a", horizon=2.0)))
+        steps = []
+        taylor4 = dynamics._taylor4
+
+        def spy(act, dt, X):
+            steps.append(dt)
+            return taylor4(act, dt, X)
+
+        monkeypatch.setattr(dynamics, "_taylor4", spy)
+        traj = simulate(sc)
+        assert traj.runs[-1] == ("b", traj.num_samples - 1, traj.num_samples)
+        assert steps and min(steps) > 0
+        assert traj.states.tobytes() == ref.states.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @pytest.mark.parametrize("elements", [None, 3])
+    @pytest.mark.parametrize("case", ["custom", "weighted"])
+    def test_streamed_divergence_time_matches_simulate(self, case, elements, monkeypatch):
+        from compass_consensus.metrics import run_report
+
+        if case == "custom":  # finite-time blowup
+            sc = scenario(ProtocolSpec(kind="Custom", family=MUTUAL, gamma=1.0,
+                                       field_fn=lambda p, x: x ** 2), [5.0, 5.0], h=0.01)
+        else:  # far outside RK4's stability region
+            sc = scenario(mutual_consensus(weights=1e3), [0.0, 1.0], h=1.0, t_end=60.0,
+                          signal=static_signal(horizon=60.0))
+        with pytest.raises(DivergenceError) as ref:
+            simulate(sc)
+        if elements:  # one sample per chunk
+            monkeypatch.setattr(dynamics, "_CHUNK_ELEMENTS", elements)
+        with pytest.raises(DivergenceError) as err:
+            run_report(sc, lambda *chunk: None)
+        assert err.value.time == ref.value.time
+
+
 def test_validator_memory_bounded_per_chunk():
     # Fields are evaluated per sample chunk too, so the validator's peak stays
     # below the size of the trajectory it reads (12 MB of states here).

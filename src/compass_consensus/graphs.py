@@ -223,7 +223,7 @@ class SwitchingSignal(_Record):
         horizon_end: float,
         periodic: bool = False,
     ):
-        pieces = tuple((real("piece start", t), idx) for t, idx in pieces)
+        pieces = tuple([(real("piece start", t), idx) for t, idx in pieces])
         if not isinstance(periodic, bool):
             raise DomainError(f"periodic must be True or False, got {periodic!r}")
         if not pieces:
@@ -339,11 +339,11 @@ def validate_switching_signal(signal: SwitchingSignal) -> list[DwellViolation]:
 def _node_count(signal: SwitchingSignal, family: Mapping[Any, SignedDigraph]) -> int:
     """Node count of the graphs the signal uses; DomainError if a label is
     missing or two sizes differ, whether or not some window mixes them."""
-    ns = set()
-    for _t, p in signal.pieces:
+    labels = dict.fromkeys([p for _t, p in signal.pieces])  # in order of first use
+    for p in labels:
         if p not in family:
             raise DomainError(f"signal label {p!r} is not in the graph family")
-        ns.add(family[p].n)
+    ns = {family[p].n for p in labels}
     if len(ns) > 1:
         raise DomainError(f"family graphs disagree on node count: {sorted(ns)}")
     return ns.pop()
@@ -448,7 +448,7 @@ def check_uniform_joint_connectivity(
         last_start + min(T, signal.period) if signal.periodic else signal.horizon_end
     )
     candidates = {t0, last_start}
-    candidates.update(a for a, _b, _p in segs if t0 <= a <= last_start)
+    candidates.update([a for a, _b, _p in segs if t0 <= a <= last_start])
     arcs = {p: [(j - 1, i - 1) for j, i, _s in g.arcs if j != i] for p, g in family.items()}
 
     held = dict.fromkeys(arcs, 0)  # segments of each label in the window

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -344,6 +345,39 @@ class TestStreamedRun:
         assert "feasibility_violations=0" in capsys.readouterr().out
         assert growth < 500 * 400 * d
 
+    def test_memory_does_not_grow_with_the_number_of_graphs(self):
+        # 400 pieces of 10 steps cycle over L random in-degree-3 graphs, with
+        # no violation. Held for the whole run, one validator buffer and one
+        # step matrix per graph would take 400 * 125 KB at L = 400, 8x the
+        # 6.4 MB trajectory.
+        from compass_consensus.metrics import run_report
+        from compass_consensus.scenario import scenario_from_dict
+
+        n, d = 50, 4
+        rng = np.random.default_rng(0)
+        arcs = lambda: [[int(j), i, 1] for i in range(1, n + 1)
+                        for j in rng.choice([k for k in range(1, n + 1) if k != i], 3, False)]
+
+        def peak(graphs):
+            sc = scenario_from_dict({
+                "agents": {"n": n, "d": d, "sample": {"seed": 0, "lo": [-1.0] * d, "hi": [1.0] * d}},
+                "protocol": {"kind": "WeightedConsensus", "gamma": 1e-9, "weights": 1.0},
+                "graphs": {f"g{k}": {"n": n, "arcs": arcs()} for k in range(graphs)},
+                "signal": {"tau_d": 0.05, "horizon_end": 20.0,
+                           "pieces": [[k * 0.05, f"g{k % graphs}"] for k in range(400)]},
+                "integrator": {"h": 0.005, "t_end": 20.0},
+                "validation": {"assumption": "GammaStrict"},
+            })
+            tracemalloc.start()
+            try:
+                assert run_report(sc, lambda *chunk: None).feasibility_violations == []
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # warm-up: imports and caches
+        assert peak(400) < 2 * peak(1)
+
 
 @pytest.mark.parametrize("argv, prefix", [
     (["run", "{}", "--out-dir", "{out}"], "config error: "),
@@ -475,6 +509,27 @@ def graphs_file(tmp_path, periodic=False, horizon=4.0):
 
 
 class TestCheckGraphs:
+    def test_window_lines_spell_bounds_as_format_g(self, tmp_path, capsys):
+        # Starts in g's exponent and rounding forms, and a window of 1e+16.
+        from compass_consensus.graphs import (
+            ConnectivityMode, check_uniform_joint_connectivity, graph_from_json, signal_from_json)
+
+        obj = {
+            "graphs": {"a": {"n": 2, "arcs": [[1, 2, 1]]}, "b": {"n": 2, "arcs": [[2, 1, 1]]}},
+            "signal": {"tau_d": 1e-05, "horizon_end": 5e16,
+                       "pieces": [[1e-05, "a"], [123456.7, "b"], [2.5e16, "a"]]},
+        }
+        f = write_json(tmp_path / "g.json", obj)
+        assert main(["check-graphs", f, "--window", "1e16", "--mode", "strong"]) == 1
+        lines = capsys.readouterr().out.splitlines()[:-1]
+        family = {k: graph_from_json(g) for k, g in obj["graphs"].items()}
+        verdict = check_uniform_joint_connectivity(
+            signal_from_json(obj["signal"]), family, 1e16, ConnectivityMode.STRONG)
+        assert lines == [f"window [{a:g}, {b:g}): {'connected' if ok else 'NOT connected'}"
+                         for a, b, ok in verdict.checked_windows]
+        assert lines[:2] == ["window [1e-05, 1e+16): connected",
+                             "window [123457, 1e+16): NOT connected"]
+
     def test_connected_exit_0(self, tmp_path, capsys):
         f = graphs_file(tmp_path)
         assert main(["check-graphs", f, "--window", "2.0", "--mode", "strong"]) == 0
@@ -590,6 +645,42 @@ def test_readme_cli_lines_parse():
             build_parser().parse_args(argv[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {' '.join(argv)}")
+
+
+class TestParserText:
+    """A call builds only its subcommand's arguments, and prints what the
+    parser with every subcommand's arguments prints."""
+
+    COMMANDS = ["run", "check-graphs", "rate-bound", "dump-config"]
+
+    @staticmethod
+    def subparsers(parser):
+        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return action.choices
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_subcommand_help_and_usage(self, name):
+        full, one = build_parser(), build_parser(name)
+        assert list(self.subparsers(one)) == self.COMMANDS
+        assert self.subparsers(one)[name].format_help() == self.subparsers(full)[name].format_help()
+        assert one.format_usage() == full.format_usage()
+        for other, sub in self.subparsers(one).items():  # the others take no argument
+            assert sub._actions == [] or other == name
+
+    @pytest.mark.parametrize("argv", [
+        [], ["foo"], ["-h", "run"], ["check-graphs"],
+        ["check-graphs", "f", "--window", "1", "extra"],
+        ["check-graphs", "f", "--window", "1", "--mode", "weak"],
+        ["rate-bound", "--n", "3"], ["dump-config", "a", "b"],
+    ], ids=" ".join)
+    def test_usage_errors_match_the_full_parser(self, argv, capsys):
+        def outcome(parse):
+            with pytest.raises(SystemExit) as exit_:
+                parse(argv)
+            captured = capsys.readouterr()
+            return exit_.value.code, captured.out, captured.err
+
+        assert outcome(main) == outcome(lambda argv: build_parser().parse_args(argv))
 
 
 def test_readme_python_example_runs():

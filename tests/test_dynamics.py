@@ -28,6 +28,7 @@ from compass_consensus.protocols import ProtocolKind, ProtocolSpec
 from compass_consensus.scenario import ScenarioConfig
 from helpers import (
     OracleScopeError,
+    cyclic_signal,
     dense_gamma_margin,
     dense_local_hull_bounds,
     dense_validate_feasibility,
@@ -953,26 +954,68 @@ class TestSampleChunks:
         assert states.tobytes() == traj.states.tobytes()
         assert labels == traj.active_index and times.tobytes() == traj.times.tobytes()
 
-    @pytest.mark.parametrize("elements", [None, 50])
+    @pytest.mark.parametrize("elements", [None, 1, 50])
     def test_gathered_chunks_are_the_label_walkers(self, elements, monkeypatch):
         # The streamed validator's chunks, regrouped per label from the
-        # integrator's, are those the label walker cuts from the stored states.
+        # integrator's, hold each label's samples in the label walker's order.
+        # While the label buffers fit in 2 * _CHUNK_ELEMENTS states, they are
+        # the very chunks the label walker cuts from the stored states.
         sc = propagator_case("SignedConsensus", 2, True, seed=4)
         if elements:
             monkeypatch.setattr(dynamics, "_CHUNK_ELEMENTS", elements)
         traj = simulate(sc)
-        sizes = {"a": 3, "b": 1, "c": 7}
+        sizes = {"a": 3, "b": 1, "c": 7}  # 110 states at n * d = 10
 
         def by_label(chunks):
             out = {}
             for p, samples, X in chunks:  # each chunk is read before the next overwrites it
+                assert 0 < len(samples) <= sizes[p]
                 out.setdefault(p, []).append((samples.tolist(), X.tobytes()))
             return out
 
+        def joined(chunks):
+            return {p: (sum((s for s, _ in cs), []), b"".join(x for _, x in cs))
+                    for p, cs in chunks.items()}
+
         ref = by_label(dynamics._label_chunks(traj, sc.protocol, lambda p, d: sizes[p]))
         times, runs = dynamics._schedule(sc)
-        got = dynamics._gathered(dynamics._sample_chunks(sc, times, runs), lambda p, d: sizes[p])
-        assert by_label(got) == ref
+        got = by_label(dynamics._gathered(dynamics._sample_chunks(sc, times, runs),
+                                          lambda p, d: sizes[p]))
+        assert joined(got) == joined(ref)
+        assert (got == ref) == (elements is None)  # 50 elements allow only 100 states
+
+    @pytest.mark.parametrize("kind", ["SignedConsensus", "RotatedConsensus"])
+    def test_rebuilt_step_matrices_give_the_same_states(self, kind, monkeypatch):
+        # Keeping one step matrix, each run of the three graphs rebuilds its own.
+        sc = propagator_case(kind, 2, True, seed=4)
+        ref = simulate(sc)
+        monkeypatch.setattr(dynamics, "_PROPAGATORS", 1)
+        assert simulate(sc).states.tobytes() == ref.states.tobytes()
+
+    @pytest.mark.parametrize("elements", [None, 1, 50])
+    def test_streamed_verdicts_over_many_graphs_match_the_dense_oracle(self, elements,
+                                                                       monkeypatch):
+        # Twelve graphs take turns, so at 50 elements and at the default the
+        # label buffers pass their budget and go to the validator part-full; a
+        # sample's verdict does not depend on the chunk it is checked in.
+        rng = np.random.default_rng(11)
+        n, names = 3, [f"g{k}" for k in range(12)]
+        family = {p: SignedDigraph(n, [(j, i, int(rng.choice([-1, 1])))
+                                       for i in range(1, n + 1) for j in range(1, n + 1)
+                                       if j != i and rng.random() < 0.4]) for p in names}
+        spec = ProtocolSpec(kind="SignedConsensus", family=family, gamma=1.0)
+        sc = scenario(spec, rng.normal(size=(n, 2)), h=0.01, t_end=3.0,
+                      signal=cyclic_signal(names, 0.05, 3.0))
+        traj = simulate(sc)
+        if elements:
+            monkeypatch.setattr(dynamics, "_CHUNK_ELEMENTS", elements)
+        times, runs = dynamics._schedule(sc)
+        for assumption in Assumption:
+            for gamma in (None, 10.0):
+                want = dense_validate_feasibility(traj, spec, assumption, gamma=gamma)
+                got = dynamics._violations(dynamics._sample_chunks(sc, times, runs), times,
+                                           spec, assumption, gamma, 0.0, 1e-12)
+                assert got == want and (want or gamma is None)
 
     def test_a_switch_at_t_end_takes_no_step(self, monkeypatch):
         # The segment opened at t_end holds only the final sample: its run is

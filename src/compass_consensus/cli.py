@@ -301,54 +301,54 @@ def cmd_rate_bound(args) -> int:
     return EXIT_OK
 
 
-# (name, help, command, arguments): each argument is add_argument's flag and options.
-_COMMANDS = (
-    ("run", "simulate a scenario config", cmd_run, (
-        ("config", dict(nargs="+", help="scenario config JSON path(s)")),
-        ("--strict", dict(action="store_true", help="violations set the exit code")),
-        ("--batch", dict(action="store_true", help="run configs in parallel")),
-        ("--seed", dict(type=int, default=None, help="override the sampling seed")),
-        ("--out-dir", dict(default=".", help="directory for artifacts")),
-    )),
-    ("check-graphs", "uniform joint connectivity check", cmd_check_graphs, (
-        ("file", dict(help="JSON file with {graphs, signal}")),
-        ("--window", dict(type=float, required=True, help="window length T")),
-        ("--mode", dict(choices=["quasi-strong", "strong"], default="quasi-strong")),
-    )),
-    ("rate-bound", "closed-form contraction bound", cmd_rate_bound, tuple(
-        (flag, dict(type=typ, required=True)) for flag, typ in [
-            ("--n", int), ("--d", int), ("--T", float), ("--tau-d", float),
-            ("--gamma", float), ("--L-star", float), ("--L-plus", float)])),
-    ("dump-config", "echo a normalized config", cmd_dump_config, (
-        ("config", dict(nargs=1, help="scenario config JSON path")),
-        ("--seed", dict(type=int, default=None)),
-    )),
-)
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``compass`` parser. Every subcommand is registered, so the usage and
-    its errors list them all; if ``command`` names one, only it gets its
-    arguments, ``-h`` included (a call parses one), otherwise every one does."""
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="compass",
         description="Simulate and analyze compass-based multi-agent agreement protocols.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, prog="compass")
-    every = command not in [name for name, *_ in _COMMANDS]
-    for name, text, func, arguments in _COMMANDS:
-        built = every or name == command
-        p = sub.add_parser(name, help=text, add_help=built)
-        for flag, options in arguments if built else ():
-            p.add_argument(flag, **options)
-        p.set_defaults(func=func)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_run = sub.add_parser("run", help="simulate a scenario config")
+    p_run.add_argument("config", nargs="+", help="scenario config JSON path(s)")
+    p_run.add_argument("--strict", action="store_true", help="violations set the exit code")
+    p_run.add_argument("--batch", action="store_true", help="run configs in parallel")
+    p_run.add_argument("--seed", type=int, default=None, help="override the sampling seed")
+    p_run.add_argument("--out-dir", default=".", help="directory for artifacts")
+    p_run.set_defaults(func=cmd_run)
+
+    p_check = sub.add_parser("check-graphs", help="uniform joint connectivity check")
+    p_check.add_argument("file", help="JSON file with {graphs, signal}")
+    p_check.add_argument("--window", type=float, required=True, help="window length T")
+    p_check.add_argument(
+        "--mode", choices=["quasi-strong", "strong"], default="quasi-strong"
+    )
+    p_check.set_defaults(func=cmd_check_graphs)
+
+    p_rate = sub.add_parser("rate-bound", help="closed-form contraction bound")
+    for flag, typ in [
+        ("--n", int),
+        ("--d", int),
+        ("--T", float),
+        ("--tau-d", float),
+        ("--gamma", float),
+        ("--L-star", float),
+        ("--L-plus", float),
+    ]:
+        p_rate.add_argument(flag, type=typ, required=True)
+    p_rate.set_defaults(func=cmd_rate_bound)
+
+    p_dump = sub.add_parser("dump-config", help="echo a normalized config")
+    p_dump.add_argument("config", nargs=1, help="scenario config JSON path")
+    p_dump.add_argument("--seed", type=int, default=None)
+    p_dump.set_defaults(func=cmd_dump_config)
+
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
-    argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     return args.func(args)
 
 

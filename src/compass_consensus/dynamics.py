@@ -13,8 +13,8 @@ For the linear
 built-ins, f_p(x) = A_p x, an RK4 step is exactly T4(hA_p) = I + hA +
 (hA)^2/2 + (hA)^3/6 + (hA)^4/24. Its Horner form needs only the action of
 A_p, ``ProtocolSpec.linear_field``: applied to a basis once per graph and
-call (once per run past the ``_PROPAGATORS`` graphs used last), it gives the
-step matrix; applied to the state, each segment's last
+call (once per run for a graph whose matrix finds the kept ones full), it
+gives the step matrix; applied to the state, each segment's last
 (possibly short) step. Custom fields keep the generic RK4 loop.
 
 The feasibility validator replays a trajectory and checks, sample by sample
@@ -28,8 +28,8 @@ hull members (arcs plus self) and d axes, in working memory bounded per chunk.
 On a stored trajectory one walker over the run table yields those chunks,
 each graph's samples gathered from its runs; ``fields_along`` reads the
 states through it too. While integrating, ``_gathered`` copies the
-integrator's chunks into the same ones, one buffer per graph, in a bounded
-total of buffers.
+integrator's chunks into the same ones, one buffer per graph while the
+buffers stay within a bound.
 Agents are bucketed by hull size rounded up to a power of two, and each list
 is padded to its bucket's size with the agent itself (exact, as min and max
 are idempotent): padding at most doubles nnz, and a hub of a star graph
@@ -213,10 +213,6 @@ def _schedule(scenario: "ScenarioConfig") -> tuple[np.ndarray, list[tuple[Any, i
 # (larger budgets measured slower).
 _CHUNK_ELEMENTS = 1 << 16
 
-# Step matrices ``_sample_chunks`` keeps, the most recently used: a schedule
-# cycling over more graphs rebuilds one per run, not one per graph at once.
-_PROPAGATORS = 8
-
 
 def _sample_chunks(
     scenario: "ScenarioConfig", times: np.ndarray, runs: list, states: np.ndarray | None = None
@@ -238,24 +234,28 @@ def _sample_chunks(
     buffer = np.empty((min(size + 1, m), x0.size)) if states is None else None
     (states if buffer is None else buffer)[0] = x0
     custom = spec.kind is ProtocolKind.CUSTOM
+    # Step matrices are kept, first come, while they hold 2 * _CHUNK_ELEMENTS
+    # floats together or are at most sixteen; another graph's is rebuilt per
+    # run. A periodic schedule over up to sixteen graphs builds each once, and
+    # over more, the first ones' (least recently used out would rebuild all).
     propagators: dict[Any, np.ndarray] = {}
+    kept = 0
     for p, s, e in runs:
         last = min(e, m - 1)  # the run steps from s to last: e, or the final sample
         if custom:
             f = partial(spec.field, p)
         else:
             act = partial(spec.linear_field, p)
-            if last - s > 1:  # full steps come before the last one
-                P = propagators.pop(p, None)
+            P = propagators.get(p)
+            if P is None and last - s > 1:  # full steps come before the last one
                 # T4 on (n, d) blocks, or the stacked one whose column c is T4 e_c if rotated.
-                if P is None and spec.rotation is None:
+                if spec.rotation is None:
                     P = _taylor4(act, h, np.eye(spec.n))
-                elif P is None:
+                else:
                     basis = np.eye(x0.size).reshape(x0.size, spec.n, -1)
                     P = _taylor4(act, h, basis).reshape(x0.size, -1).T.copy()
-                propagators[p] = P  # the most recently used last
-                if len(propagators) > _PROPAGATORS:
-                    del propagators[next(iter(propagators))]
+                if kept + P.size <= max(2 * _CHUNK_ELEMENTS, 16 * P.size):
+                    propagators[p], kept = P, kept + P.size
         for c in range(s, e, size):
             c2 = min(c + size, e)
             k = min(c2, last) - c  # steps from sample c; a step into c2 opens the next chunk
@@ -318,24 +318,23 @@ def _gathered(
     states) chunks ``_sample_chunks`` yields, regrouped into those
     ``_label_chunks`` yields on the stored trajectory. Each label's samples
     are copied, in order, into a buffer of chunk_samples(p, d) samples,
-    allocated on the label's first use and yielded whenever it fills. The
-    buffers hold at most 2 * _CHUNK_ELEMENTS states together, or one buffer,
-    whatever the number of labels: a label whose buffer would pass that first
-    drops the empty ones, then yields and drops the fullest partial ones.
-    (The validator's buffers take at most _CHUNK_ELEMENTS / 2 states each, so
-    four labels never drop one.) Once the chunks end, the partial buffers are
-    yielded. A yielded chunk is overwritten when the next is asked for."""
+    allocated on the label's first use and yielded whenever it fills; once
+    the chunks end, the partial buffers are yielded. The buffers are kept,
+    first come, while they hold 2 * _CHUNK_ELEMENTS states together, or one
+    buffer, whatever the number of labels; a label left without one has each
+    chunk yielded as it comes, in pieces of at most chunk_samples(p, d)
+    samples. (The validator's buffers take at most _CHUNK_ELEMENTS / 2 states
+    each, so four labels all get one.) A yielded chunk is overwritten when
+    the next is asked for."""
     held: dict[Any, list] = {}  # p -> [samples, states, samples filled]
     total = 0  # state floats in the held buffers
     for p, samples, X in chunks:
         if p not in held:
             size = chunk_samples(p, X.shape[2])
-            while held and total + size * X[0].size > 2 * _CHUNK_ELEMENTS:
-                q = max(held, key=lambda q: (held[q][2] == 0, held[q][2]))
-                idx, buf, k = held.pop(q)
-                total -= buf.size
-                if k:
-                    yield q, idx[:k], buf[:k]
+            if held and total + size * X[0].size > 2 * _CHUNK_ELEMENTS:
+                for j in range(0, len(X), size):
+                    yield p, samples[j : j + size], X[j : j + size]
+                continue
             held[p] = [np.empty(size, samples.dtype), np.empty((size, *X.shape[1:]), X.dtype), 0]
             total += held[p][1].size
         entry = held[p]
@@ -421,8 +420,9 @@ def _facet_chunks(
     """
     tables: dict[Any, list[np.ndarray]] = {}
 
-    def step(p, d):  # builds each label's tables once, before its chunks
-        tables[p] = _hull_tables(spec, p, signed)
+    def step(p, d):  # builds each label's tables once, before its first chunk
+        if p not in tables:
+            tables[p] = _hull_tables(spec, p, signed)
         floats = (sum(table.size for table in tables[p]) + (2 if signed else 1) * spec.n) * d
         return max(1, _CHUNK_ELEMENTS // floats)
 

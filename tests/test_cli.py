@@ -1,4 +1,3 @@
-import argparse
 import csv
 import json
 import math
@@ -645,42 +644,6 @@ def test_readme_cli_lines_parse():
             build_parser().parse_args(argv[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {' '.join(argv)}")
-
-
-class TestParserText:
-    """A call builds only its subcommand's arguments, and prints what the
-    parser with every subcommand's arguments prints."""
-
-    COMMANDS = ["run", "check-graphs", "rate-bound", "dump-config"]
-
-    @staticmethod
-    def subparsers(parser):
-        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        return action.choices
-
-    @pytest.mark.parametrize("name", COMMANDS)
-    def test_subcommand_help_and_usage(self, name):
-        full, one = build_parser(), build_parser(name)
-        assert list(self.subparsers(one)) == self.COMMANDS
-        assert self.subparsers(one)[name].format_help() == self.subparsers(full)[name].format_help()
-        assert one.format_usage() == full.format_usage()
-        for other, sub in self.subparsers(one).items():  # the others take no argument
-            assert sub._actions == [] or other == name
-
-    @pytest.mark.parametrize("argv", [
-        [], ["foo"], ["-h", "run"], ["check-graphs"],
-        ["check-graphs", "f", "--window", "1", "extra"],
-        ["check-graphs", "f", "--window", "1", "--mode", "weak"],
-        ["rate-bound", "--n", "3"], ["dump-config", "a", "b"],
-    ], ids=" ".join)
-    def test_usage_errors_match_the_full_parser(self, argv, capsys):
-        def outcome(parse):
-            with pytest.raises(SystemExit) as exit_:
-                parse(argv)
-            captured = capsys.readouterr()
-            return exit_.value.code, captured.out, captured.err
-
-        assert outcome(main) == outcome(lambda argv: build_parser().parse_args(argv))
 
 
 def test_readme_python_example_runs():

@@ -869,6 +869,38 @@ def propagator_case(kind, d, periodic, seed):
     )
 
 
+def many_graphs_case(kind, graphs=12):
+    """Random graphs on 3 agents, d = 2, taking turns every 0.05 over [0, 3]
+    with h = 0.01."""
+    rng = np.random.default_rng(11)
+    n, names = 3, [f"g{k}" for k in range(graphs)]
+    signed = kind == "SignedConsensus"
+    family = {p: SignedDigraph(n, [(j, i, int(rng.choice([-1, 1])) if signed else 1)
+                                   for i in range(1, n + 1) for j in range(1, n + 1)
+                                   if j != i and rng.random() < 0.4]) for p in names}
+    rotation = 0.3 if kind == "RotatedConsensus" else None
+    spec = ProtocolSpec(kind=kind, family=family, gamma=1.0, rotation=rotation)
+    return scenario(spec, rng.normal(size=(n, 2)), h=0.01, t_end=3.0,
+                    signal=cyclic_signal(names, 0.05, 3.0))
+
+
+def gathered_and_walked(sc, sizes):
+    """Per label, the (samples, states bytes) chunks the label walker cuts from
+    the stored trajectory and those ``_gathered`` regroups while integrating,
+    with ``sizes[p]`` samples per chunk."""
+    def by_label(chunks):
+        out = {}
+        for p, samples, X in chunks:  # each chunk is read before the next overwrites it
+            out.setdefault(p, []).append((samples.tolist(), X.tobytes()))
+        return out
+
+    ref = by_label(dynamics._label_chunks(simulate(sc), sc.protocol, lambda p, d: sizes[p]))
+    times, runs = dynamics._schedule(sc)
+    got = by_label(dynamics._gathered(dynamics._sample_chunks(sc, times, runs),
+                                      lambda p, d: sizes[p]))
+    return ref, got
+
+
 class TestStepPropagator:
     """Built-in kinds step with T4(hA); the generic RK4 loop is the oracle."""
 
@@ -954,68 +986,80 @@ class TestSampleChunks:
         assert states.tobytes() == traj.states.tobytes()
         assert labels == traj.active_index and times.tobytes() == traj.times.tobytes()
 
-    @pytest.mark.parametrize("elements", [None, 1, 50])
+    @pytest.mark.parametrize("elements", [None, 50])
     def test_gathered_chunks_are_the_label_walkers(self, elements, monkeypatch):
         # The streamed validator's chunks, regrouped per label from the
-        # integrator's, hold each label's samples in the label walker's order.
-        # While the label buffers fit in 2 * _CHUNK_ELEMENTS states, they are
-        # the very chunks the label walker cuts from the stored states.
+        # integrator's, are those the label walker cuts from the stored states
+        # while the label buffers fit in 2 * _CHUNK_ELEMENTS states. At 50
+        # elements the integrator splits its runs into 5-sample chunks.
         sc = propagator_case("SignedConsensus", 2, True, seed=4)
         if elements:
             monkeypatch.setattr(dynamics, "_CHUNK_ELEMENTS", elements)
-        traj = simulate(sc)
-        sizes = {"a": 3, "b": 1, "c": 7}  # 110 states at n * d = 10
+        sizes = {"a": 3, "b": 1, "c": 5}  # 90 states at n * d = 10
+        ref, got = gathered_and_walked(sc, sizes)
+        assert got == ref
 
-        def by_label(chunks):
-            out = {}
-            for p, samples, X in chunks:  # each chunk is read before the next overwrites it
-                assert 0 < len(samples) <= sizes[p]
-                out.setdefault(p, []).append((samples.tolist(), X.tobytes()))
-            return out
+    @pytest.mark.parametrize("elements", [1, 50])
+    def test_gathered_chunks_past_the_bound_keep_each_labels_order(self, elements,
+                                                                   monkeypatch):
+        # 110 states of label buffers pass the 100 that 50 elements allow, and
+        # at 1 element one buffer is held at a time: part-filled buffers go to
+        # the validator early, each label's samples still in the walker's order.
+        sc = propagator_case("SignedConsensus", 2, True, seed=4)
+        monkeypatch.setattr(dynamics, "_CHUNK_ELEMENTS", elements)
+        sizes = {"a": 3, "b": 1, "c": 7}
+        ref, got = gathered_and_walked(sc, sizes)
 
         def joined(chunks):
             return {p: (sum((s for s, _ in cs), []), b"".join(x for _, x in cs))
                     for p, cs in chunks.items()}
 
-        ref = by_label(dynamics._label_chunks(traj, sc.protocol, lambda p, d: sizes[p]))
-        times, runs = dynamics._schedule(sc)
-        got = by_label(dynamics._gathered(dynamics._sample_chunks(sc, times, runs),
-                                          lambda p, d: sizes[p]))
-        assert joined(got) == joined(ref)
-        assert (got == ref) == (elements is None)  # 50 elements allow only 100 states
+        assert joined(got) == joined(ref) and got != ref
+        assert all(0 < len(samples) <= sizes[p] for p, cs in got.items() for samples, _ in cs)
 
     @pytest.mark.parametrize("kind", ["SignedConsensus", "RotatedConsensus"])
     def test_rebuilt_step_matrices_give_the_same_states(self, kind, monkeypatch):
-        # Keeping one step matrix, each run of the three graphs rebuilds its own.
-        sc = propagator_case(kind, 2, True, seed=4)
+        # At 1 element the first sixteen of twenty graphs keep their step
+        # matrices and the other four rebuild theirs on every run.
+        sc = many_graphs_case(kind, graphs=20)
+        taylor4, builds = dynamics._taylor4, []
+
+        def counted(act, dt, X):  # a basis, not an (n, d) state for a short step
+            builds.append(X.shape != (sc.n, sc.d))
+            return taylor4(act, dt, X)
+
+        monkeypatch.setattr(dynamics, "_taylor4", counted)
         ref = simulate(sc)
-        monkeypatch.setattr(dynamics, "_PROPAGATORS", 1)
+        assert sum(builds) == 20
+        builds.clear()
+        monkeypatch.setattr(dynamics, "_CHUNK_ELEMENTS", 1)
         assert simulate(sc).states.tobytes() == ref.states.tobytes()
+        assert sum(builds) > 20
 
     @pytest.mark.parametrize("elements", [None, 1, 50])
     def test_streamed_verdicts_over_many_graphs_match_the_dense_oracle(self, elements,
                                                                        monkeypatch):
-        # Twelve graphs take turns, so at 50 elements and at the default the
-        # label buffers pass their budget and go to the validator part-full; a
-        # sample's verdict does not depend on the chunk it is checked in.
-        rng = np.random.default_rng(11)
-        n, names = 3, [f"g{k}" for k in range(12)]
-        family = {p: SignedDigraph(n, [(j, i, int(rng.choice([-1, 1])))
-                                       for i in range(1, n + 1) for j in range(1, n + 1)
-                                       if j != i and rng.random() < 0.4]) for p in names}
-        spec = ProtocolSpec(kind="SignedConsensus", family=family, gamma=1.0)
-        sc = scenario(spec, rng.normal(size=(n, 2)), h=0.01, t_end=3.0,
-                      signal=cyclic_signal(names, 0.05, 3.0))
+        # Twelve graphs take turns, so at every budget the label buffers pass
+        # their bound and some labels are validated run by run, as they come;
+        # a sample's verdict does not depend on the chunk it is checked in.
+        # Each label's hull tables are built once per pass all the same.
+        sc = many_graphs_case("SignedConsensus")
+        spec = sc.protocol
         traj = simulate(sc)
         if elements:
             monkeypatch.setattr(dynamics, "_CHUNK_ELEMENTS", elements)
+        hull_tables, built = dynamics._hull_tables, []
+        monkeypatch.setattr(dynamics, "_hull_tables",
+                            lambda spec, p, signed: built.append(p) or hull_tables(spec, p, signed))
         times, runs = dynamics._schedule(sc)
         for assumption in Assumption:
             for gamma in (None, 10.0):
                 want = dense_validate_feasibility(traj, spec, assumption, gamma=gamma)
+                built.clear()
                 got = dynamics._violations(dynamics._sample_chunks(sc, times, runs), times,
                                            spec, assumption, gamma, 0.0, 1e-12)
                 assert got == want and (want or gamma is None)
+                assert sorted(built) == sorted(spec.family)
 
     def test_a_switch_at_t_end_takes_no_step(self, monkeypatch):
         # The segment opened at t_end holds only the final sample: its run is

@@ -98,10 +98,11 @@ def write_metrics_json(path: Path, report_dict: dict) -> None:
     """Write the bytes of ``json.dump(report_dict, fh, sort_keys=True, indent=2,
     ensure_ascii=False)`` and a newline, streamed value by value.
 
-    A list of floats (or of non-empty float rows) is formatted by one
-    ``repr`` per slice of ``_SLICE`` items, the C loop over the same
-    ``float.__repr__`` json calls, and a list of strings by joining the C
-    string encoder over each slice; anything else goes through ``json.dumps``.
+    A list of floats (or of non-empty float rows), or a float array as its
+    ``.tolist()`` a slice at a time, is formatted by one ``repr`` per slice
+    of ``_SLICE`` items, the C loop over the same ``float.__repr__`` json
+    calls, and a list of strings by joining the C string encoder over each
+    slice; anything else goes through ``json.dumps``.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         _write_json(fh.write, report_dict, "\n")
@@ -119,22 +120,25 @@ def _write_json(write, v, nl: str) -> None:
             sep = "," + inner
         write(nl + "}")
         return
-    kinds = set(map(type, v)) if type(v) is list else None
+    array = getattr(v, "ndim", 0) and v.dtype.kind == "f" and v.size
+    head = v[:_SLICE].tolist() if array else v
+    kinds = set(map(type, head)) if type(head) is list else None
     if kinds == {float}:
         fmt = lambda s: _repr_floats(s)[1:-1].replace(", ", "," + inner)
-    elif kinds == {list} and all(map(len, v)) and set(map(type, chain.from_iterable(v))) == {float}:
+    elif kinds == {list} and all(head) and set(map(type, chain.from_iterable(head))) == {float}:
         row = inner + "  "
         fmt = lambda s: "[" + row + _repr_floats(s)[2:-2].replace(
             "], [", inner + "]," + inner + "[" + row).replace(", ", "," + row) + inner + "]"
     elif kinds == {str}:
         fmt = lambda s: ("," + inner).join(map(encode_basestring, s))
     else:
-        text = json.dumps(v, sort_keys=True, indent=2, ensure_ascii=False)
+        text = json.dumps(v.tolist() if hasattr(v, "tolist") else v,
+                          sort_keys=True, indent=2, ensure_ascii=False)
         write(text.replace("\n", nl))
         return
     sep = "[" + inner
     for k in range(0, len(v), _SLICE):
-        write(sep + fmt(v[k:k + _SLICE]))
+        write(sep + fmt(v[k:k + _SLICE].tolist() if array else v[k:k + _SLICE]))
         sep = "," + inner
     write(nl + "]")
 
@@ -171,7 +175,7 @@ def run_scenario(
             with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
                 rows = artifacts.TrajectoryRows(fh, sc.d, sc.downsample)
                 report = metrics.run_report(sc, rows)
-            write_metrics_json(json_path, report.to_json_dict())
+            write_metrics_json(json_path, report._json_fields())
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
@@ -301,55 +305,65 @@ def cmd_rate_bound(args) -> int:
     return EXIT_OK
 
 
+def _run_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("config", nargs="+", help="scenario config JSON path(s)")
+    p.add_argument("--strict", action="store_true", help="violations set the exit code")
+    p.add_argument("--batch", action="store_true", help="run configs in parallel")
+    p.add_argument("--seed", type=int, default=None, help="override the sampling seed")
+    p.add_argument("--out-dir", default=".", help="directory for artifacts")
+
+
+def _check_graphs_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("file", help="JSON file with {graphs, signal}")
+    p.add_argument("--window", type=float, required=True, help="window length T")
+    p.add_argument("--mode", choices=["quasi-strong", "strong"], default="quasi-strong")
+
+
+def _rate_bound_args(p: argparse.ArgumentParser) -> None:
+    for flag, typ in [("--n", int), ("--d", int), ("--T", float), ("--tau-d", float),
+                      ("--gamma", float), ("--L-star", float), ("--L-plus", float)]:
+        p.add_argument(flag, type=typ, required=True)
+
+
+def _dump_config_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("config", nargs=1, help="scenario config JSON path")
+    p.add_argument("--seed", type=int, default=None)
+
+
+# name -> (help, handler, adds the subcommand's arguments to its parser)
+_COMMANDS = {
+    "run": ("simulate a scenario config", cmd_run, _run_args),
+    "check-graphs": ("uniform joint connectivity check", cmd_check_graphs, _check_graphs_args),
+    "rate-bound": ("closed-form contraction bound", cmd_rate_bound, _rate_bound_args),
+    "dump-config": ("echo a normalized config", cmd_dump_config, _dump_config_args),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="compass",
         description="Simulate and analyze compass-based multi-agent agreement protocols.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="simulate a scenario config")
-    p_run.add_argument("config", nargs="+", help="scenario config JSON path(s)")
-    p_run.add_argument("--strict", action="store_true", help="violations set the exit code")
-    p_run.add_argument("--batch", action="store_true", help="run configs in parallel")
-    p_run.add_argument("--seed", type=int, default=None, help="override the sampling seed")
-    p_run.add_argument("--out-dir", default=".", help="directory for artifacts")
-    p_run.set_defaults(func=cmd_run)
-
-    p_check = sub.add_parser("check-graphs", help="uniform joint connectivity check")
-    p_check.add_argument("file", help="JSON file with {graphs, signal}")
-    p_check.add_argument("--window", type=float, required=True, help="window length T")
-    p_check.add_argument(
-        "--mode", choices=["quasi-strong", "strong"], default="quasi-strong"
-    )
-    p_check.set_defaults(func=cmd_check_graphs)
-
-    p_rate = sub.add_parser("rate-bound", help="closed-form contraction bound")
-    for flag, typ in [
-        ("--n", int),
-        ("--d", int),
-        ("--T", float),
-        ("--tau-d", float),
-        ("--gamma", float),
-        ("--L-star", float),
-        ("--L-plus", float),
-    ]:
-        p_rate.add_argument(flag, type=typ, required=True)
-    p_rate.set_defaults(func=cmd_rate_bound)
-
-    p_dump = sub.add_parser("dump-config", help="echo a normalized config")
-    p_dump.add_argument("config", nargs=1, help="scenario config JSON path")
-    p_dump.add_argument("--seed", type=int, default=None)
-    p_dump.set_defaults(func=cmd_dump_config)
-
+    for name, (text, _func, add_arguments) in _COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=text))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    # A call that names a subcommand builds only the parser add_parser makes for it; a leftover
+    # argument, or no subcommand first, goes to the full parser, which prints help and errors.
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in _COMMANDS:
+        _text, func, add_arguments = _COMMANDS[argv[0]]
+        parser = argparse.ArgumentParser(prog=f"compass {argv[0]}")
+        add_arguments(parser)
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            return func(args)
+    args = build_parser().parse_args(argv)
+    return _COMMANDS[args.command][1](args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -14,7 +14,7 @@ from __future__ import annotations
 import bisect
 from collections import deque
 from enum import Enum
-from itertools import count
+from itertools import count, groupby
 from typing import Any, Iterable, Iterator, Mapping
 
 from . import _json
@@ -447,8 +447,8 @@ def check_uniform_joint_connectivity(
     segs = signal.segments(
         last_start + min(T, signal.period) if signal.periodic else signal.horizon_end
     )
-    candidates = {t0, last_start}
-    candidates.update([a for a, _b, _p in segs if t0 <= a <= last_start])
+    # The tiled starts come in order, so the sort is linear; groupby drops repeats.
+    candidates = sorted([t0, last_start, *[a for a, _b, _p in segs if t0 <= a <= last_start]])
     arcs = {p: [(j - 1, i - 1) for j, i, _s in g.arcs if j != i] for p, g in family.items()}
 
     held = dict.fromkeys(arcs, 0)  # segments of each label in the window
@@ -456,7 +456,7 @@ def check_uniform_joint_connectivity(
     lo = hi = 0
     ok = None
     checked = []
-    for start in sorted(candidates):
+    for start, _same in groupby(candidates):
         end = start + T
         changed = ok is None
         while hi < len(segs) and segs[hi][0] < end:

@@ -402,10 +402,18 @@ class AgreementReport:
     feasibility_violations: list = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
+        fields = self._json_fields()
+        for key in ("V", "diameters", "abs_spread"):
+            fields[key] = fields[key].tolist()
+        return fields
+
+    def _json_fields(self) -> dict:
+        """``to_json_dict`` with its three series left as arrays, which
+        ``cli.write_metrics_json`` converts one slice at a time."""
         return {
-            "V": self.lyapunov.tolist(),
-            "diameters": self.diameters.tolist(),
-            "abs_spread": self.abs_spread.tolist(),
+            "V": self.lyapunov,
+            "diameters": self.diameters,
+            "abs_spread": self.abs_spread,
             "lambda_hat": self.lambda_hat,
             "r2": self.r_squared,
             "fit_truncated": self.fit_truncated,

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import compass_consensus
+from compass_consensus import cli
 from compass_consensus.artifacts import write_trajectory_csv
 from compass_consensus.cli import build_parser, main, run_scenario
 from compass_consensus.dynamics import Trajectory
@@ -644,6 +645,47 @@ def test_readme_cli_lines_parse():
             build_parser().parse_args(argv[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {' '.join(argv)}")
+
+
+def exit_text(call, argv, capsys) -> tuple[str, str, int]:
+    """(stdout, stderr, exit code) of ``call(argv)``, which must exit."""
+    with pytest.raises(SystemExit) as exc:
+        call(argv)
+    out, err = capsys.readouterr()
+    return out, err, exc.value.code
+
+
+class TestParserText:
+    # main builds only the invoked subcommand's parser, and hands a leftover
+    # argument to the full parser: every help and usage error must read as
+    # the full parser prints it.
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["bogus"], ["-h", "run"],
+        ["run", "-h"], ["check-graphs", "-h"], ["rate-bound", "-h"], ["dump-config", "-h"],
+        ["rate-bound", "--n", "2"],
+        ["check-graphs", "f", "--window", "x"],
+        ["check-graphs", "f", "--window", "1", "--mode", "weak"],
+        ["check-graphs", "f", "--window", "1", "extra"],
+        ["check-graphs", "f", "--win", "1", "extra"],
+        ["check-graphs", "f", "--he"],
+        ["check-graphs", "--", "f"],
+        ["run", "a.json", "--out-dir"],
+        ["dump-config", "a", "b"],
+    ])
+    def test_same_text_as_the_full_parser(self, argv, capsys):
+        assert exit_text(main, argv, capsys) == exit_text(build_parser().parse_args, argv, capsys)
+
+    def test_accepted_call_builds_no_full_parser(self, tmp_path, monkeypatch, capsys):
+        def refuse():
+            raise AssertionError("the full parser was built")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        config = write_json(tmp_path / "c.json", consensus_config(t_end=0.5))
+        assert main(["check-graphs", graphs_file(tmp_path), "--win", "2.0"]) == 0
+        assert main(["dump-config", config, "--seed", "1"]) == 0
+        assert main(["run", config, "--out-dir", str(tmp_path), "--strict"]) == 0
+        assert main(["rate-bound", "--n", "2", "--d", "1", "--T", "0.5", "--tau-d", "0.25",
+                     "--gamma", "1", "--L-star", "1", "--L-plus", "1"]) == 0
 
 
 def test_readme_python_example_runs():

@@ -645,6 +645,49 @@ class TestSweepMatchesPerWindowChecker:
             assert (v0_union_graph(sig, family, s, s + T).arcs
                     <= v0_union_graph(sig, family, c, c + T).arcs)
 
+    # The candidate starts: equal starts are checked once, in order.
+    STRONG = ConnectivityMode.STRONG
+
+    def test_zero_length_pieces_give_one_window_per_start(self):
+        sig = SwitchingSignal([(0.0, "a"), (1.0, "b"), (1.0, "a"), (1.0, "b"), (2.0, "a"),
+                               (3.0, "b")], tau_d=0.5, horizon_end=4.0)
+        assert check_uniform_joint_connectivity(sig, ALT_FAMILY, 1.5, self.STRONG) == (
+            ConnectivityVerdict(True, self.STRONG, 1.5, "horizon [0.0, 4.0)", 4, None, (
+                (0.0, 1.5, True), (1.0, 2.5, True), (2.0, 3.5, True), (2.5, 4.0, True))))
+
+    def test_segment_start_at_the_last_start(self):
+        # horizon_end - T = 2.0 is also the third piece's start.
+        sig = SwitchingSignal([(0.0, "a"), (1.0, "b"), (2.0, "a")], tau_d=0.5, horizon_end=4.0)
+        assert check_uniform_joint_connectivity(sig, ALT_FAMILY, 2.0, self.STRONG) == (
+            ConnectivityVerdict(False, self.STRONG, 2.0, "horizon [0.0, 4.0)", 3, (2.0, 4.0), (
+                (0.0, 2.0, True), (1.0, 3.0, True), (2.0, 4.0, False))))
+
+    @pytest.mark.parametrize("T", [0.5, 1.0, 2.0])
+    def test_far_periodic_copy_is_the_near_one_shifted(self, T):
+        # A dyadic schedule keeps every start exact at 1.5 * 2**20 (~10**6 periods).
+        def check(t0):
+            sig = SwitchingSignal([(t0, "a"), (t0 + 0.5, "b"), (t0 + 1.25, "a")], tau_d=0.25,
+                                  horizon_end=t0 + 1.5, periodic=True)
+            return check_uniform_joint_connectivity(sig, ALT_FAMILY, T, self.STRONG)
+
+        offset = 1.5 * 2**20
+        near, far = check(0.0), check(offset)
+        shift = lambda w: None if w is None else (w[0] + offset, w[1] + offset)
+        assert far == ConnectivityVerdict(
+            near.ok, near.mode, near.window, near.scope, near.windows_checked,
+            shift(near.witness), tuple((*shift(w[:2]), w[2]) for w in near.checked_windows))
+        assert near.windows_checked == 4 and near.checked_windows[-1][0] == 1.5
+
+    def test_far_copy_in_decimal_checks_each_start_once(self):
+        t0 = 0.7 * 10**6  # where the 10**6-th copy of a 0.7-long period starts
+        sig = SwitchingSignal([(t0, "a"), (t0 + 0.1, "b"), (t0 + 0.3, "a")], tau_d=0.05,
+                              horizon_end=t0 + 0.7, periodic=True)
+        v = check_uniform_joint_connectivity(sig, ALT_FAMILY, 0.35, self.STRONG)
+        starts = [w[0] for w in v.checked_windows]
+        assert starts == sorted(set(starts)) and starts[0] == t0 and starts[-1] == t0 + 0.7
+        assert (v.ok, v.witness) == v0_check_uniform_joint_connectivity(
+            sig, ALT_FAMILY, 0.35, self.STRONG)[:2]
+
 
 class TestJsonRoundTrip:
     def test_graph(self):

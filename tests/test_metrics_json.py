@@ -3,6 +3,7 @@ replaced (``helpers.reference_metrics_json``), in memory that does not grow
 with the series length."""
 
 import hashlib
+import json
 import math
 import tracemalloc
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from compass_consensus import cli
+from compass_consensus import cli, metrics
 from compass_consensus.cli import main, write_metrics_json
 from helpers import reference_metrics_json
 from test_cli import write_json
@@ -69,6 +70,29 @@ def test_writer_matches_json_dump(tmp_path_factory, value):
     assert_same_bytes(tmp_path_factory.mktemp("json"), value)
 
 
+ARRAYS = st.one_of(
+    st.builds(np.array, st.lists(FLOATS, max_size=5)),
+    st.integers(0, 3).flatmap(lambda d: st.builds(
+        np.array, st.lists(st.lists(FLOATS, min_size=d, max_size=d), max_size=4))),
+    long_lists(FLOATS).map(np.array),
+    long_lists(st.lists(FLOATS, min_size=3, max_size=3)).map(np.array),
+    st.builds(np.array, st.lists(st.integers(-5, 5), max_size=3)),
+    st.builds(np.float64, FLOATS),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(value=st.dictionaries(TEXT, ARRAYS, min_size=1, max_size=3))
+@example(value={"V": np.array(SPECIAL), "e": np.zeros((0, 3)), "z": np.zeros((2, 0)),
+                "c": np.ones((2, 2, 2)), "f": np.float32([0.1, 1e-40])})
+@example(value={"d": np.arange(3 * S + 3, dtype=float).reshape(S + 1, 3)})
+def test_writer_takes_an_array_as_its_tolist(tmp_path_factory, value):
+    folder = tmp_path_factory.mktemp("json")
+    write_metrics_json(folder / "new.json", value)
+    reference_metrics_json(folder / "ref.json", {k: v.tolist() for k, v in value.items()})
+    assert (folder / "new.json").read_bytes() == (folder / "ref.json").read_bytes()
+
+
 def shaped_config(seed, kind, n, d, h, steps, assumption, monitor, labels=("g0", "g1", "g2")):
     """A random scenario of the given size: in-degree 3 graphs, twelve pieces
     cycling through ``labels``, one CSV row per run (the CSV is not under test)."""
@@ -114,7 +138,10 @@ def run_against_reference(tmp_path, monkeypatch, cfg) -> dict:
     reports = []
 
     def both(path, report_dict, _write=write_metrics_json):
+        # `run` hands the writer the report's series as arrays; json.dump takes lists.
         _write(path, report_dict)
+        report_dict = {k: v.tolist() if isinstance(v, np.ndarray) else v
+                       for k, v in report_dict.items()}
         reference_metrics_json(tmp_path / "reference.json", report_dict)
         reports.append(report_dict)
 
@@ -171,3 +198,28 @@ def test_writer_memory_is_flat_in_the_sample_count(tmp_path):
     large = writer_peak(tmp_path / "large.json", synthetic_report(40_000))
     assert large < 2 * 2**20
     assert large <= 1.5 * small
+
+
+def test_run_writes_its_series_in_flat_memory(tmp_path, monkeypatch, capsys):
+    # The report's three series (over 40,000 samples, d = 3) go to the writer as
+    # arrays, converted one slice at a time. As nested lists they took the
+    # traced peak ~11 MB over the one that run_report reached.
+    cfg = shaped_config(3, "WeightedConsensus", 8, 3, 0.002, 40000, None, "CooperativeBox")
+    path = write_json(tmp_path / "c.json", cfg)
+    report_peaks = []
+
+    def traced(*args, _run_report=metrics.run_report, **kwargs):
+        report = _run_report(*args, **kwargs)
+        report_peaks.append(tracemalloc.get_traced_memory()[1])
+        return report
+
+    monkeypatch.setattr(metrics, "run_report", traced)
+    tracemalloc.start()
+    try:
+        assert main(["run", path, "--out-dir", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    [report_peak] = report_peaks
+    assert len(json.loads((tmp_path / "metrics.json").read_text())["V"]) > 40_000
+    assert peak <= report_peak + 2**20

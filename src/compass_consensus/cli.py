@@ -60,23 +60,12 @@ def _setup_logging():
     )
 
 
-# numpy and the run layers load on a command's first call to them, so that
-# check-graphs never imports them. The benchmark wraps these module attributes
-# to time each layer. `run` streams its states and calls only the first; the
-# other two stay importable here for the stored-trajectory path.
+# numpy and the run layers load on the first call to this, from `run` or
+# `dump-config`, so that check-graphs never imports them. The benchmark wraps
+# this module attribute to time the load.
 def scenario_from_dict(*args, **kwargs):
     from .scenario import scenario_from_dict
     return scenario_from_dict(*args, **kwargs)
-
-
-def simulate(*args, **kwargs):
-    from .dynamics import simulate
-    return simulate(*args, **kwargs)
-
-
-def write_trajectory_csv(*args, **kwargs):
-    from .artifacts import write_trajectory_csv
-    return write_trajectory_csv(*args, **kwargs)
 
 
 def _load_json(path: str) -> dict:

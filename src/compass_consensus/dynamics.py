@@ -22,9 +22,10 @@ and agent by agent, that the active field at the agent's state lies in the
 required cone over the supporting hyperrectangle of the agent's local hull
 (the agent's own state together with its in-neighbors' states, sign-flipped
 on antagonistic arcs when the signed condition is requested). The boxes are
-reduced over hull lists read from each graph's arcs, and the fields evaluated,
-a bounded chunk of samples at a time: O(m * nnz * d) time for m samples, nnz
-hull members (arcs plus self) and d axes, in working memory bounded per chunk.
+reduced over hull lists read from each graph's ``in_arcs()``, and the fields
+evaluated, a bounded chunk of samples at a time: O(m * nnz * d) time for m
+samples, nnz hull members (arcs plus self) and d axes, in working memory
+bounded per chunk.
 On a stored trajectory one walker over the run table yields those chunks,
 each graph's samples gathered from its runs; ``fields_along`` reads the
 states through it too. While integrating, ``_gathered`` copies the
@@ -383,11 +384,9 @@ def _hull_tables(spec: ProtocolSpec, p: Any, signed: bool) -> list[np.ndarray]:
     max are idempotent, so padding with a member is exact, and it at most
     doubles the entries. Row 0 of a table lists its agents.
     """
-    n = spec.n
-    members = [[i] for i in range(n)]
-    for j, i, s in spec.family[p].arcs:
-        if j != i:
-            members[i - 1].append(j - 1 + n if signed and s < 0 else j - 1)
+    members = [[i] for i in range(spec.n)]
+    for i, j, s in spec.family[p].in_arcs():
+        members[i].append(j + spec.n if signed and s < 0 else j)
     padded: dict[int, list[list[int]]] = {}
     for i, m in enumerate(members):
         w = 1 << (len(m) - 1).bit_length()

@@ -88,12 +88,16 @@ class SignedDigraph(_Record):
         arcs = frozenset((j, i, s) for (j, i), s in norm.items())
         self.__dict__.update(n=n, arcs=arcs, allow_self_loops=allow_self_loops)
 
+    def in_arcs(self) -> list[tuple[int, int, int]]:
+        """Every node's in-neighbours N_i without i, built on each call: arcs
+        (head i, tail j, sign) on nodes 0..n-1, sorted by head then tail."""
+        return sorted([(i - 1, j - 1, s) for j, i, s in self.arcs if j != i])
+
     def out_adjacency(self) -> list[list[int]]:
         """Successor lists indexed 0..n-1 (self-loops dropped)."""
         adj: list[list[int]] = [[] for _ in range(self.n)]
-        for (j, i, _s) in self.arcs:
-            if j != i:
-                adj[j - 1].append(i - 1)
+        for i, j, _s in self.in_arcs():
+            adj[j].append(i)
         return adj
 
 
@@ -449,7 +453,7 @@ def check_uniform_joint_connectivity(
     )
     # The tiled starts come in order, so the sort is linear; groupby drops repeats.
     candidates = sorted([t0, last_start, *[a for a, _b, _p in segs if t0 <= a <= last_start]])
-    arcs = {p: [(j - 1, i - 1) for j, i, _s in g.arcs if j != i] for p, g in family.items()}
+    arcs = {p: [(i, j) for i, j, _s in g.in_arcs()] for p, g in family.items()}
 
     held = dict.fromkeys(arcs, 0)  # segments of each label in the window
     count: dict[tuple[int, int], int] = {}  # labels in the window holding each arc
@@ -477,7 +481,7 @@ def check_uniform_joint_connectivity(
             lo += 1
         if changed:
             adj: list[list[int]] = [[] for _ in range(n)]
-            for (j, i), c in count.items():
+            for (i, j), c in count.items():
                 if c:
                     adj[j].append(i)
             ok = mode.holds(adj)

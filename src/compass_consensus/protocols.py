@@ -161,14 +161,12 @@ class ProtocolSpec:
                 L = np.zeros((self.n, self.n))
             except ValueError as exc:  # numpy refuses the shape without allocating
                 raise DomainError(f"too many nodes for an n x n operator: {exc}") from exc
-            # Continuous-time protocols take N_i without i.
-            arcs = [(j, i, s) for (j, i, s) in g.arcs if j != i]
-            for j, i, _s in arcs:
-                L[i - 1, j - 1] = self.weight(j, i) if scalar is None else scalar
+            arcs = g.in_arcs()  # continuous-time protocols take N_i without i
+            head, tail, sign = np.array(arcs, dtype=int).reshape(-1, 3).T
+            L[head, tail] = scalar or [self.weight(j + 1, i + 1) for i, j, _s in arcs]
             rowsum = L.sum(axis=1)  # rowsum(W), taken before the signs are applied
-            for j, i, s in arcs:
-                if signed and s < 0:
-                    L[i - 1, j - 1] = -L[i - 1, j - 1]
+            flip = (sign < 0) & signed
+            L[head[flip], tail[flip]] *= -1.0
             np.fill_diagonal(L, 0.0 - rowsum)
             L.flags.writeable = False  # shared by every caller
             self._L[p] = L

@@ -90,6 +90,25 @@ def split_family_5():
     return {"g1": g1, "g2": g2, "g3": g3}
 
 
+def in_arcs_cases():
+    """Graphs that stress each node's in-neighbour set: self-loops, arcs given
+    twice, antagonistic arcs, nodes without in-arcs, and a single node."""
+    rng = np.random.default_rng(7)  # 40 arcs on 9 nodes, repeats and self-loops among them
+    return {
+        "self-loops": SignedDigraph(4, [(1, 1), (2, 1, -1), (3, 3, -1), (4, 2), (2, 2)],
+                                    allow_self_loops=True),
+        "duplicates": SignedDigraph(3, [(1, 2), (1, 2, 1), (3, 2, -1), (3, 2, -1), (2, 1)]),
+        "antagonistic": SignedDigraph(4, [(j, i, (-1) ** (i + j)) for j in range(1, 5)
+                                          for i in range(1, 5) if j != i]),
+        "no-in-arcs": SignedDigraph(6, [(1, 3), (2, 3, -1), (1, 4), (4, 1)]),
+        "single": SignedDigraph(1),
+        "single-loop": SignedDigraph(1, [(1, 1, -1)], allow_self_loops=True),
+        "random": SignedDigraph(9, [(int(j), int(i), 1 if (7 * j + i) % 3 else -1)
+                                    for j, i in rng.integers(1, 10, size=(40, 2))],
+                                allow_self_loops=True),
+    }
+
+
 def signed_ring_family_4():
     """Two half-rings on 4 nodes with one antagonistic arc each; the union is
     the structurally balanced directed ring 1->2->3->4->1."""

@@ -776,16 +776,17 @@ class TestRateBound:
 
 
 def test_benchmark_trace_points_are_called(tmp_path, monkeypatch, capsys):
-    # perfbench/run.py times each layer by wrapping these module attributes,
-    # and skips a name that no longer exists: a rename would zero its metric
-    # silently. Each must still be called by one `run`, one `check-graphs` or
-    # the stored-trajectory path that `run` streamed until `metrics.run_report`
-    # (which the benchmark does not wrap yet) took its place.
-    from compass_consensus import cli, dynamics, graphs, metrics, scenario
+    # perfbench/run.py times each layer by wrapping module attributes, and
+    # skips a name that no longer exists: a rename would zero its metric
+    # silently. Each of these must still be called by one `run`, one
+    # `check-graphs` or the stored-trajectory path that `run` streamed until
+    # `metrics.run_report` (which the benchmark does not wrap yet) took its
+    # place; that path is called through the modules that own its functions.
+    from compass_consensus import artifacts, cli, dynamics, graphs, metrics, scenario
 
     called, json_sizes = [], []
     for owner, attr in [
-        (cli, "scenario_from_dict"), (cli, "simulate"), (cli, "write_trajectory_csv"),
+        (cli, "scenario_from_dict"), (dynamics, "simulate"), (artifacts, "write_trajectory_csv"),
         (cli, "write_metrics_json"), (cli, "check_uniform_joint_connectivity"),
         (dynamics, "validate_feasibility"), (metrics, "build_report"), (metrics, "run_report"),
     ]:
@@ -811,15 +812,15 @@ def test_benchmark_trace_points_are_called(tmp_path, monkeypatch, capsys):
     # the results its hooks read: the trajectory, the violations, the report
     # and the rows of a file at the first argument.
     sc = cli.scenario_from_dict(cfg)
-    traj = cli.simulate(sc)
+    traj = dynamics.simulate(sc)
     assert dynamics.validate_feasibility(traj, sc.protocol, sc.assumption) == []
     report = metrics.build_report(traj, sc.eps_agreement, sc.monitor_mode, sc.tol_monotone)
-    assert cli.write_trajectory_csv(tmp_path / "t.csv", traj, sc.downsample) == 2 * 201
+    assert artifacts.write_trajectory_csv(tmp_path / "t.csv", traj, sc.downsample) == 2 * 201
     assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "traj.csv").read_bytes()
     assert report.monitor_violations == [] and traj.num_samples == 201
-    assert called[4:] == ["cli.scenario_from_dict", "cli.simulate", "dynamics.validate_feasibility",
-                          "dynamics.validate_feasibility", "metrics.build_report",
-                          "cli.write_trajectory_csv"]
+    assert called[4:] == ["cli.scenario_from_dict", "dynamics.simulate",
+                          "dynamics.validate_feasibility", "dynamics.validate_feasibility",
+                          "metrics.build_report", "artifacts.write_trajectory_csv"]
     # The benchmark also wraps these two (setup_probe.py the spec): they must resolve.
     assert callable(graphs.union_graph) and callable(scenario.ProtocolSpec)
 

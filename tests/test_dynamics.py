@@ -22,8 +22,13 @@ from compass_consensus.geometry import (
     relative_interior_cone_contains,
     supporting_hyperrectangle,
 )
-from compass_consensus.graphs import SignedDigraph, SwitchingSignal, complete_graph
-from compass_consensus.metrics import lyapunov_series, square_max_series
+from compass_consensus.graphs import (
+    SignedDigraph,
+    SwitchingSignal,
+    complete_graph,
+    is_quasi_strongly_connected,
+)
+from compass_consensus.metrics import agreement_verdict, lyapunov_series, square_max_series
 from compass_consensus.protocols import ProtocolKind, ProtocolSpec
 from compass_consensus.scenario import ScenarioConfig
 from helpers import (
@@ -32,6 +37,7 @@ from helpers import (
     dense_gamma_margin,
     dense_local_hull_bounds,
     dense_validate_feasibility,
+    in_arcs_cases,
     label_runs,
     linear_oracle_solution,
     linear_system_matrix,
@@ -482,6 +488,47 @@ class TestInvariantSets:
         assert np.all(np.diff(y, axis=0) <= tol)
 
 
+class TestNonlinearJointConnectivity:
+    """The paper's nonlinear claim on a field f_i = sum_j a_ij tanh(x_j - x_i)
+    over {1->2, 2->3} and {3->4, 4->5, 5->1}, neither quasi-strongly connected.
+
+    The box never grows, so every difference stays within the initial width
+    D0, where tanh(u) >= (tanh(D0)/D0) u on [0, D0]: the field meets the cone
+    with margin gamma = a_min tanh(D0)/D0, and agents reach agreement.
+    """
+
+    ARCS = {"a": [(1, 2), (2, 3)], "b": [(3, 4), (4, 5), (5, 1)]}
+    FAMILY = {p: SignedDigraph(5, arcs) for p, arcs in ARCS.items()}
+    X0 = np.random.default_rng(0).uniform(-1.0, 1.0, size=(5, 2))
+
+    def run(self, gamma, t_end):
+        A = {p: np.zeros((5, 5)) for p in self.ARCS}
+        for p, arcs in self.ARCS.items():
+            for j, i in arcs:
+                A[p][i - 1, j - 1] = 1.0
+
+        def field(p, x):
+            X = x.reshape(5, -1)
+            return (A[p][:, :, None] * np.tanh(X[None, :, :] - X[:, None, :])).sum(axis=1).ravel()
+
+        spec = ProtocolSpec(kind="Custom", family=self.FAMILY, gamma=gamma, field_fn=field)
+        sig = SwitchingSignal([(0.0, "a"), (0.5, "b")], tau_d=0.5, horizon_end=1.0, periodic=True)
+        traj = simulate(ScenarioConfig(n=5, d=2, initial_states=self.X0, protocol=spec,
+                                       signal=sig, h=0.01, t_end=t_end))
+        return traj, validate_feasibility(traj, spec, Assumption.GAMMA_STRICT)
+
+    def test_declared_margin_holds_and_agents_agree(self):
+        assert not any(map(is_quasi_strongly_connected, self.FAMILY.values()))
+        d0 = float(np.ptp(self.X0, axis=0).max())
+        traj, violations = self.run(np.tanh(d0) / d0, t_end=60.0)
+        assert violations == []
+        assert agreement_verdict(traj, 1e-6)
+
+    def test_overdeclared_margin_is_flagged(self):
+        _traj, violations = self.run(0.99, t_end=40.0)
+        assert violations
+
+
 class TestEmpiricalGammaMargin:
     def test_single_arc_margin_is_weight(self):
         spec = ProtocolSpec(
@@ -643,6 +690,25 @@ class TestBucketedKernelMatchesDense:
                 assert got == dense_validate_feasibility(traj, spec, assumption, gamma=gamma)
                 found[gamma] += len(got)
         assert found[None] > 0 and found[10.0] > found[None]
+
+    @pytest.mark.parametrize("case", in_arcs_cases())
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_hull_tables_match_a_build_from_the_arcs(self, case, signed):
+        # Agent i's hull: i, then each in-neighbour j != i, as column j + n
+        # across an antagonistic arc when signed; padded with i to a power of two.
+        g = in_arcs_cases()[case]
+        spec = ProtocolSpec(kind="SignedConsensus", family={"g": g}, gamma=1.0)
+        want = {i: sorted([i] + [j - 1 + (g.n if signed and s < 0 else 0)
+                                 for j, head, s in g.arcs if head == i + 1 and j != head])
+                for i in range(g.n)}
+        got = {}
+        for table in dynamics._hull_tables(spec, "g", signed):
+            for column in table.T.tolist():
+                i, w = column[0], len(column)
+                assert i not in got and w == 1 << (len(want[i]) - 1).bit_length()
+                got[i] = sorted(column)
+        assert got == {i: sorted(hull + [i] * (len(got[i]) - len(hull)))
+                       for i, hull in want.items()}
 
 
 def test_validator_memory_on_a_star_stays_per_chunk():

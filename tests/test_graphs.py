@@ -32,6 +32,7 @@ from compass_consensus.graphs import (
     validate_switching_signal,
 )
 from helpers import (
+    in_arcs_cases,
     v0_check_uniform_joint_connectivity,
     v0_quasi_strong,
     v0_union_graph,
@@ -110,6 +111,26 @@ class TestSignedDigraph:
         g = SignedDigraph(3, [tuple(np.array([1, 2, -1])), (np.int32(2), np.uint8(3))])
         assert g.arcs == {(1, 2, -1), (2, 3, 1)}
         assert all(type(x) is int for arc in g.arcs for x in arc)
+
+
+@pytest.mark.parametrize("case", in_arcs_cases())
+class TestInArcs:
+    def test_table_is_sorted_zero_based_loop_free_and_signed(self, case):
+        g = in_arcs_cases()[case]
+        table = g.in_arcs()
+        assert table == sorted(table) and len({(i, j) for i, j, _s in table}) == len(table)
+        assert all(0 <= i < g.n and 0 <= j < g.n and i != j for i, j, _s in table)
+        assert {(j + 1, i + 1, s) for i, j, s in table} == {a for a in g.arcs if a[0] != a[1]}
+
+    def test_out_adjacency_matches_the_arcs(self, case):
+        g = in_arcs_cases()[case]
+        want = [sorted(i - 1 for j, i, _s in g.arcs if j == u + 1 and i != j) for u in range(g.n)]
+        assert [sorted(succ) for succ in g.out_adjacency()] == want
+
+    def test_table_is_not_stored(self, case):
+        g = in_arcs_cases()[case]
+        g.in_arcs()
+        assert set(vars(g)) == {"n", "arcs", "allow_self_loops"}
 
 
 class TestConnectivity:

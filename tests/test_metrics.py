@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from compass_consensus import dynamics
 from compass_consensus.dynamics import Trajectory, simulate
@@ -143,6 +144,43 @@ class TestFitExponentialRate:
         lam, r2 = fit_exponential_rate((traj.times, lyapunov_series(traj)))
         assert lam == pytest.approx(2.0, rel=0.01)
         assert r2 > 0.999
+
+    # Periodic schedules over two graphs, each with a simple real second
+    # Floquet multiplier: mutual arcs (a product of two symmetric positive
+    # definite factors) or arcs from lower to higher nodes (triangular factors).
+    FLOQUET = {
+        "path4": ([[(1, 2), (2, 1), (3, 4), (4, 3)], [(2, 3), (3, 2)]], 0.5, 1.0, False),
+        "path5": ([[(1, 2), (2, 1), (3, 4), (4, 3)], [(2, 3), (3, 2), (4, 5), (5, 4)]],
+                  0.5, 1.0, True),
+        "star-path": ([[(1, 2), (2, 1), (1, 3), (3, 1)], [(3, 4), (4, 3), (4, 5), (5, 4)]],
+                      0.6, 1.5, False),
+        "tree": ([[(1, 2), (1, 3)], [(2, 3), (3, 4), (1, 4)]], 0.5, 1.25, True),
+    }
+
+    @pytest.mark.parametrize("case", FLOQUET)
+    def test_rate_matches_the_floquet_multiplier(self, case):
+        # lambda* = -ln rho_2(Phi) / P for the one-period propagator
+        # Phi = expm(tau_b L_b) expm(tau_a L_a); rho_3 / rho_2 < 0.9 lets the
+        # second multiplier dominate the tail, which ends near V = 1e-11.
+        (arcs_a, arcs_b), switch, period, per_arc = self.FLOQUET[case]
+        n = max(max(arc) for arc in arcs_a + arcs_b)
+        family = {"a": SignedDigraph(n, arcs_a), "b": SignedDigraph(n, arcs_b)}
+        weights = 1.0
+        if per_arc:
+            weights = {(j, i): 1.0 + 0.5 * ((j + i) % 3) for j, i in arcs_a + arcs_b}
+        spec = ProtocolSpec(kind="WeightedConsensus", family=family, gamma=1.0, weights=weights)
+        phi = expm((period - switch) * spec.operator("b")) @ expm(switch * spec.operator("a"))
+        rho = sorted(np.abs(np.linalg.eigvals(phi)), reverse=True)
+        assert rho[0] == pytest.approx(1.0) and rho[2] < 0.9 * rho[1]
+        lam_star = -math.log(rho[1]) / period
+        signal = SwitchingSignal([(0.0, "a"), (switch, "b")], tau_d=0.25,
+                                 horizon_end=period, periodic=True)
+        x0 = np.random.default_rng(0).uniform(-1.0, 1.0, size=(n, 2))
+        traj = simulate(ScenarioConfig(n=n, d=2, initial_states=x0, protocol=spec,
+                                       signal=signal, h=0.01, t_end=25.0 / lam_star))
+        fit = fit_exponential_rate((traj.times, lyapunov_series(traj)))
+        assert not fit.truncated
+        assert fit.lambda_hat == pytest.approx(lam_star, rel=0.02)
 
     def test_floor_truncation_flagged(self):
         t = np.linspace(0.0, 10.0, 200)

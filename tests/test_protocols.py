@@ -7,6 +7,7 @@ from compass_consensus.errors import DomainError
 from compass_consensus.geometry import ConeQuery, gamma_cone_contains, supporting_hyperrectangle
 from compass_consensus.graphs import SignedDigraph, complete_graph
 from compass_consensus.protocols import ProtocolKind, ProtocolSpec, rotation_matrix
+from helpers import in_arcs_cases
 
 MUTUAL_PAIR = {"g": SignedDigraph(2, [(1, 2), (2, 1)])}
 
@@ -217,6 +218,23 @@ class TestProtocolSpecValidation:
                 S[i - 1, j - 1] = s
         want = (W * S if kind == "SignedConsensus" else W) - np.diag(W.sum(axis=1))
         assert spec.operator("g").tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", in_arcs_cases())
+    @pytest.mark.parametrize("kind", ["WeightedConsensus", "SignedConsensus"])
+    @pytest.mark.parametrize("per_arc", [False, True])
+    def test_operator_matches_a_build_from_the_arcs(self, case, kind, per_arc):
+        g = in_arcs_cases()[case]
+        if kind == "WeightedConsensus":  # the cooperative kinds refuse antagonistic arcs
+            g = SignedDigraph(g.n, [(j, i) for j, i, _s in g.arcs], g.allow_self_loops)
+        weights = {(j, i): 0.5 + j + 0.25 * i for j, i, _s in g.arcs} if per_arc else 1.5
+        spec = ProtocolSpec(kind=kind, family={"g": g}, gamma=1.0, weights=weights)
+        want = np.zeros((g.n, g.n))
+        for j, i, s in g.arcs:
+            if j != i:
+                w = weights[j, i] if per_arc else weights
+                want[i - 1, j - 1] = w * s if kind == "SignedConsensus" else w
+                want[i - 1, i - 1] -= w
+        np.testing.assert_allclose(spec.operator("g"), want, rtol=0, atol=1e-12)
 
     def test_operator_build_peaks_at_one_n_by_n_array(self):
         rng = np.random.default_rng(0)

@@ -141,24 +141,6 @@ def _taylor4(act, dt: float, X: np.ndarray) -> np.ndarray:
     return Y
 
 
-def _segment_targets(a: float, b: float, h: float) -> list[float]:
-    """Step end times covering (a, b], uniform h with a trailing short step.
-
-    The last target is snapped to b exactly so samples land on switching
-    instants and the horizon end.
-    """
-    span = b - a
-    m_full = int(np.floor(span / h + 1e-9))
-    targets = [a + k * h for k in range(1, m_full + 1)]
-    if not targets:
-        return [b]
-    if b - targets[-1] > 1e-6 * h:
-        targets.append(b)
-    else:
-        targets[-1] = b
-    return targets
-
-
 def simulate(scenario: "ScenarioConfig") -> Trajectory:
     """Integrate the scenario's switched system over [t0, t_end].
 
@@ -187,26 +169,41 @@ def simulate(scenario: "ScenarioConfig") -> Trajectory:
 def _schedule(scenario: "ScenarioConfig") -> tuple[np.ndarray, list[tuple[Any, int, int]]]:
     """The sample times of the scenario's trajectory and its runs (p, a, b).
 
-    One run per segment from the sample at its start, which ends the
-    previous segment: labels are right-continuous. The final sample opens
-    the run of the segment active at t_end, which may start there.
+    Each segment (a, b], cut at t_end, takes whole steps of h at a + k*h and
+    a short one more when b is more than 1e-6 * h past the last (or none
+    fits); its last sample is snapped to b, so samples land on switching
+    instants and t_end. One run per segment from the sample at its start,
+    which ends the previous segment: labels are right-continuous. The final
+    sample opens the run of the segment active at t_end, which may start
+    there. Raises DomainError when the samples' times do not fit in an array.
     """
     signal: SwitchingSignal = scenario.signal
-    h, t0, t_end = float(scenario.h), signal.t0, float(scenario.t_end)
-    targets: list[float] = [t0]
-    runs: list[tuple[Any, int, int]] = []
-    for a, b, p in signal.segments(t_end):
-        b = min(b, t_end)
-        if b > a:
-            s = len(targets) - 1
-            targets.extend(_segment_targets(a, b, h))
-            runs.append((p, s, len(targets) - 1))
-    m = len(targets)
+    h, t_end = float(scenario.h), float(scenario.t_end)
+    segs = signal.segments(t_end)
+    kept = [(a, min(b, t_end), p) for a, b, p in segs if min(b, t_end) > a]
+    a, b = np.array([seg[:2] for seg in kept], dtype=float).T
+    with np.errstate(over="ignore"):
+        full = np.floor((b - a) / h + 1e-9)
+        steps = np.maximum(full, 1) + ((full > 0) & (b - (a + full * h) > 1e-6 * h))
+    total = steps.sum()  # a float: casting a count past int64 would wrap it
+    try:
+        if not total < np.iinfo(np.intp).max // 8:  # more bytes of times than an array holds
+            raise MemoryError
+        counts = steps.astype(np.intp)
+        ends = np.cumsum(counts)
+        k = np.arange(1, ends[-1] + 1) - np.repeat(ends - counts, counts)
+        times = np.concatenate([[signal.t0], np.repeat(a, counts) + k * h])
+    except MemoryError:
+        raise DomainError(f"h={h!r} needs {total:.3g} steps to t_end={t_end!r}, "
+                          "more sample times than memory holds") from None
+    times[ends] = b
+    m, p = times.size, segs[-1][2]
+    runs = [(q, s, e) for (_a, _b, q), s, e in zip(kept, (ends - counts).tolist(), ends.tolist())]
     if runs[-1][0] == p:
         runs[-1] = (p, runs[-1][1], m)
     else:
         runs.append((p, m - 1, m))
-    return np.array(targets), runs
+    return times, runs
 
 
 # Float64 elements per array of a sample chunk: bounds a reader's working set

@@ -430,8 +430,9 @@ def check_uniform_joint_connectivity(
     all times. Its schedule is tiled only to last_start + min(T, period): a
     window at least one period long holds a whole period of segments, and so
     does the tiled part of it. An aperiodic verdict is scoped to the supplied
-    horizon. A label missing from the family, or graphs of different sizes,
-    raise DomainError before the sweep.
+    horizon. A label missing from the family, graphs of different sizes, or
+    a T that leaves t + T == t at a first or last start raise DomainError
+    before the sweep.
     """
     T = real("window length T", T, above=0)
     n = _node_count(signal, family)
@@ -446,6 +447,8 @@ def check_uniform_joint_connectivity(
             )
         last_start = signal.horizon_end - T
         scope = f"horizon [{t0}, {signal.horizon_end})"
+    if not (t0 + T > t0 and last_start + T > last_start):  # the spacing is widest at an end
+        raise DomainError(f"window T={T} is below the float spacing of the signal's times")
 
     # last_start + T can round past an aperiodic horizon_end.
     segs = signal.segments(

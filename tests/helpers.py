@@ -3,6 +3,7 @@
 import bisect
 import itertools
 import json
+from types import SimpleNamespace
 from typing import Mapping
 
 import numpy as np
@@ -352,6 +353,71 @@ def v0_check_uniform_joint_connectivity(signal, family, T, mode):
     return witness is None, witness, verdicts
 
 
+def v0_segment_targets(a, b, h):
+    """Step end times covering (a, b], uniform h with a trailing short step,
+    one Python float per step as the simulator built them before its
+    schedule was computed in arrays. The last target is snapped to b."""
+    span = b - a
+    m_full = int(np.floor(span / h + 1e-9))
+    targets = [a + k * h for k in range(1, m_full + 1)]
+    if not targets:
+        return [b]
+    if b - targets[-1] > 1e-6 * h:
+        targets.append(b)
+    else:
+        targets[-1] = b
+    return targets
+
+
+def v0_schedule(scenario):
+    """The (times, runs) of ``dynamics._schedule`` from a loop over the
+    segments, appending each one's ``v0_segment_targets``."""
+    signal = scenario.signal
+    h, t_end = float(scenario.h), float(scenario.t_end)
+    targets = [signal.t0]
+    runs = []
+    for a, b, p in signal.segments(t_end):
+        b = min(b, t_end)
+        if b > a:
+            s = len(targets) - 1
+            targets.extend(v0_segment_targets(a, b, h))
+            runs.append((p, s, len(targets) - 1))
+    m = len(targets)
+    if runs[-1][0] == p:
+        runs[-1] = (p, runs[-1][1], m)
+    else:
+        runs.append((p, m - 1, m))
+    return np.array(targets), runs
+
+
+def random_schedule(rng):
+    """A seeded (signal, h, t_end) for ``dynamics._schedule``, as a namespace.
+
+    One to five pieces over labels a-c, on a decimal grid (where k * h lands
+    an ulp either side of a switch), on one stretched by 3e-7 or 3e-6 (either
+    side of the short-step threshold) or at random; some pieces have zero
+    length. The signal is periodic or not, h may exceed a segment, and
+    t_end is a switching instant or falls inside a segment, up to three
+    periods on.
+    """
+    k = int(rng.integers(1, 6))
+    unit = float(rng.choice([0.1, 0.05, 0.25, 0.3, 0.7]))
+    if rng.random() < 0.5:
+        gaps = rng.integers(0, 5, k) * unit * (1 + rng.choice([0.0, 3e-7, 3e-6]))
+    else:
+        gaps = rng.uniform(0, 1, k) * (rng.random(k) > 0.15)
+    t0 = float(rng.choice([0.0, 0.7, -1.3]))
+    starts = (t0 + np.cumsum(np.concatenate([[0.0], gaps[1:]]))).tolist()
+    signal = SwitchingSignal(list(zip(starts, rng.choice(list("abc"), k).tolist())),
+                             tau_d=1.0, horizon_end=starts[-1] + (gaps[0] or unit),
+                             periodic=bool(rng.random() < 0.5))
+    h = float(rng.choice([unit, unit / 2, unit / 3, unit * 1.7, rng.uniform(0.001, 2.0)]))
+    far = t0 + 3 * signal.period if signal.periodic else signal.horizon_end
+    switches = [a for a, _b, _p in signal.segments(far) if a > t0] + [far]
+    t_end = float(rng.choice(switches)) if rng.random() < 0.5 else float(rng.uniform(t0, far))
+    return SimpleNamespace(signal=signal, h=h, t_end=t_end if t_end > t0 else far)
+
+
 def v0_simulate(scenario):
     """The generic RK4 loop: four field evaluations per step, samples appended.
 
@@ -359,7 +425,7 @@ def v0_simulate(scenario):
     built-in kinds stepped with a propagator; raises DivergenceError at the
     first non-finite sample.
     """
-    from compass_consensus.dynamics import _rk4_step, _segment_targets
+    from compass_consensus.dynamics import _rk4_step
     from compass_consensus.errors import DivergenceError
 
     spec, h, t_end = scenario.protocol, float(scenario.h), float(scenario.t_end)
@@ -371,7 +437,7 @@ def v0_simulate(scenario):
         if b <= a:
             continue
         t = a
-        for target in _segment_targets(a, b, h):
+        for target in v0_segment_targets(a, b, h):
             x = _rk4_step(lambda y: spec.field(p, y), x, target - t)
             t = target
             if not np.all(np.isfinite(x)):

@@ -101,6 +101,28 @@ class TestRun:
         assert captured.out == "" and "Traceback" not in captured.err
         assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is Linux's address-space cap")
+    @pytest.mark.parametrize("h", [1e-300, 1e-16, 5e-324])
+    def test_step_count_past_memory_exit_2_with_one_line(self, tmp_path, h):
+        # 2e300, 2e16 and inf steps. The sample times were once appended one
+        # float at a time until memory ran out: a MemoryError traceback and
+        # exit 1, or no end at all. The child may map 1 GiB and run 10 s.
+        import resource
+
+        cfg = write_json(tmp_path / "c.json", consensus_config(t_end=2.0, h=h))
+        cap = 1 << 30
+        environ = {k: v for k, v in os.environ.items() if k != "COMPASS_LOG"}
+        done = subprocess.run(
+            [sys.executable, "-m", "compass_consensus.cli", "run", cfg,
+             "--out-dir", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=10,
+            env={**environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("config error: h=") and done.stderr.count("\n") == 1
+        assert done.stdout == "" and not any((tmp_path / "out").iterdir())
+
     def test_strict_feasibility_exit_3(self, tmp_path, capsys):
         # quarter-turn rotation on a flat two-agent box: field leaves the
         # carrier subspace at once
@@ -544,6 +566,15 @@ class TestCheckGraphs:
         f = write_json(tmp_path / "g.json", obj)
         assert main(["check-graphs", f, "--window", "1.0"]) == 1
         assert "witness" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("window", ["1e-16", "5e-324"])
+    def test_window_below_the_spacing_of_the_times_exit_2(self, tmp_path, capsys, window):
+        # Unrefused, the empty window [1, 1) read "NOT connected", exit 1.
+        f = graphs_file(tmp_path, horizon=2.0)
+        assert main(["check-graphs", f, "--window", window]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: ") and captured.err.count("\n") == 1
 
     def test_window_beyond_horizon_exit_2(self, tmp_path, capsys):
         f = graphs_file(tmp_path, horizon=4.0)

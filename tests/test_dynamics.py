@@ -41,6 +41,8 @@ from helpers import (
     label_runs,
     linear_oracle_solution,
     linear_system_matrix,
+    random_schedule,
+    v0_schedule,
     v0_simulate,
 )
 
@@ -254,6 +256,37 @@ class TestSwitchingIntegration:
         sig = SwitchingSignal([(0.0, "g")], tau_d=1.0, horizon_end=2.0)
         with pytest.raises(DomainError):
             simulate(scenario(mutual_consensus(), [0.0, 2.0], signal=sig, t_end=3.0))
+
+
+class TestSchedule:
+    """``_schedule`` computes the sample times in arrays; the segment loop of
+    ``helpers.v0_schedule`` is the oracle."""
+
+    def test_times_and_runs_match_the_loop(self):
+        rng = np.random.default_rng(2813)
+        kinds = set()
+        for _ in range(2000):
+            sc = random_schedule(rng)
+            times, runs = dynamics._schedule(sc)
+            ref_times, ref_runs = v0_schedule(sc)
+            assert times.tobytes() == ref_times.tobytes(), sc
+            assert runs == ref_runs, sc
+            segs = sc.signal.segments(sc.t_end)
+            kinds.add("periodic" if sc.signal.periodic else "aperiodic")
+            at_switch = sc.t_end in {a for a, _b, _p in segs} | {segs[-1][1]}
+            kinds.add("t_end at a switch" if at_switch else "t_end mid-segment")
+            if any(a == b for a, b, _p in segs):
+                kinds.add("zero-length piece")
+            if any(0 < min(b, sc.t_end) - a < sc.h for a, b, _p in segs):
+                kinds.add("h beyond a segment")
+        assert kinds == {"periodic", "aperiodic", "t_end at a switch", "t_end mid-segment",
+                         "zero-length piece", "h beyond a segment"}
+
+    def test_a_step_count_no_array_holds_is_refused(self):
+        # 2 / 5e-324 overflows to inf steps: refused before any cast or allocation.
+        with pytest.raises(DomainError, match="steps"):
+            simulate(scenario(mutual_consensus(), [0.0, 2.0], h=5e-324, t_end=2.0,
+                              signal=static_signal(horizon=2.0)))
 
 
 class TestValidateFeasibility:
@@ -527,6 +560,23 @@ class TestNonlinearJointConnectivity:
     def test_overdeclared_margin_is_flagged(self):
         _traj, violations = self.run(0.99, t_end=40.0)
         assert violations
+
+    def test_field_leaves_the_hull_cone_but_stays_in_the_box_cone(self):
+        # The paper's point: at the first sample agents 2 and 3 each have one
+        # in-neighbour in graph a, so their hull's tangent cone is the ray
+        # toward it. The field is off that ray (the convex-hull condition
+        # fails), yet in the hyperrectangle's gamma-strict cone, and the run
+        # above is violation-free and agrees.
+        from scipy.optimize import nnls
+
+        d0 = float(np.ptp(self.X0, axis=0).max())
+        for j, i in self.ARCS["a"]:
+            x, toward = self.X0[i - 1], self.X0[j - 1] - self.X0[i - 1]
+            f = np.tanh(toward)  # f_i: one in-neighbour, weight 1
+            _c, residual = nnls(toward[:, None], f)
+            assert residual > 0.05
+            box = supporting_hyperrectangle([x, self.X0[j - 1]])
+            assert gamma_cone_contains(ConeQuery(x, box, f, gamma=np.tanh(d0) / d0))
 
 
 class TestEmpiricalGammaMargin:

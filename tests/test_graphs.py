@@ -560,6 +560,18 @@ class TestUniformJointConnectivity:
         with pytest.raises(DomainError, match="positive and finite"):
             check_uniform_joint_connectivity(sig, ALT_FAMILY, T)
 
+    @pytest.mark.parametrize("periodic", [False, True])
+    @pytest.mark.parametrize("T", [1e-16, 1e-300, 5e-324])
+    def test_window_below_the_spacing_of_the_times_refused(self, T, periodic):
+        # 2 + T == 2, so the last window [2, 2) would be empty, and with it
+        # [1, 1), whose union failed the test though every window of positive
+        # length at 1 holds b. At 1e-15 the windows are not empty.
+        sig = SwitchingSignal([(0.0, "a"), (1.0, "b")], tau_d=1.0, horizon_end=2.0,
+                              periodic=periodic)
+        with pytest.raises(DomainError, match="spacing"):
+            check_uniform_joint_connectivity(sig, ALT_FAMILY, T)
+        assert check_uniform_joint_connectivity(sig, ALT_FAMILY, 1e-15).ok
+
     def test_label_missing_from_family(self):
         sig = SwitchingSignal([(0.0, "a"), (1.0, "zz")], tau_d=1.0, horizon_end=2.0)
         with pytest.raises(DomainError, match="'zz'"):

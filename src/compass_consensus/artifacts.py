@@ -3,7 +3,8 @@
 The trajectory CSV is written a chunk of samples at a time, as the integrator
 yields them, so a run never holds its trajectory. A run's files are written
 under temporary names beside their targets and renamed into place only once
-all of them are complete: a run that fails leaves none of them.
+all of them are complete: a run that fails leaves none of them, nor a new
+directory.
 """
 
 from __future__ import annotations
@@ -67,13 +68,23 @@ def write_trajectory_csv(path: Path, traj: Trajectory, downsample: int = 1) -> i
 
 @contextmanager
 def staged(paths: list[Path]) -> Iterator[list[Path]]:
-    """Temporary names beside ``paths`` for the block to write, renamed onto
-    ``paths`` in order once the block is done. If the block or a rename
-    fails, every temporary and every target already renamed onto is removed,
-    so none of ``paths`` is left."""
+    """Temporary names beside ``paths`` for the block to write, in parent
+    directories made if missing, renamed onto ``paths`` in order once the
+    block is done. If the block or a rename fails, every temporary and every
+    target already renamed onto is removed, so none of ``paths`` is left, and
+    then each directory made here that is empty, deepest first."""
     temps = [path.with_name(f".{path.name}.{os.getpid()}-{k}.tmp") for k, path in enumerate(paths)]
     renamed: list[Path] = []
+    made: list[Path] = []
     try:
+        missing = {d for path in paths for d in path.parents if not d.is_dir()}
+        for d in sorted(missing, key=lambda d: len(d.parts)):
+            try:
+                d.mkdir()
+                made.append(d)
+            except FileExistsError:  # a file, or a directory another process just made
+                if not d.is_dir():
+                    raise
         yield temps
         for temp, path in zip(temps, paths):
             os.replace(temp, path)
@@ -82,4 +93,7 @@ def staged(paths: list[Path]) -> Iterator[list[Path]]:
         for path in temps + renamed:
             with suppress(OSError):
                 os.unlink(path)
+        for d in reversed(made):
+            with suppress(OSError):  # not empty: a --batch run writes there too
+                os.rmdir(d)
         raise

@@ -148,8 +148,8 @@ def run_scenario(
     """Simulate one config and write its artifacts; returns the exit code.
 
     The states go from the integrator to the validator, the report's series
-    and the CSV rows one sample chunk at a time. Both artifacts are renamed
-    into place only once both are complete, so a failed run leaves neither.
+    and the CSV rows one sample chunk at a time. A failed run leaves neither
+    artifact, nor a directory made for them (see ``artifacts.staged``).
     """
     import logging
 
@@ -158,8 +158,6 @@ def run_scenario(
     try:
         sc = scenario_from_dict(_load_json(config_path), seed_override=seed)
         paths = [Path(out_dir) / sc.trajectory_csv, Path(out_dir) / sc.metrics_json]
-        for path in paths:  # before integrating, which a missing directory would waste
-            path.parent.mkdir(parents=True, exist_ok=True)
         with artifacts.staged(paths) as (csv_path, json_path):
             with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
                 rows = artifacts.TrajectoryRows(fh, sc.d, sc.downsample)

@@ -12,7 +12,6 @@ tests the union graph at the window starts where it can lose arcs.
 from __future__ import annotations
 
 import bisect
-from collections import deque
 from enum import Enum
 from itertools import count, groupby
 from typing import Any, Iterable, Iterator, Mapping
@@ -101,20 +100,19 @@ class SignedDigraph(_Record):
         return adj
 
 
-def _reachable_from(adj: list[list[int]], root: int) -> int:
-    """Count of nodes reachable from root (root included) by BFS."""
-    seen = [False] * len(adj)
+def _search(adj: list[list[int]], root: int, seen: list[bool]) -> int:
+    """Mark in ``seen`` every node reachable from the unseen ``root`` through
+    unseen nodes (root included), depth first; returns the count marked."""
     seen[root] = True
-    queue = deque([root])
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
+    stack = [root]
+    marked = 1
+    while stack:
+        for w in adj[stack.pop()]:
             if not seen[w]:
                 seen[w] = True
-                count += 1
-                queue.append(w)
-    return count
+                marked += 1
+                stack.append(w)
+    return marked
 
 
 def _quasi_strong(adj: list[list[int]]) -> bool:
@@ -123,35 +121,28 @@ def _quasi_strong(adj: list[list[int]]) -> bool:
     One search over all nodes that never resets ``seen`` leaves the seen set
     closed under successors after each tree. So the tree holding a node that
     reaches everything is the last one started, and its root reaches that
-    node: one BFS from the last root decides the test (none is needed when
+    node: one search from the last root decides the test (none is needed when
     the first tree holds every node).
     """
     n = len(adj)
     seen = [False] * n
     last = 0
     for root in range(n):
-        if seen[root]:
-            continue
-        last = root
-        seen[root] = True
-        stack = [root]
-        while stack:
-            for w in adj[stack.pop()]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-    return last == 0 or _reachable_from(adj, last) == n
+        if not seen[root]:
+            last = root
+            _search(adj, root, seen)
+    return last == 0 or _search(adj, last, [False] * n) == n
 
 
 def _strong(adj: list[list[int]]) -> bool:
     n = len(adj)
-    if _reachable_from(adj, 0) != n:
+    if _search(adj, 0, [False] * n) != n:
         return False
     radj: list[list[int]] = [[] for _ in range(n)]
     for u, outs in enumerate(adj):
         for w in outs:
             radj[w].append(u)
-    return _reachable_from(radj, 0) == n
+    return _search(radj, 0, [False] * n) == n
 
 
 def is_quasi_strongly_connected(g: SignedDigraph) -> bool:

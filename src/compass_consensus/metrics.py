@@ -445,7 +445,7 @@ def build_report(
                    monitor_mode, tol_monotone, tail_fraction)
 
 
-def run_report(scenario, rows: Callable, tail_fraction: float = 0.5) -> AgreementReport:
+def run_report(scenario, rows: Callable) -> AgreementReport:
     """Integrate ``scenario`` and report on it while holding one sample chunk
     of its states at a time, never the trajectory.
 
@@ -453,9 +453,8 @@ def run_report(scenario, rows: Callable, tail_fraction: float = 0.5) -> Agreemen
     reduction, then to ``rows(times, p, samples, states)`` with the sample
     times, then to the feasibility validator when the scenario names an
     assumption. The report is the one ``build_report`` gives for
-    ``simulate(scenario)`` with this ``tail_fraction``.
+    ``simulate(scenario)``.
     """
-    tail_fraction = _tail_fraction(tail_fraction)
     times, runs = dynamics._schedule(scenario)
     ser = _Series(times, scenario.n, scenario.d)
 
@@ -475,7 +474,7 @@ def run_report(scenario, rows: Callable, tail_fraction: float = 0.5) -> Agreemen
             scenario.face_tolerance, scenario.strictness_tolerance,
         )
     return _report(ser.done(), violations, scenario.eps_agreement, scenario.monitor_mode,
-                   scenario.tol_monotone, tail_fraction)
+                   scenario.tol_monotone, 0.5)
 
 
 def _report(ser: _Series, violations: list, eps_agreement, monitor_mode, tol_monotone,

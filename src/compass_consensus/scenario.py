@@ -11,7 +11,8 @@ initial states so a normalized config echoes back to an equivalent scenario.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from enum import Enum
 from typing import Any, Mapping
 
 import numpy as np
@@ -82,20 +83,17 @@ class ScenarioConfig:
             self.protocol.rotations(d)
         except DomainError as exc:
             raise _json.fail(str(exc), "$.protocol.rotation") from exc
-        for at, name, above, minimum in (
-            ("$.integrator.h", "h", 0, None),
-            ("$.integrator.t_end", "t_end", None, None),
-            ("$.validation.face_tolerance", "face_tolerance", None, 0),
-            ("$.validation.strictness_tolerance", "strictness_tolerance", None, 0),
-            ("$.monitors.eps_agreement", "eps_agreement", 0, None),
-        ):
-            setattr(self, name, _json.build(real, at, name, getattr(self, name), above, minimum))
-        if self.tol_monotone is not None:  # kept as given: dump-config echoes it
-            _json.build(real, "$.monitors.tol_monotone", "tol_monotone", self.tol_monotone, 0)
-        self.downsample = _json.build(integer, "$.outputs.downsample", "downsample",
-                                      self.downsample)
-        if self.downsample < 1:
-            raise _json.fail(f"must be at least 1, got {self.downsample}", "$.outputs.downsample")
+        for section, key, name, rule in _SETTINGS:
+            at, value = f"$.{section}.{key}", getattr(self, name)
+            if rule is int:
+                value = _json.build(integer, at, name, value)
+                if value < 1:
+                    raise _json.fail(f"must be at least 1, got {value}", at)
+            elif isinstance(rule, dict) and (value is not None or _DEFAULTS[name] is not None):
+                checked = _json.build(real, at, name, value, rule.get("above"), rule.get("minimum"))
+                if _DEFAULTS[name] is not None:  # a null-default number is kept as given
+                    value = checked
+            setattr(self, name, value)
         at = "$.integrator.t_end"
         if not signal.t0 < self.t_end:
             raise _json.fail(f"t_end must exceed the signal start {signal.t0}", at)
@@ -103,9 +101,26 @@ class ScenarioConfig:
             raise _json.fail("t_end exceeds horizon_end of an aperiodic signal", at)
 
 
+_DEFAULTS = {f.name: f.default for f in fields(ScenarioConfig)}  # MISSING: a required setting
+
+# Each setting once, as (section, key, ScenarioConfig field, rule). A rule is
+# the bounds of a real number, int for a count of at least 1, str for a
+# non-empty name, or an Enum read from its value or null. A number whose
+# default is None may be null, and is kept as written: dump-config echoes it.
+_SETTINGS = (
+    ("integrator", "h", "h", {"above": 0}),
+    ("integrator", "t_end", "t_end", {}),
+    ("validation", "assumption", "assumption", Assumption),
+    ("validation", "face_tolerance", "face_tolerance", {"minimum": 0}),
+    ("validation", "strictness_tolerance", "strictness_tolerance", {"minimum": 0}),
+    ("monitors", "mode", "monitor_mode", MonitorMode),
+    ("monitors", "tol_monotone", "tol_monotone", {"above": 0}),
+    ("monitors", "eps_agreement", "eps_agreement", {"above": 0}),
+    ("outputs", "trajectory_csv", "trajectory_csv", str),
+    ("outputs", "metrics_json", "metrics_json", str),
+    ("outputs", "downsample", "downsample", int),
+)
 _KINDS = ("WeightedConsensus", "RotatedConsensus", "SignedConsensus")
-_ASSUMPTIONS = (*(a.value for a in Assumption), None)
-_MONITOR_MODES = (*(m.value for m in MonitorMode), None)
 
 
 def scenario_from_dict(cfg: Mapping, seed_override: int | None = None) -> ScenarioConfig:
@@ -194,39 +209,31 @@ def _check_rotation(value: Any) -> None:
 
 
 def _settings(cfg: Mapping) -> dict:
-    """ScenarioConfig keywords from the integrator, validation, monitors and
-    outputs sections."""
-    integ = _json.obj(cfg["integrator"], "$.integrator", required=("h", "t_end"), allowed=())
-    val = _section(cfg, "validation", assumption=None, face_tolerance=0.0,
-                   strictness_tolerance=1e-12)
-    mon = _section(cfg, "monitors", mode=None, tol_monotone=None, eps_agreement=1e-6)
-    out = _section(cfg, "outputs", trajectory_csv="trajectory.csv",
-                   metrics_json="metrics.json", downsample=1)
-    assumption = _json.enum(val["assumption"], _ASSUMPTIONS, "$.validation", "assumption")
-    mode = _json.enum(mon["mode"], _MONITOR_MODES, "$.monitors", "mode")
-    if mon["tol_monotone"] is not None:  # kept as written: dump-config echoes it
-        _json.number(mon["tol_monotone"], "$.monitors", "tol_monotone", above=0)
-    return dict(
-        h=_json.number(integ["h"], "$.integrator", "h", above=0),
-        t_end=_json.number(integ["t_end"], "$.integrator", "t_end"),
-        assumption=Assumption(assumption) if assumption else None,
-        face_tolerance=_json.number(val["face_tolerance"], "$.validation", "face_tolerance",
-                                    minimum=0),
-        strictness_tolerance=_json.number(val["strictness_tolerance"], "$.validation",
-                                          "strictness_tolerance", minimum=0),
-        monitor_mode=MonitorMode(mode) if mode else None,
-        tol_monotone=mon["tol_monotone"],
-        eps_agreement=_json.number(mon["eps_agreement"], "$.monitors", "eps_agreement", above=0),
-        trajectory_csv=_json.string(out["trajectory_csv"], "$.outputs", "trajectory_csv",
-                                    min_len=1),
-        metrics_json=_json.string(out["metrics_json"], "$.outputs", "metrics_json", min_len=1),
-        downsample=_json.integer(out["downsample"], "$.outputs", "downsample", minimum=1),
-    )
-
-
-def _section(cfg: Mapping, name: str, **defaults: Any) -> dict:
-    """Optional section ``name`` over its defaults; keys outside them are rejected."""
-    return {**defaults, **_json.obj(cfg.get(name, {}), f"$.{name}", allowed=tuple(defaults))}
+    """ScenarioConfig keywords from the settings sections: every section's keys
+    are checked, then each entry by its row's rule; an absent one is left to
+    its field's default."""
+    for section in dict.fromkeys([row[0] for row in _SETTINGS]):
+        keys = [(key, _DEFAULTS[name]) for s, key, name, _rule in _SETTINGS if s == section]
+        _json.obj(cfg.get(section, {}), f"$.{section}", allowed=[k for k, _d in keys],
+                  required=[k for k, default in keys if default is MISSING])
+    settings = {}
+    for section, key, name, rule in _SETTINGS:
+        at, entries = f"$.{section}", cfg.get(section, {})
+        if key not in entries:
+            continue
+        value = entries[key]
+        if isinstance(rule, dict):
+            if value is not None or _DEFAULTS[name] is not None:
+                _json.number(value, at, key, **rule)  # ScenarioConfig makes it a float
+        elif rule is int:
+            value = _json.integer(value, at, key, minimum=1)
+        elif rule is str:
+            _json.string(value, at, key, min_len=1)
+        else:
+            value = _json.enum(value, (*(m.value for m in rule), None), at, key)
+            value = rule(value) if value else None
+        settings[name] = value
+    return settings
 
 
 def scenario_to_dict(sc: ScenarioConfig) -> dict:
@@ -245,7 +252,7 @@ def scenario_to_dict(sc: ScenarioConfig) -> dict:
     if sc.protocol.rotation is not None:
         rot = sc.protocol.rotation
         proto["rotation"] = rot if np.isscalar(rot) else np.asarray(rot).tolist()
-    return {
+    cfg = {
         "agents": {
             "n": sc.n,
             "d": sc.d,
@@ -254,20 +261,8 @@ def scenario_to_dict(sc: ScenarioConfig) -> dict:
         "protocol": proto,
         "graphs": {name: graph_to_json(g) for name, g in sc.protocol.family.items()},
         "signal": signal_to_json(sc.signal),
-        "integrator": {"h": sc.h, "t_end": sc.t_end},
-        "validation": {
-            "assumption": sc.assumption.value if sc.assumption else None,
-            "face_tolerance": sc.face_tolerance,
-            "strictness_tolerance": sc.strictness_tolerance,
-        },
-        "monitors": {
-            "mode": sc.monitor_mode.value if sc.monitor_mode else None,
-            "tol_monotone": sc.tol_monotone,
-            "eps_agreement": sc.eps_agreement,
-        },
-        "outputs": {
-            "trajectory_csv": sc.trajectory_csv,
-            "metrics_json": sc.metrics_json,
-            "downsample": sc.downsample,
-        },
     }
+    for section, key, name, _rule in _SETTINGS:
+        value = getattr(sc, name)
+        cfg.setdefault(section, {})[key] = value.value if isinstance(value, Enum) else value
+    return cfg

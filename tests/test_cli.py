@@ -121,7 +121,7 @@ class TestRun:
         )
         assert done.returncode == 2, done.stderr
         assert done.stderr.startswith("config error: h=") and done.stderr.count("\n") == 1
-        assert done.stdout == "" and not any((tmp_path / "out").iterdir())
+        assert done.stdout == "" and not (tmp_path / "out").exists()
 
     def test_strict_feasibility_exit_3(self, tmp_path, capsys):
         # quarter-turn rotation on a flat two-agent box: field leaves the
@@ -165,6 +165,32 @@ class TestRun:
         path = write_json(tmp_path / "stiff.json", cfg)
         assert main(["run", path, "--out-dir", str(tmp_path)]) == 5
         assert [p.name for p in tmp_path.iterdir()] == ["stiff.json"]  # no artifact, no temporary
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_divergence_removes_the_directories_it_made(self, tmp_path, capsys):
+        # The artifact directories are made before integrating; a run that
+        # diverges takes them away again, deepest first.
+        cfg = consensus_config(t_end=5.0, h=0.01)
+        cfg["protocol"]["weights"] = 1000.0
+        cfg["validation"]["assumption"] = None
+        cfg["outputs"] = {"trajectory_csv": "a/b/traj.csv", "metrics_json": "c/metrics.json"}
+        path = write_json(tmp_path / "stiff.json", cfg)
+        assert main(["run", path, "--out-dir", str(tmp_path / "out" / "deep")]) == 5
+        assert [p.name for p in tmp_path.iterdir()] == ["stiff.json"]
+
+    def test_refused_run_keeps_an_existing_out_dir_and_its_files(self, tmp_path, capsys):
+        # Only what the run made goes: the artifact's new subdirectory, not
+        # --out-dir, which held a file before the run.
+        cfg = consensus_config(t_end=2.0, h=1e-300)
+        cfg["outputs"]["trajectory_csv"] = "sub/traj.csv"
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "keep.txt").write_text("kept", encoding="utf-8")
+        assert main(["run", write_json(tmp_path / "c.json", cfg), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: h=")
+        assert [p.name for p in out.iterdir()] == ["keep.txt"]
+        assert (out / "keep.txt").read_text(encoding="utf-8") == "kept"
 
     def test_metrics_path_a_directory_leaves_no_artifact(self, tmp_path, capsys):
         # The CSV is complete when the metrics file fails to land: it must not

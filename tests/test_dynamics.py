@@ -27,8 +27,17 @@ from compass_consensus.graphs import (
     SwitchingSignal,
     complete_graph,
     is_quasi_strongly_connected,
+    is_strongly_connected,
+    union_graph,
 )
-from compass_consensus.metrics import agreement_verdict, lyapunov_series, square_max_series
+from compass_consensus.metrics import (
+    MonitorMode,
+    absolute_value_agreement,
+    agreement_verdict,
+    lyapunov_series,
+    monotonicity_monitor,
+    square_max_series,
+)
 from compass_consensus.protocols import ProtocolKind, ProtocolSpec
 from compass_consensus.scenario import ScenarioConfig
 from helpers import (
@@ -521,6 +530,21 @@ class TestInvariantSets:
         assert np.all(np.diff(y, axis=0) <= tol)
 
 
+def tanh_field(n, arcs):
+    """``field_fn`` of f_i = sum_j a_ij tanh(s_ij x_j - x_i) with unit weights,
+    over arcs {label: [(j, i) or (j, i, s), ...]}."""
+    S = {p: np.zeros((n, n)) for p in arcs}
+    for p, pairs in arcs.items():
+        for j, i, *sign in pairs:
+            S[p][i - 1, j - 1] = sign[0] if sign else 1.0
+
+    def field(p, x):
+        X, s = x.reshape(n, -1), S[p][:, :, None]
+        return (np.abs(s) * np.tanh(s * X[None, :, :] - X[:, None, :])).sum(axis=1).ravel()
+
+    return field
+
+
 class TestNonlinearJointConnectivity:
     """The paper's nonlinear claim on a field f_i = sum_j a_ij tanh(x_j - x_i)
     over {1->2, 2->3} and {3->4, 4->5, 5->1}, neither quasi-strongly connected.
@@ -535,15 +559,7 @@ class TestNonlinearJointConnectivity:
     X0 = np.random.default_rng(0).uniform(-1.0, 1.0, size=(5, 2))
 
     def run(self, gamma, t_end):
-        A = {p: np.zeros((5, 5)) for p in self.ARCS}
-        for p, arcs in self.ARCS.items():
-            for j, i in arcs:
-                A[p][i - 1, j - 1] = 1.0
-
-        def field(p, x):
-            X = x.reshape(5, -1)
-            return (A[p][:, :, None] * np.tanh(X[None, :, :] - X[:, None, :])).sum(axis=1).ravel()
-
+        field = tanh_field(5, self.ARCS)
         spec = ProtocolSpec(kind="Custom", family=self.FAMILY, gamma=gamma, field_fn=field)
         sig = SwitchingSignal([(0.0, "a"), (0.5, "b")], tau_d=0.5, horizon_end=1.0, periodic=True)
         traj = simulate(ScenarioConfig(n=5, d=2, initial_states=self.X0, protocol=spec,
@@ -577,6 +593,44 @@ class TestNonlinearJointConnectivity:
             assert residual > 0.05
             box = supporting_hyperrectangle([x, self.X0[j - 1]])
             assert gamma_cone_contains(ConeQuery(x, box, f, gamma=np.tanh(d0) / d0))
+
+
+class TestSignedNonlinearJointConnectivity:
+    """The signed variant f_i = sum_j a_ij tanh(s_ij x_j - x_i) over
+    a: {1->2 (+), 2->3 (-)} and b: {3->4 (+), 4->1 (-)}. Neither graph is
+    strongly connected; their union, the cycle 1->2->3->4->1, is.
+
+    Every agent has at most one in-neighbour j in each graph, so each axis of
+    f_i is tanh(u) with u = s_ij x_j - x_i, pointing from x_i toward s_ij x_j.
+    The signed box [-M0, M0]^d with M0 = max |x0| never grows, so |u| <= 2 M0,
+    where tanh(u) / u >= tanh(2 M0) / (2 M0): the field meets the signed cone
+    with margin gamma = tanh(2 M0) / (2 M0), and agents agree in absolute value.
+    """
+
+    ARCS = {"a": [(1, 2, 1), (2, 3, -1)], "b": [(3, 4, 1), (4, 1, -1)]}
+    FAMILY = {p: SignedDigraph(4, arcs) for p, arcs in ARCS.items()}
+    SIGNAL = SwitchingSignal([(0.0, "a"), (0.5, "b")], tau_d=0.5, horizon_end=1.0, periodic=True)
+    X0 = np.random.default_rng(0).uniform(-1.0, 1.0, size=(4, 2))
+
+    def run(self, gamma, t_end):
+        spec = ProtocolSpec(kind="Custom", family=self.FAMILY, gamma=gamma,
+                            field_fn=tanh_field(4, self.ARCS))
+        traj = simulate(ScenarioConfig(n=4, d=2, initial_states=self.X0, protocol=spec,
+                                       signal=self.SIGNAL, h=0.01, t_end=t_end))
+        return traj, validate_feasibility(traj, spec, Assumption.SIGNED_GAMMA_STRICT)
+
+    def test_declared_margin_holds_and_agents_agree_in_absolute_value(self):
+        assert not any(map(is_strongly_connected, self.FAMILY.values()))
+        assert is_strongly_connected(union_graph(self.SIGNAL, self.FAMILY, 0.0, 1.0))
+        m0 = float(np.abs(self.X0).max())
+        traj, violations = self.run(np.tanh(2 * m0) / (2 * m0), t_end=60.0)
+        assert violations == []
+        assert absolute_value_agreement(traj, 1e-6).all()
+        assert monotonicity_monitor(traj, MonitorMode.SIGNED_SQUARE) == []
+
+    def test_overdeclared_margin_is_flagged(self):
+        _traj, violations = self.run(0.99, t_end=60.0)
+        assert violations
 
 
 class TestEmpiricalGammaMargin:

@@ -157,11 +157,9 @@ class TestFitExponentialRate:
         "tree": ([[(1, 2), (1, 3)], [(2, 3), (3, 4), (1, 4)]], 0.5, 1.25, True),
     }
 
-    @pytest.mark.parametrize("case", FLOQUET)
-    def test_rate_matches_the_floquet_multiplier(self, case):
-        # lambda* = -ln rho_2(Phi) / P for the one-period propagator
-        # Phi = expm(tau_b L_b) expm(tau_a L_a); rho_3 / rho_2 < 0.9 lets the
-        # second multiplier dominate the tail, which ends near V = 1e-11.
+    def floquet_case(self, case):
+        """(spec, signal, Phi) of a FLOQUET case: the one-period propagator
+        Phi = expm(tau_b L_b) expm(tau_a L_a) of its periodic schedule."""
         (arcs_a, arcs_b), switch, period, per_arc = self.FLOQUET[case]
         n = max(max(arc) for arc in arcs_a + arcs_b)
         family = {"a": SignedDigraph(n, arcs_a), "b": SignedDigraph(n, arcs_b)}
@@ -170,17 +168,44 @@ class TestFitExponentialRate:
             weights = {(j, i): 1.0 + 0.5 * ((j + i) % 3) for j, i in arcs_a + arcs_b}
         spec = ProtocolSpec(kind="WeightedConsensus", family=family, gamma=1.0, weights=weights)
         phi = expm((period - switch) * spec.operator("b")) @ expm(switch * spec.operator("a"))
+        signal = SwitchingSignal([(0.0, "a"), (switch, "b")], tau_d=0.25,
+                                 horizon_end=period, periodic=True)
+        return spec, signal, phi
+
+    @pytest.mark.parametrize("case", FLOQUET)
+    def test_rate_matches_the_floquet_multiplier(self, case):
+        # lambda* = -ln rho_2(Phi) / P for the one-period propagator Phi;
+        # rho_3 / rho_2 < 0.9 lets the second multiplier dominate the tail,
+        # which ends near V = 1e-11.
+        spec, signal, phi = self.floquet_case(case)
+        n, period = phi.shape[0], signal.period
         rho = sorted(np.abs(np.linalg.eigvals(phi)), reverse=True)
         assert rho[0] == pytest.approx(1.0) and rho[2] < 0.9 * rho[1]
         lam_star = -math.log(rho[1]) / period
-        signal = SwitchingSignal([(0.0, "a"), (switch, "b")], tau_d=0.25,
-                                 horizon_end=period, periodic=True)
         x0 = np.random.default_rng(0).uniform(-1.0, 1.0, size=(n, 2))
         traj = simulate(ScenarioConfig(n=n, d=2, initial_states=x0, protocol=spec,
                                        signal=signal, h=0.01, t_end=25.0 / lam_star))
         fit = fit_exponential_rate((traj.times, lyapunov_series(traj)))
         assert not fit.truncated
         assert fit.lambda_hat == pytest.approx(lam_star, rel=0.02)
+
+    @pytest.mark.parametrize("case", FLOQUET)
+    def test_integrator_map_matches_the_floquet_product(self, case):
+        # With d = n and the identity as initial states, column c of the final
+        # states is the integrator's map applied to e_c: the map itself. Over
+        # k periods it must match Phi^k to RK4's O(h^4): halving h divides the
+        # error by about 16. Seven periods cross the periodic tiling six times.
+        spec, signal, phi = self.floquet_case(case)
+        n = phi.shape[0]
+
+        def map_error(h, k):
+            traj = simulate(ScenarioConfig(n=n, d=n, initial_states=np.eye(n), protocol=spec,
+                                           signal=signal, h=h, t_end=k * signal.period))
+            return np.abs(traj.blocks()[-1] - np.linalg.matrix_power(phi, k)).max()
+
+        coarse, fine = map_error(0.01, 1), map_error(0.005, 1)
+        assert coarse <= 1e-8 and 10 <= coarse / fine <= 22
+        assert map_error(0.01, 7) <= 1e-8
 
     def test_floor_truncation_flagged(self):
         t = np.linspace(0.0, 10.0, 200)

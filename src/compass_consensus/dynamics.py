@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, real
+from .errors import DivergenceError, DomainError, real, reals
 from .graphs import SwitchingSignal
 from .protocols import ProtocolKind, ProtocolSpec
 
@@ -74,7 +74,8 @@ class Trajectory:
     ``times[s]``. ``runs`` is the switching schedule as it was sampled: each
     run (p, a, b) says family index p drives samples a..b-1. A sample at a
     switch opens the next run, so labels are right-continuous. Raises
-    DomainError unless the runs tile the samples in order.
+    DomainError unless the times and the (samples, n*d) states are finite
+    arrays (``errors.reals``) and the runs tile the samples in order.
     ``feasibility_violations`` is filled when validation ran.
     """
 
@@ -86,6 +87,8 @@ class Trajectory:
     feasibility_violations: list["FeasibilityViolation"] | None = None
 
     def __post_init__(self):
+        self.times = reals("times", self.times, (None,))
+        self.states = reals("states", self.states, (self.times.size, self.n * self.d))
         self.runs = [(p, operator.index(a), operator.index(b)) for p, a, b in self.runs]
         ends = [0] + [b for _p, _a, b in self.runs]
         if ends[-1] != self.num_samples or any(
@@ -152,8 +155,8 @@ def simulate(scenario: "ScenarioConfig") -> Trajectory:
     """
     times, runs = _schedule(scenario)
     states = np.empty((times.size, scenario.n * scenario.d))
-    for _chunk in _sample_chunks(scenario, times, runs, states):
-        pass
+    for _p, samples, X in _sample_chunks(scenario, times, runs):
+        states[samples[0] : samples[-1] + 1] = X.reshape(len(X), -1)
     traj = Trajectory(times=times, states=states, n=scenario.n, d=scenario.d, runs=runs)
     if getattr(scenario, "assumption", None) is not None:
         traj.feasibility_violations = validate_feasibility(
@@ -175,27 +178,32 @@ def _schedule(scenario: "ScenarioConfig") -> tuple[np.ndarray, list[tuple[Any, i
     instants and t_end. One run per segment from the sample at its start,
     which ends the previous segment: labels are right-continuous. The final
     sample opens the run of the segment active at t_end, which may start
-    there. Raises DomainError when the samples' times do not fit in an array.
+    there. Raises DomainError when the signal's segments to t_end, tiled
+    periodically, or the samples' times do not fit in memory.
     """
-    signal: SwitchingSignal = scenario.signal
     h, t_end = float(scenario.h), float(scenario.t_end)
+    try:
+        return _tiled_schedule(scenario.signal, h, t_end)
+    except MemoryError:  # raised after the block, which frees what filled memory
+        pass
+    raise DomainError(f"h={h!r} to t_end={t_end!r} needs more steps or switches than memory holds")
+
+
+def _tiled_schedule(signal: SwitchingSignal, h: float, t_end: float) -> tuple[np.ndarray, list]:
+    """``_schedule``'s times and runs; MemoryError when they do not fit."""
     segs = signal.segments(t_end)
     kept = [(a, min(b, t_end), p) for a, b, p in segs if min(b, t_end) > a]
     a, b = np.array([seg[:2] for seg in kept], dtype=float).T
     with np.errstate(over="ignore"):
         full = np.floor((b - a) / h + 1e-9)
         steps = np.maximum(full, 1) + ((full > 0) & (b - (a + full * h) > 1e-6 * h))
-    total = steps.sum()  # a float: casting a count past int64 would wrap it
-    try:
-        if not total < np.iinfo(np.intp).max // 8:  # more bytes of times than an array holds
-            raise MemoryError
-        counts = steps.astype(np.intp)
-        ends = np.cumsum(counts)
-        k = np.arange(1, ends[-1] + 1) - np.repeat(ends - counts, counts)
-        times = np.concatenate([[signal.t0], np.repeat(a, counts) + k * h])
-    except MemoryError:
-        raise DomainError(f"h={h!r} needs {total:.3g} steps to t_end={t_end!r}, "
-                          "more sample times than memory holds") from None
+    # A float sum: casting a count past int64 would wrap it.
+    if not steps.sum() < np.iinfo(np.intp).max // 8:  # more bytes of times than an array holds
+        raise MemoryError
+    counts = steps.astype(np.intp)
+    ends = np.cumsum(counts)
+    k = np.arange(1, ends[-1] + 1) - np.repeat(ends - counts, counts)
+    times = np.concatenate([[signal.t0], np.repeat(a, counts) + k * h])
     times[ends] = b
     m, p = times.size, segs[-1][2]
     runs = [(q, s, e) for (_a, _b, q), s, e in zip(kept, (ends - counts).tolist(), ends.tolist())]
@@ -213,24 +221,22 @@ _CHUNK_ELEMENTS = 1 << 16
 
 
 def _sample_chunks(
-    scenario: "ScenarioConfig", times: np.ndarray, runs: list, states: np.ndarray | None = None
+    scenario: "ScenarioConfig", times: np.ndarray, runs: list
 ) -> Iterator[tuple[Any, np.ndarray, np.ndarray]]:
     """Integrate the scenario over its schedule ``_schedule(scenario)``, run
     by run; yield (p, samples, states) per run, split into chunks of at most
     max(1, _CHUNK_ELEMENTS // (n * d)) samples: ``samples`` are contiguous
     indices, all driven by graph p, and ``states`` their (samples, n, d)
-    states. With ``states`` given, every sample is written in place there and
-    the chunks are views of it; otherwise they are views of one reused
-    buffer, overwritten by the next chunk. Raises DivergenceError at the
-    first sample that is not finite.
+    states, a view of one reused buffer, overwritten by the next chunk.
+    Raises DivergenceError at the first sample that is not finite.
     """
     spec: ProtocolSpec = scenario.protocol
-    h, x0 = float(scenario.h), np.asarray(scenario.initial_states, dtype=float).reshape(-1)
+    h, x0 = float(scenario.h), scenario.initial_states.reshape(-1)
     m, size = times.size, max(1, _CHUNK_ELEMENTS // x0.size)
     # One row beyond the chunk: the step into the next chunk's first sample
     # lands there, so the state carries across a split or a switch.
-    buffer = np.empty((min(size + 1, m), x0.size)) if states is None else None
-    (states if buffer is None else buffer)[0] = x0
+    buffer = np.empty((min(size + 1, m), x0.size))
+    buffer[0] = x0
     custom = spec.kind is ProtocolKind.CUSTOM
     # Step matrices are kept, first come, while they hold 2 * _CHUNK_ELEMENTS
     # floats together or are at most sixteen; another graph's is rebuilt per
@@ -257,7 +263,7 @@ def _sample_chunks(
         for c in range(s, e, size):
             c2 = min(c + size, e)
             k = min(c2, last) - c  # steps from sample c; a step into c2 opens the next chunk
-            block = states[c : c + k + 1] if buffer is None else buffer[: k + 1]
+            block = buffer[: k + 1]
             T = times[c : c + k + 1]
             if custom:
                 for j in range(1, k + 1):
@@ -277,8 +283,7 @@ def _sample_chunks(
             if not finite.all():
                 raise DivergenceError(float(T[1 + np.argmin(finite)]))
             yield p, np.arange(c, c2), block[: c2 - c].reshape(c2 - c, spec.n, -1)
-            if buffer is not None:
-                buffer[0] = block[k]
+            buffer[0] = block[k]
 
 
 def _label_chunks(

@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the one check of each kind
-of numeric argument that raises them: ``real`` and ``integer``."""
+of numeric argument that raises them: ``real`` for a number, ``integer`` for
+a count and ``reals`` for an array (its shape, element type and finiteness)."""
 
 import math
 import numbers
@@ -79,3 +80,29 @@ def integer(name: str, value: Any) -> int:
         except TypeError:
             pass
     raise DomainError(f"{name} must be an integer (not booleans), got {value!r}")
+
+
+def reals(name: str, value: Any, shape: tuple) -> Any:
+    """``value``, an int or float array or nested lists of such numbers, as a
+    float array whose axes have the lengths in ``shape`` (None: any length);
+    DomainError naming ``name`` for any other shape, ragged nesting, booleans,
+    strings, complex numbers, objects, and a NaN or infinity (the first one)."""
+    import numpy as np  # here: check-graphs imports this module without numpy
+
+    try:
+        x = np.asarray(value)
+    except ValueError:  # numpy refuses ragged nesting
+        got = "ragged nesting"
+    else:
+        if x.ndim != len(shape) or any(k not in (None, s) for k, s in zip(shape, x.shape)):
+            got = f"shape {x.shape}"
+        elif x.dtype.kind not in "iuf":
+            got = f"elements of type {x.dtype}"
+        elif np.isfinite(x).all():
+            return x.astype(float, copy=False)
+        else:
+            at = tuple(map(int, np.unravel_index(np.argmin(np.isfinite(x)), x.shape)))
+            got = f"{x[at]} at index {at}"
+    want = str(tuple(k if k is None else int(k) for k in shape)).replace("None", "any")
+    raise DomainError(f"{name} must be an array of shape {want} of finite numbers "
+                      f"(not booleans or strings), got {got}")

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, OutsideBoxError, real
+from .errors import DomainError, OutsideBoxError, real, reals
 
 DEFAULT_PROBE_STEPS: tuple[float, ...] = (1e-2, 1e-3, 1e-4, 1e-5)
 DEFAULT_STRICTNESS_TOLERANCE = 1e-12
@@ -39,10 +39,8 @@ class Hyperrectangle:
     hi: np.ndarray
 
     def __post_init__(self):
-        lo = np.asarray(self.lo, dtype=float)
-        hi = np.asarray(self.hi, dtype=float)
-        if lo.ndim != 1 or hi.ndim != 1 or lo.shape != hi.shape:
-            raise DomainError("lo and hi must be 1-D vectors of equal length")
+        lo = reals("lo", self.lo, (None,))
+        hi = reals("hi", self.hi, lo.shape)
         if lo.size == 0:
             raise DomainError("box must have at least one axis")
         if np.any(hi < lo):
@@ -56,14 +54,15 @@ class Hyperrectangle:
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Euclidean (convex) projection onto the box: per-axis clamp."""
-        return np.clip(np.asarray(x, dtype=float), self.lo, self.hi)
+        return np.clip(reals("x", x, self.lo.shape), self.lo, self.hi)
 
     def distance(self, x: np.ndarray) -> float:
         """Euclidean distance from ``x`` to the box."""
-        return float(np.linalg.norm(np.asarray(x, dtype=float) - self.project(x)))
+        x = reals("x", x, self.lo.shape)
+        return float(np.linalg.norm(x - self.project(x)))
 
     def contains(self, x: np.ndarray, tol: float = 0.0) -> bool:
-        x = np.asarray(x, dtype=float)
+        x = reals("x", x, self.lo.shape)
         return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
 
     def translate(self, offset: np.ndarray) -> "Hyperrectangle":
@@ -114,10 +113,8 @@ class ConeQuery:
     strictness_tolerance: float = DEFAULT_STRICTNESS_TOLERANCE
 
     def __post_init__(self):
-        object.__setattr__(self, "point", np.asarray(self.point, dtype=float))
-        object.__setattr__(self, "direction", np.asarray(self.direction, dtype=float))
-        if self.point.shape != (self.box.dim,) or self.direction.shape != (self.box.dim,):
-            raise DomainError("point and direction must match the box dimension")
+        for name in ("point", "direction"):
+            object.__setattr__(self, name, reals(name, getattr(self, name), self.box.lo.shape))
         ftol = self.face_tolerance
         if ftol is not None:
             object.__setattr__(self, "face_tolerance", real("face_tolerance", ftol, minimum=0))
@@ -135,16 +132,11 @@ def default_face_tolerance(box: Hyperrectangle) -> float:
     return 1e-9 * max(1.0, rho(box))
 
 
-def supporting_hyperrectangle(points: Iterable[Sequence[float]]) -> Hyperrectangle:
-    """Smallest axis-aligned box containing all the given points."""
-    pts = [np.asarray(p, dtype=float) for p in points]
-    if not pts:
+def supporting_hyperrectangle(points: Sequence[Sequence[float]]) -> Hyperrectangle:
+    """Smallest axis-aligned box containing the points, the rows of ``points``."""
+    arr = reals("points", points, (None, None))
+    if not len(arr):  # numpy has no min over no points
         raise DomainError("need at least one point")
-    d = pts[0].size
-    for p in pts:
-        if p.ndim != 1 or p.size != d:
-            raise DomainError("all points must share one dimension")
-    arr = np.vstack(pts)
     return Hyperrectangle(arr.min(axis=0), arr.max(axis=0))
 
 
@@ -166,9 +158,7 @@ def classify_point(
     Raises OutsideBoxError if ``x`` is farther than ``face_tolerance`` outside
     the box on any axis.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (box.dim,):
-        raise DomainError("point must match the box dimension")
+    x = reals("x", x, box.lo.shape)
     tol = default_face_tolerance(box) if face_tolerance is None else face_tolerance
     tol = real("face_tolerance", tol, minimum=0)
     if not box.contains(x, tol):
@@ -202,7 +192,7 @@ def tangent_cone_contains(
     both facets, which forces the component to vanish. Cross-validated against
     :func:`cone_membership_probe`.
     """
-    v = np.asarray(v, dtype=float)
+    v = reals("v", v, box.lo.shape)
     cls = classify_point(x, box, face_tolerance)
     for k in cls.lower_axes:
         if v[k] < 0.0:
@@ -285,10 +275,7 @@ def cone_membership_probe(
     certifies non-membership. The distance uses the exact convex projection
     onto the box (per-axis clamp).
     """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if x.shape != (box.dim,) or v.shape != (box.dim,):
-        raise DomainError("point and direction must match the box dimension")
+    x, v = reals("x", x, box.lo.shape), reals("v", v, box.lo.shape)
     if not box.contains(x, default_face_tolerance(box)):
         raise OutsideBoxError(f"probe base point {x} outside box")
     steps = [real("probe step", z, above=0) for z in probe_steps]

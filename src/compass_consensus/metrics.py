@@ -34,7 +34,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError, integer, real
+from .errors import DomainError, integer, real, reals
 from . import dynamics
 from .dynamics import Trajectory
 
@@ -229,16 +229,16 @@ def fit_exponential_rate(
 ) -> RateFit:
     """Least-squares slope of log V over the tail window; lambda = -slope.
 
-    ``series`` is (times, values). Values at or below the numerical floor
-    truncate the fit there (flagged in the result). A constant series fits
-    exactly with rate zero.
+    ``series`` is (times, values), finite, with strictly increasing times.
+    Values at or below the numerical floor truncate the fit there (flagged in
+    the result). A constant series fits exactly with rate zero.
     """
     tail_fraction = _tail_fraction(tail_fraction)
     t, v = series
-    t = np.asarray(t, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if t.shape != v.shape or t.ndim != 1 or t.size < 2:
-        raise DomainError("need matching 1-D times and values with >= 2 samples")
+    t = reals("times", t, (None,))
+    v = reals("values", v, t.shape)
+    if t.size < 2 or not (t[1:] > t[:-1]).all():
+        raise DomainError("need >= 2 samples, at strictly increasing times")
     start = t.size - max(2, int(math.ceil(tail_fraction * t.size)))
     t, v = t[start:], v[start:]
     truncated = False

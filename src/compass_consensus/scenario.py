@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _json
 from .dynamics import Assumption
-from .errors import DomainError, integer, real
+from .errors import DomainError, integer, real, reals
 from .graphs import (
     SignedDigraph,
     SwitchingSignal,
@@ -59,12 +59,9 @@ class ScenarioConfig:
         """Reject inputs that disagree with each other, with ConfigError at
         the config path of the offending entry."""
         n, d, family, signal = self.n, self.d, self.protocol.family, self.signal
-        shape = np.shape(self.initial_states)
-        if shape != (n, d) or not np.isfinite(self.initial_states).all():
-            raise _json.fail(
-                f"initial_states must be a finite ({n}, {d}) array, got shape {shape}",
-                "$.agents.initial_states",
-            )
+        self.initial_states = _json.build(
+            reals, "$.agents.initial_states", "initial_states", self.initial_states, (n, d)
+        )
         for name, g in family.items():
             if g.n != n:
                 raise _json.fail(
@@ -93,6 +90,11 @@ class ScenarioConfig:
                 checked = _json.build(real, at, name, value, rule.get("above"), rule.get("minimum"))
                 if _DEFAULTS[name] is not None:  # a null-default number is kept as given
                     value = checked
+            elif rule is str:
+                _json.string(value, at, min_len=1)
+            elif value is not None:  # an Enum: a member or its value, stored as the member
+                value = value.value if isinstance(value, rule) else value
+                value = rule(_json.enum(value, tuple(m.value for m in rule), at))
             setattr(self, name, value)
         at = "$.integrator.t_end"
         if not signal.t0 < self.t_end:
@@ -165,9 +167,7 @@ def scenario_from_dict(cfg: Mapping, seed_override: int | None = None) -> Scenar
     if ("initial_states" in agents) == ("sample" in agents):
         raise _json.fail("agents needs exactly one of initial_states and sample", "$.agents")
     if "initial_states" in agents:
-        if len({len(row) for row in rows}) > 1:
-            raise _json.fail("rows must all have the same length", "$.agents.initial_states")
-        x0 = np.array(rows)
+        x0 = rows  # ScenarioConfig checks their shape
     else:
         if lo.shape != (d,) or hi.shape != (d,):
             raise _json.fail(f"sample box must have {d} entries", "$.agents.sample")
@@ -256,7 +256,7 @@ def scenario_to_dict(sc: ScenarioConfig) -> dict:
         "agents": {
             "n": sc.n,
             "d": sc.d,
-            "initial_states": np.asarray(sc.initial_states).tolist(),
+            "initial_states": sc.initial_states.tolist(),
         },
         "protocol": proto,
         "graphs": {name: graph_to_json(g) for name, g in sc.protocol.family.items()},

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, real
+from .errors import DomainError, real, reals
 
 NeighborRule = Callable[["VicsekState"], Sequence[np.ndarray]]
 
@@ -41,12 +41,8 @@ class VicsekState:
     radius: float
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float)
-        headings = wrap_angle(self.headings)
-        if pos.ndim != 2 or pos.shape[1] != 2:
-            raise DomainError("positions must be an (n, 2) array")
-        if headings.shape != (pos.shape[0],):
-            raise DomainError("need one heading per agent")
+        pos = reals("positions", self.positions, (None, 2))
+        headings = wrap_angle(reals("headings", self.headings, (len(pos),)))
         object.__setattr__(self, "speed", real("speed", self.speed, above=0))
         object.__setattr__(self, "radius", real("radius", self.radius, above=0))
         object.__setattr__(self, "positions", pos)

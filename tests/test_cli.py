@@ -123,6 +123,32 @@ class TestRun:
         assert done.stderr.startswith("config error: h=") and done.stderr.count("\n") == 1
         assert done.stdout == "" and not (tmp_path / "out").exists()
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is Linux's address-space cap")
+    def test_periodic_tiling_past_memory_exit_2_with_one_line(self, tmp_path):
+        # Two pieces a period to t_end = 1e9: tiling the signal's segments ran
+        # out of memory before any step was counted, a MemoryError traceback
+        # and exit 1. The child may map 512 MiB and run 60 s.
+        import resource
+
+        config = consensus_config(t_end=1e9, h=0.5)
+        config["graphs"]["f"] = {"n": 2, "arcs": [[1, 2, 1]]}
+        config["signal"] = {"tau_d": 0.5, "pieces": [[0.0, "g"], [0.5, "f"]],
+                            "horizon_end": 1.0, "periodic": True}
+        cfg = write_json(tmp_path / "c.json", config)
+        cap = 1 << 29
+        environ = {k: v for k, v in os.environ.items() if k != "COMPASS_LOG"}
+        done = subprocess.run(
+            [sys.executable, "-m", "compass_consensus.cli", "run", cfg,
+             "--out-dir", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=60,
+            env={**environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("config error: h=0.5 to t_end=1000000000.0 needs more ")
+        assert done.stderr.count("\n") == 1
+        assert done.stdout == "" and not (tmp_path / "out").exists()
+
     def test_strict_feasibility_exit_3(self, tmp_path, capsys):
         # quarter-turn rotation on a flat two-agent box: field leaves the
         # carrier subspace at once

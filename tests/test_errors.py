@@ -1,10 +1,14 @@
-"""The numeric-argument rule: ``errors.real`` and ``errors.integer``, and every
-entry point that checks a number through them.
+"""The numeric-argument rule: ``errors.real``, ``errors.integer`` and
+``errors.reals``, and every entry point that checks a number or an array
+through them.
 
 Each entry point refuses a boolean, a string, NaN, an infinity and an int no
 float can hold with ``DomainError`` (``ConfigError`` at its ``$.…`` path for
 ``ScenarioConfig`` and the JSON readers), and gives the same result for a
-numpy scalar or a ``Fraction`` as for the equal float.
+numpy scalar or a ``Fraction`` as for the equal float. Each array argument
+refuses a NaN or infinite entry, a boolean or string array, ragged nesting
+and a wrong shape the same way, and gives the same result for a list of ints
+as for the equal float array.
 """
 
 import math
@@ -17,8 +21,13 @@ import numpy as np
 import pytest
 
 from compass_consensus import metrics
-from compass_consensus.dynamics import empirical_gamma_margin, simulate, validate_feasibility
-from compass_consensus.errors import ConfigError, DomainError, integer, real
+from compass_consensus.dynamics import (
+    Trajectory,
+    empirical_gamma_margin,
+    simulate,
+    validate_feasibility,
+)
+from compass_consensus.errors import ConfigError, DomainError, integer, real, reals
 from compass_consensus.geometry import (
     ConeQuery,
     Hyperrectangle,
@@ -26,6 +35,8 @@ from compass_consensus.geometry import (
     cone_membership_probe,
     gamma_cone_contains,
     relative_interior_cone_contains,
+    supporting_hyperrectangle,
+    tangent_cone_contains,
 )
 from compass_consensus.graphs import (
     SignedDigraph,
@@ -168,6 +179,88 @@ def test_numpy_scalars_and_fractions_give_the_float_result(call, good, path):
         assert call(x) == expected, type(x)
 
 
+def bounds(box):
+    return box.lo.tolist(), box.hi.tolist()
+
+
+def query(point=(0, 1), direction=(1, -1)):
+    q = ConeQuery(point, BOX, direction, gamma=0.5)
+    return gamma_cone_contains(q), relative_interior_cone_contains(q)
+
+
+def fit(times=(0, 1, 2, 3), values=(8, 4, 2, 1)):
+    return metrics.fit_exponential_rate((times, values))
+
+
+def trajectory(times=(0, 1, 2), states=((0, 2), (1, 1), (1, 1))):
+    traj = Trajectory(times, states, n=2, d=1, runs=[("g", 0, 3)])
+    return traj.times.tolist(), traj.states.tolist(), metrics.agreement_verdict(traj, 1e-6)
+
+
+def flock(positions=((0, 0), (1, 0)), headings=(0, 1)):
+    state = vicsek_step(VicsekState(positions, headings, 1.0, 1.0), complete_neighbors)
+    return state.positions.tolist(), state.headings.tolist()
+
+
+# Array argument: (call with the value, a good value of ints, its name, ConfigError path or None).
+ARRAYS = {
+    "box-lo": (lambda x: bounds(Hyperrectangle(x, [1, 2])), [0, 0], "lo", None),
+    "box-hi": (lambda x: bounds(Hyperrectangle([0, 0], x)), [1, 2], "hi", None),
+    "contains-x": (lambda x: BOX.contains(x), [0, 1], "x", None),
+    "project-x": (lambda x: BOX.project(x).tolist(), [3, 1], "x", None),
+    "distance-x": (lambda x: BOX.distance(x), [3, 1], "x", None),
+    "cone-point": (lambda x: query(point=x), [0, 1], "point", None),
+    "cone-direction": (lambda x: query(direction=x), [1, -1], "direction", None),
+    "supporting-points": (lambda x: bounds(supporting_hyperrectangle(x)), [[0, 0], [1, 2]],
+                          "points", None),
+    "classify-x": (lambda x: classify_point(x, BOX), [0, 1], "x", None),
+    "tangent-v": (lambda x: tangent_cone_contains([0, 1], BOX, x), [1, -1], "v", None),
+    "probe-x": (lambda x: cone_membership_probe(x, BOX, [-1, 0]), [0, 1], "x", None),
+    "probe-v": (lambda x: cone_membership_probe([0, 1], BOX, x), [-1, 0], "v", None),
+    "fit-times": (lambda x: fit(times=x), [0, 1, 2, 3], "times", None),
+    "fit-values": (lambda x: fit(values=x), [8, 4, 2, 1], "values", None),
+    "trajectory-times": (lambda x: trajectory(times=x), [0, 1, 2], "times", None),
+    "trajectory-states": (lambda x: trajectory(states=x), [[0, 2], [1, 1], [1, 1]], "states",
+                          None),
+    "config-initial_states": (lambda x: scenario_result(initial_states=x), [[0], [2]],
+                              "initial_states", "$.agents.initial_states"),
+    "vicsek-positions": (lambda x: flock(positions=x), [[0, 0], [1, 0]], "positions", None),
+    "vicsek-headings": (lambda x: flock(headings=x), [0, 1], "headings", None),
+}
+
+
+def with_entry(good, k, value):
+    x = np.array(good, dtype=float)
+    x.flat[k] = value
+    return x.tolist()
+
+
+# Bad array from a good one: what each is, and how it is made.
+BAD_ARRAYS = {
+    "nan": lambda good: with_entry(good, 0, math.nan),
+    "inf": lambda good: with_entry(good, -1, -math.inf),
+    "bool": lambda good: np.array(good) > 0,
+    "string": lambda good: np.array(good).astype(str),
+    "ragged": lambda good: [good[0], [good[0]]],
+    "shape": lambda good: [good],
+}
+
+
+@pytest.mark.parametrize("bad", BAD_ARRAYS.values(), ids=BAD_ARRAYS)
+@pytest.mark.parametrize("call, good, name, path", ARRAYS.values(), ids=ARRAYS)
+def test_array_arguments_refuse_what_is_not_a_finite_array(call, good, name, path, bad):
+    with pytest.raises(DomainError) as err:
+        call(bad(good))
+    if path is not None:
+        assert isinstance(err.value, ConfigError) and err.value.field == path
+    assert f"{name} must be an array of shape " in str(err.value)
+
+
+@pytest.mark.parametrize("call, good, name, path", ARRAYS.values(), ids=ARRAYS)
+def test_lists_of_ints_give_the_float_array_result(call, good, name, path):
+    assert call(good) == call(np.array(good, dtype=float))
+
+
 # Config entries the JSON readers check as numbers, each reported at its path.
 READ = [
     (("protocol", "gamma"), "$.protocol.gamma"),
@@ -251,6 +344,45 @@ class TestInteger:
     def test_refuses_with_the_name_and_value(self, value):
         with pytest.raises(DomainError, match=r"^n must be an integer \(not booleans\), got "):
             integer("n", value)
+
+
+class TestReals:
+    @pytest.mark.parametrize("value", [[[1, 2], [3, 4]], np.array([[1, 2], [3, 4]], np.uint8),
+                                       np.array([[1, 2], [3, 4]], np.float32),
+                                       ((1.0, 2.0), (3.0, 4.0))])
+    def test_accepts_int_and_float_arrays_as_float(self, value):
+        x = reals("x", value, (2, None))
+        assert x.dtype == float and x.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_a_float_array_is_returned_as_it_is(self):
+        value = np.zeros((3, 2))
+        assert reals("x", value, (None, 2)) is value
+
+    @pytest.mark.parametrize("value, got", [
+        ([[1, 2]], "shape (1, 2)"),
+        ([1, 2, 3], "shape (3,)"),
+        (5.0, "shape ()"),
+        ([[1, 2], [3]], "ragged nesting"),
+        ([True, False], "elements of type bool"),
+        (["1", "2"], "elements of type <U1"),
+        ([1j, 2], "elements of type complex128"),
+        ([None, 2], "elements of type object"),
+        ([10**400, 2], "elements of type object"),
+        ([1, math.nan], "nan at index (1,)"),
+        (np.array([-math.inf, math.inf]), "-inf at index (0,)"),
+    ], ids=["axes", "length", "scalar", "ragged", "bool", "string", "complex", "none",
+            "huge-int", "nan", "inf"])
+    def test_refuses_with_the_name_shape_and_what_failed(self, value, got):
+        with pytest.raises(DomainError) as err:
+            reals("width", value, (2,))
+        assert str(err.value) == (
+            "width must be an array of shape (2,) of finite numbers (not booleans or strings), "
+            f"got {got}")
+
+    def test_any_length_axes(self):
+        assert reals("x", np.zeros((0, 3)), (None, 3)).shape == (0, 3)
+        with pytest.raises(DomainError, match=r"shape \(any, 3\) .* got shape \(2, 2\)$"):
+            reals("x", np.zeros((2, 2)), (None, 3))
 
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "compass_consensus"

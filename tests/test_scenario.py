@@ -234,15 +234,31 @@ class TestCrossFieldChecks:
         ({"downsample": True}, "$.outputs.downsample"),
         ({"downsample": 2.5}, "$.outputs.downsample"),
         ({"initial_states": np.array([[0.0], [np.nan]])}, "$.agents.initial_states"),
+        ({"assumption": "x"}, "$.validation.assumption"),
+        ({"assumption": MonitorMode.COOPERATIVE_BOX}, "$.validation.assumption"),
+        ({"monitor_mode": 1}, "$.monitors.mode"),
+        ({"monitor_mode": True}, "$.monitors.mode"),
+        ({"trajectory_csv": None}, "$.outputs.trajectory_csv"),
+        ({"metrics_json": ""}, "$.outputs.metrics_json"),
     ], ids=["unknown-label", "agents-over-graph", "h", "h-inf", "h-nan", "t_end-nan", "h-bool",
             "t_end-bool", "h-string", "face_tolerance-nan", "strictness_tolerance-negative",
             "eps_agreement-negative", "tol_monotone-negative", "tol_monotone-zero",
-            "downsample-zero", "downsample-bool", "downsample-fraction", "initial_states-nan"])
+            "downsample-zero", "downsample-bool", "downsample-fraction", "initial_states-nan",
+            "assumption-unknown", "assumption-other-enum", "monitor_mode-int",
+            "monitor_mode-bool", "trajectory_csv-none", "metrics_json-empty"])
     def test_library_config_rejected_when_built(self, changes, path):
         sc = scenario_from_dict(base_config())
         with pytest.raises(DomainError) as err:
             replace(sc, **changes)
         assert err.value.field == path
+
+    def test_library_enum_settings_stored_as_members(self):
+        # A setting's value builds the same config as its member, and null stays null.
+        sc = scenario_from_dict(base_config())
+        built = replace(sc, assumption="GammaStrict", monitor_mode="CooperativeBox")
+        assert built.assumption is Assumption.GAMMA_STRICT
+        assert built.monitor_mode is MonitorMode.COOPERATIVE_BOX
+        assert replace(sc, assumption=None, monitor_mode=None).assumption is None
 
     def test_periodic_horizon_needs_a_finite_end(self):
         # An aperiodic horizon bounds t_end; a periodic one does not.

@@ -26,11 +26,9 @@ reduced over hull lists read from each graph's ``in_arcs()``, and the fields
 evaluated, a bounded chunk of samples at a time: O(m * nnz * d) time for m
 samples, nnz hull members (arcs plus self) and d axes, in working memory
 bounded per chunk.
-On a stored trajectory one walker over the run table yields those chunks,
-each graph's samples gathered from its runs; ``fields_along`` reads the
-states through it too. While integrating, ``_gathered`` copies the
-integrator's chunks into the same ones, one buffer per graph while the
-buffers stay within a bound.
+One label walker, ``_gathered``, cuts those chunks: it copies the runs of a
+trajectory, stored or being integrated, into one buffer per graph while the
+buffers stay within a bound; ``fields_along`` reads the states through it too.
 Agents are bucketed by hull size rounded up to a power of two, and each list
 is padded to its bucket's size with the agent itself (exact, as min and max
 are idempotent): padding at most doubles nnz, and a hub of a star graph
@@ -50,7 +48,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, real, reals
+from .errors import DivergenceError, DomainError, member, real, reals
 from .graphs import SwitchingSignal
 from .protocols import ProtocolKind, ProtocolSpec
 
@@ -286,49 +284,39 @@ def _sample_chunks(
             buffer[0] = block[k]
 
 
-def _label_chunks(
-    traj: Trajectory, spec: ProtocolSpec, chunk_samples: Callable[[Any, int], int]
+def _run_chunks(
+    traj: Trajectory, spec: ProtocolSpec
 ) -> Iterator[tuple[Any, np.ndarray, np.ndarray]]:
-    """Yield (p, samples, states) per active graph label, gathered from all of
-    its runs, in chunks of chunk_samples(p, d) samples; ``states`` is their
-    copy shaped (samples, n, d). First rejects with DomainError a trajectory
-    the protocol cannot have produced."""
+    """A stored trajectory as the chunks ``_sample_chunks`` yields: (p,
+    samples, states) per run, ``states`` a (samples, n, d) view. Rejects with
+    DomainError, before the first chunk, a trajectory the protocol cannot
+    have produced."""
     if traj.n != spec.n:
         raise DomainError(f"trajectory has n={traj.n} but the protocol has n={spec.n}")
-    spans: dict[Any, list[tuple[int, int]]] = {}
-    for p, a, b in traj.runs:
+    for p, _a, _b in traj.runs:
         if p not in spec.family:
             raise DomainError(f"active index {p!r} is not in the graph family")
-        spans.setdefault(p, []).append((a, b))
     X = traj.blocks()
-    for p, ab in spans.items():
-        # Sample a + j of a run sits at position offset + j of the label's
-        # concatenated runs: shift the positions by a - offset, run by run.
-        a, b = np.array(ab).T
-        n = b - a
-        sel = np.arange(n.sum()) + np.repeat(a - (np.cumsum(n) - n), n)
-        step = chunk_samples(p, traj.d)
-        for k in range(0, sel.size, step):
-            idx = sel[k : k + step]
-            yield p, idx, X[idx]
+    for p, a, b in traj.runs:
+        yield p, np.arange(a, b), X[a:b]
 
 
 def _gathered(
     chunks: Iterator[tuple[Any, np.ndarray, np.ndarray]],
     chunk_samples: Callable[[Any, int], int],
 ) -> Iterator[tuple[Any, np.ndarray, np.ndarray]]:
-    """The label walker over a trajectory being integrated: the (p, samples,
-    states) chunks ``_sample_chunks`` yields, regrouped into those
-    ``_label_chunks`` yields on the stored trajectory. Each label's samples
-    are copied, in order, into a buffer of chunk_samples(p, d) samples,
-    allocated on the label's first use and yielded whenever it fills; once
-    the chunks end, the partial buffers are yielded. The buffers are kept,
-    first come, while they hold 2 * _CHUNK_ELEMENTS states together, or one
-    buffer, whatever the number of labels; a label left without one has each
-    chunk yielded as it comes, in pieces of at most chunk_samples(p, d)
-    samples. (The validator's buffers take at most _CHUNK_ELEMENTS / 2 states
-    each, so four labels all get one.) A yielded chunk is overwritten when
-    the next is asked for."""
+    """The label walker: a trajectory's (p, samples, states) chunks, run by
+    run, as ``_sample_chunks`` yields them while integrating and
+    ``_run_chunks`` on a stored trajectory, regrouped per graph label. Each
+    label's samples are copied, in order, into a buffer of
+    chunk_samples(p, d) samples, allocated on the label's first use and
+    yielded whenever it fills; once the chunks end, the partial buffers are
+    yielded. The buffers are kept, first come, while they hold
+    2 * _CHUNK_ELEMENTS states together, or one buffer, whatever the number
+    of labels; a label left without one has each chunk yielded as it comes,
+    in pieces of at most chunk_samples(p, d) samples. (The validator's
+    buffers take at most _CHUNK_ELEMENTS / 2 states each, so four labels all
+    get one.) A yielded chunk may be overwritten when the next is asked for."""
     held: dict[Any, list] = {}  # p -> [samples, states, samples filled]
     total = 0  # state floats in the held buffers
     for p, samples, X in chunks:
@@ -367,7 +355,7 @@ def fields_along(traj: Trajectory, spec: ProtocolSpec) -> np.ndarray:
     """Active vector field evaluated at every sample, shaped (m, n, d)."""
     F = np.empty_like(traj.blocks())
     step = max(1, _CHUNK_ELEMENTS // (traj.n * traj.d))
-    for p, sel, Xs in _label_chunks(traj, spec, lambda p, d: step):
+    for p, sel, Xs in _gathered(_run_chunks(traj, spec), lambda p, d: step):
         F[sel] = _field_block(spec, p, Xs)
     return F
 
@@ -405,13 +393,13 @@ def _box(Y: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _facet_chunks(
-    source: Trajectory | Iterator, spec: ProtocolSpec, signed: bool, ftol: float
+    chunks: Iterator, spec: ProtocolSpec, signed: bool, ftol: float
 ) -> Iterator[tuple[Any, np.ndarray, np.ndarray, _Facets]]:
     """Yield (p, samples, fields, facets) per active graph and sample chunk.
 
-    ``source`` is a trajectory, read through the label walker, or the
-    (p, samples, states) chunks ``_sample_chunks`` yields while integrating,
-    regrouped by ``_gathered`` into the same chunks. Each label's hull tables
+    ``chunks`` are a trajectory's (p, samples, states) runs, from
+    ``_sample_chunks`` or ``_run_chunks``, regrouped per label by the label
+    walker ``_gathered``. Each label's hull tables
     are built once, before its first chunk, and a chunk, its fields included,
     holds about _CHUNK_ELEMENTS floats per array. Row i of the bounds is the
     supporting box of {x_i} union {sign_ij x_j : j in N_i(p)}, reduced over
@@ -427,11 +415,7 @@ def _facet_chunks(
         floats = (sum(table.size for table in tables[p]) + (2 if signed else 1) * spec.n) * d
         return max(1, _CHUNK_ELEMENTS // floats)
 
-    if isinstance(source, Trajectory):
-        source = _label_chunks(source, spec, step)
-    else:
-        source = _gathered(source, step)
-    for p, idx, Xs in source:
+    for p, idx, Xs in _gathered(chunks, step):
         Y = np.concatenate([Xs, -Xs], axis=1) if signed else Xs
         if len(tables[p]) == 1:  # every agent in one bucket, in agent order
             lo, hi = _box(Y, tables[p][0])
@@ -464,19 +448,17 @@ def validate_feasibility(
     comparisons. The decision logic matches the scalar geometry predicates
     (see the equivalence tests); it is merely evaluated in bulk.
     """
-    return _violations(traj, traj.times, spec, assumption, gamma, face_tolerance,
-                       strictness_tolerance)
+    return _violations(_run_chunks(traj, spec), traj.times, spec, assumption, gamma,
+                       face_tolerance, strictness_tolerance)
 
 
 def _violations(
-    source: Trajectory | Iterator, times: np.ndarray, spec: ProtocolSpec,
-    assumption: Assumption | str, gamma: float | None, face_tolerance: float,
-    strictness_tolerance: float,
+    chunks: Iterator, times: np.ndarray, spec: ProtocolSpec, assumption: Assumption | str,
+    gamma: float | None, face_tolerance: float, strictness_tolerance: float,
 ) -> list[FeasibilityViolation]:
-    """``validate_feasibility`` over a trajectory or the chunks of one being
+    """``validate_feasibility`` over a trajectory's chunks, stored or being
     integrated (see ``_facet_chunks``); ``times`` are the sample times."""
-    if isinstance(assumption, str):
-        assumption = Assumption(assumption)
+    assumption = member("assumption", assumption, Assumption)
     gamma_strict = assumption is not Assumption.RELATIVE_INTERIOR
     if gamma_strict:  # unused, so unchecked, for the relative interior
         gamma = real("gamma", spec.gamma if gamma is None else gamma, above=0)
@@ -489,7 +471,7 @@ def _violations(
     edge = -stol if gamma_strict else stol
     word = "sign" if gamma_strict else "strict-sign"
     violations: list[FeasibilityViolation] = []
-    for p, sel, Fs, f in _facet_chunks(source, spec, signed, ftol):
+    for p, sel, Fs, f in _facet_chunks(chunks, spec, signed, ftol):
         carrier = f.degen & (np.abs(Fs) > stol)
         outward = f.active & (f.inward < edge)
         bad = carrier | outward
@@ -531,7 +513,7 @@ def empirical_gamma_margin(
     """
     ftol = real("face_tolerance", face_tolerance, minimum=0)
     best = np.inf
-    for _p, _sel, _Fs, f in _facet_chunks(traj, spec, signed, ftol):
+    for _p, _sel, _Fs, f in _facet_chunks(_run_chunks(traj, spec), spec, signed, ftol):
         margins = f.inward[f.active] / f.width[f.active]
         best = min(best, float(margins.min(initial=np.inf)))
     return best

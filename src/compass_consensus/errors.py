@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the one check of each kind
-of numeric argument that raises them: ``real`` for a number, ``integer`` for
-a count and ``reals`` for an array (its shape, element type and finiteness)."""
+of argument that raises them: ``real`` for a number, ``integer`` for a count,
+``reals`` for an array (its shape, element type and finiteness) and
+``member`` for a choice among an Enum's members."""
 
 import math
 import numbers
@@ -80,6 +81,20 @@ def integer(name: str, value: Any) -> int:
         except TypeError:
             pass
     raise DomainError(f"{name} must be an integer (not booleans), got {value!r}")
+
+
+def member(name: str, value: Any, choices: type) -> Any:
+    """``value``, a member of the Enum class ``choices`` or a member's value,
+    as the member; DomainError naming ``name`` for anything else (None and
+    booleans too)."""
+    if isinstance(value, choices):
+        return value
+    if not isinstance(value, bool):
+        try:
+            return choices(value)
+        except (TypeError, ValueError):  # no member has that value
+            pass
+    raise DomainError(f"{name} must be one of {[m.value for m in choices]}, got {value!r}")
 
 
 def reals(name: str, value: Any, shape: tuple) -> Any:

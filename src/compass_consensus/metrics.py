@@ -34,7 +34,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError, integer, real, reals
+from .errors import DomainError, integer, member, real, reals
 from . import dynamics
 from .dynamics import Trajectory
 
@@ -180,8 +180,9 @@ def monotonicity_monitor(
     between consecutive samples by more than the tolerance. SignedSquare: any
     increase of y_k = max_i x_ik^2 beyond the tolerance.
     """
+    mode = member("mode", mode, MonitorMode)
     ser = _Series.of(traj)
-    return _monitor(ser, MonitorMode(mode), ser.tol(tol_monotone))
+    return _monitor(ser, mode, ser.tol(tol_monotone))
 
 
 def _monitor(ser: _Series, mode: MonitorMode, tol: float) -> list[MonitorViolation]:
@@ -485,7 +486,7 @@ def _report(ser: _Series, violations: list, eps_agreement, monitor_mode, tol_mon
         lam, r2, truncated = fit.lambda_hat, fit.r_squared, fit.truncated
     except DomainError:
         lam, r2, truncated = None, None, True
-    mode = MonitorMode(monitor_mode) if isinstance(monitor_mode, str) else monitor_mode
+    mode = None if monitor_mode is None else member("monitor_mode", monitor_mode, MonitorMode)
     return AgreementReport(
         times=ser.times,
         lyapunov=ser.v,

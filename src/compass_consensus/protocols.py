@@ -24,7 +24,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainError, real
+from .errors import DomainError, member, real
 from .graphs import SignedDigraph
 
 
@@ -111,8 +111,7 @@ class ProtocolSpec:
     _rotations: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
-        if isinstance(self.kind, str):
-            self.kind = ProtocolKind(self.kind)
+        self.kind = member("kind", self.kind, ProtocolKind)
         if not self.family:
             raise DomainError("protocol needs a nonempty graph family")
         ns = {g.n for g in self.family.values()}

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _json
 from .dynamics import Assumption
-from .errors import DomainError, integer, real, reals
+from .errors import DomainError, integer, member, real, reals
 from .graphs import (
     SignedDigraph,
     SwitchingSignal,
@@ -93,8 +93,7 @@ class ScenarioConfig:
             elif rule is str:
                 _json.string(value, at, min_len=1)
             elif value is not None:  # an Enum: a member or its value, stored as the member
-                value = value.value if isinstance(value, rule) else value
-                value = rule(_json.enum(value, tuple(m.value for m in rule), at))
+                value = _json.build(member, at, name, value, rule)
             setattr(self, name, value)
         at = "$.integrator.t_end"
         if not signal.t0 < self.t_end:

@@ -1,4 +1,6 @@
+import collections
 import csv
+import io
 import json
 import math
 import os
@@ -6,11 +8,15 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import compass_consensus
 from compass_consensus import cli
@@ -334,59 +340,91 @@ class TestRun:
         assert rows == ["0.0,1,0.0,a", "2.0,1,2.0,b", "3.0,1,3.0,b"]
 
 
-def switching_config(kind, assumption, monitor):
-    """Two graphs on a periodic signal whose copies join "a" to "a"."""
-    sign = -1 if kind == "SignedConsensus" else 1
-    return {
-        "agents": {"n": 4, "d": 2, "sample": {"seed": 3, "lo": [-1.0, -1.0], "hi": [1.0, 1.0]}},
-        "protocol": {"kind": kind, "gamma": 5.0, "weights": 1.0,
-                     **({"rotation": 0.7} if kind == "RotatedConsensus" else {})},
-        "graphs": {"a": {"n": 4, "arcs": [[1, 2, 1], [2, 3, sign], [3, 4, 1]]},
-                   "b": {"n": 4, "arcs": [[4, 1, sign], [2, 1, 1], [3, 2, 1]]}},
-        "signal": {"tau_d": 0.1, "pieces": [[0.0, "a"], [0.13, "b"], [0.3, "a"]],
-                   "horizon_end": 0.5, "periodic": True},
-        "integrator": {"h": 0.01, "t_end": 2.0},
-        "validation": {"assumption": assumption},
-        "monitors": {"mode": monitor},
-        "outputs": {"downsample": 3},
+@st.composite
+def streamed_configs(draw):
+    """(config, _CHUNK_ELEMENTS or None) for a `compass run` over 1-24 graphs.
+
+    Past 16 graphs some step matrices are rebuilt per run, and past 4 the
+    validator's label buffers pass their bound. Dwells off the h grid end
+    their segments in a short step; a gamma of 50 gives violations.
+    """
+    kind = draw(st.sampled_from(["WeightedConsensus", "RotatedConsensus", "SignedConsensus"]))
+    n, d = draw(st.sampled_from([2, 3, 5])), draw(st.sampled_from([1, 2, 3]))
+    labels = [f"g{k}" for k in range(draw(st.sampled_from([1, 2, 3, 5, 9, 17, 24])))]
+    pairs = [(j, i) for j in range(1, n + 1) for i in range(1, n + 1) if j != i]
+    sign = st.sampled_from([1, -1] if kind == "SignedConsensus" else [1])
+    graphs = {p: {"n": n, "arcs": [[j, i, draw(sign)] for j, i in sorted(
+        draw(st.sets(st.sampled_from(pairs), min_size=1, max_size=n)))]} for p in labels}
+    order = draw(st.permutations(labels)) + draw(st.lists(st.sampled_from(labels), max_size=6))
+    grid = draw(st.sampled_from([True, False]))  # dwells on the h grid, or off it
+    dwells = [draw(st.sampled_from([0.03, 0.05, 0.08] if grid else [0.037, 0.0555, 0.081]))
+              for _ in order]
+    starts = np.cumsum([0.0, *dwells]).round(10).tolist()
+    periodic = draw(st.sampled_from([True, False]))
+    end = starts[-1] * (draw(st.sampled_from([1.5, 2.25, 3.0])) if periodic else 1.0)
+    protocol = {"kind": kind, "gamma": draw(st.sampled_from([0.01, 1.0, 50.0])),
+                "weights": draw(st.sampled_from([0.5, 1.0, 2.0]))}
+    if kind == "RotatedConsensus":
+        protocol["rotation"] = [draw(st.sampled_from([-0.4, 0.3, 0.7]))
+                                for _ in range(d * (d - 1) // 2)]
+    assumptions = ["GammaStrict", "RelativeInterior", "SignedGammaStrict", None]
+    config = {
+        "agents": {"n": n, "d": d, "sample": {"seed": draw(st.integers(0, 99)),
+                                              "lo": [-1.0] * d, "hi": [1.0] * d}},
+        "protocol": protocol,
+        "graphs": graphs,
+        "signal": {"tau_d": min(dwells), "pieces": [list(pt) for pt in zip(starts, order)],
+                   "horizon_end": starts[-1], "periodic": periodic},
+        "integrator": {"h": 0.01, "t_end": round(end - draw(st.sampled_from([0.0, 0.004])), 10)},
+        "validation": {"assumption": draw(st.sampled_from(assumptions))},
+        "monitors": {"mode": draw(st.sampled_from(["CooperativeBox", "SignedSquare", None]))},
+        "outputs": {"downsample": draw(st.sampled_from([1, 2, 3]))},
     }
+    return config, draw(st.sampled_from([None, 7, 64]))
 
 
 class TestStreamedRun:
     """`compass run` integrates, validates, reduces and writes a chunk at a
     time; its artifacts are those of the library path on the whole trajectory."""
 
-    @pytest.mark.parametrize("elements", [None, 1, 37])
-    @pytest.mark.parametrize("kind, assumption, monitor", [
-        ("SignedConsensus", "SignedGammaStrict", "SignedSquare"),
-        ("RotatedConsensus", "GammaStrict", "CooperativeBox"),
-        ("WeightedConsensus", None, None),
-    ])
-    def test_artifacts_match_the_library_path(self, tmp_path, monkeypatch, capsys,
-                                              kind, assumption, monitor, elements):
+    def test_artifacts_match_the_library_path(self, tmp_path):
         from compass_consensus import dynamics
         from compass_consensus.cli import write_metrics_json
         from compass_consensus.metrics import build_report
         from compass_consensus.scenario import scenario_from_dict
 
-        cfg = switching_config(kind, assumption, monitor)
-        sc = scenario_from_dict(cfg)
-        traj = dynamics.simulate(sc)
-        report = build_report(traj, sc.eps_agreement, sc.monitor_mode, sc.tol_monotone)
-        ref, out = tmp_path / "ref", tmp_path / "out"
-        ref.mkdir()
-        rows = write_trajectory_csv(ref / "trajectory.csv", traj, sc.downsample)
-        write_metrics_json(ref / "metrics.json", report.to_json_dict())
-        if elements:  # runs split into chunks of max(1, elements // 8) samples
-            monkeypatch.setattr(dynamics, "_CHUNK_ELEMENTS", elements)
-            assert dynamics.simulate(sc).states.tobytes() == traj.states.tobytes()
-        assert main(["run", write_json(tmp_path / "c.json", cfg), "--out-dir", str(out)]) == 0
-        for name in ("trajectory.csv", "metrics.json"):
-            assert (out / name).read_bytes() == (ref / name).read_bytes()
-        assert rows == 4 * len(range(0, traj.num_samples, 3)) + 4  # the last sample too
-        assert f"samples={traj.num_samples} " in capsys.readouterr().out
-        if assumption:
-            assert len(report.feasibility_violations) > 0
+        seen = collections.Counter()
+
+        @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @given(streamed_configs())
+        def check(case):
+            cfg, elements = case
+            sc = scenario_from_dict(cfg)
+            traj = dynamics.simulate(sc)
+            report = build_report(traj, sc.eps_agreement, sc.monitor_mode, sc.tol_monotone)
+            with tempfile.TemporaryDirectory(dir=tmp_path) as work:
+                ref, out = Path(work, "ref"), Path(work, "out")
+                ref.mkdir()
+                rows = write_trajectory_csv(ref / "trajectory.csv", traj, sc.downsample)
+                write_metrics_json(ref / "metrics.json", report.to_json_dict())
+                with pytest.MonkeyPatch.context() as mp, redirect_stdout(io.StringIO()) as text:
+                    if elements:
+                        mp.setattr(dynamics, "_CHUNK_ELEMENTS", elements)
+                    assert main(["run", write_json(Path(work, "c.json"), cfg),
+                                 "--out-dir", str(out)]) == 0
+                for name in ("trajectory.csv", "metrics.json"):
+                    assert (out / name).read_bytes() == (ref / name).read_bytes()
+            m = traj.num_samples
+            assert rows == sc.n * len({*range(0, m, sc.downsample), m - 1})  # the last one too
+            assert f"samples={m} " in text.getvalue()
+            labels = len(cfg["graphs"])
+            seen.update([cfg["protocol"]["kind"], f"periodic {cfg['signal']['periodic']}",
+                         f"elements {elements}"])
+            seen.update({"violations": bool(report.feasibility_violations),
+                         "over 4 graphs": labels > 4, "over 16 graphs": labels > 16})
+
+        check()
+        assert len(seen) == 11 and min(seen.values()) >= 3, seen
 
     def test_memory_does_not_grow_with_the_states(self, tmp_path, capsys):
         # n * d = 400, so each sample's states take 3200 bytes. Doubling t_end

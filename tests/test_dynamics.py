@@ -710,7 +710,8 @@ class TestSparseKernelMatchesDense:
         for ftol in (0.0, 0.3):
             for signed in (False, True):
                 lo, hi = np.full_like(X, np.nan), np.full_like(X, np.nan)
-                for p, sel, _F, f in dynamics._facet_chunks(traj, spec, signed, ftol):
+                runs = dynamics._run_chunks(traj, spec)
+                for p, sel, _F, f in dynamics._facet_chunks(runs, spec, signed, ftol):
                     lo[sel], hi[sel] = f.lo, f.hi
                 for p in family:
                     sel = np.flatnonzero(np.asarray(traj.active_index) == p)
@@ -777,7 +778,8 @@ class TestBucketedKernelMatchesDense:
                      for p in family}
             assert sizes == {"star": [1, 2, 16], "mixed": [1, 2, 4, 8, 16]}
             lo, hi = np.full_like(X, np.nan), np.full_like(X, np.nan)
-            for p, sel, _F, f in dynamics._facet_chunks(traj, spec, signed, 0.0):
+            runs = dynamics._run_chunks(traj, spec)
+            for p, sel, _F, f in dynamics._facet_chunks(runs, spec, signed, 0.0):
                 lo[sel], hi[sel] = f.lo, f.hi
             for p in family:
                 sel = np.flatnonzero(np.asarray(traj.active_index) == p)
@@ -957,7 +959,7 @@ class TestRunTable:
         sig = SwitchingSignal(pieces, tau_d=0.01, horizon_end=4.0)
         traj = simulate(scenario(spec, [0.0, 1.0, 2.0], h=0.01, t_end=4.0, signal=sig))
         assert len(traj.runs) == 400
-        chunks = list(dynamics._facet_chunks(traj, spec, False, 0.0))
+        chunks = list(dynamics._facet_chunks(dynamics._run_chunks(traj, spec), spec, False, 0.0))
         bound = 0
         for p in fam:
             entries = sum(t.size for t in dynamics._hull_tables(spec, p, False)) + spec.n
@@ -1055,20 +1057,27 @@ def many_graphs_case(kind, graphs=12):
 
 
 def gathered_and_walked(sc, sizes):
-    """Per label, the (samples, states bytes) chunks the label walker cuts from
-    the stored trajectory and those ``_gathered`` regroups while integrating,
-    with ``sizes[p]`` samples per chunk."""
+    """Per label, the (samples, states bytes) chunks cut from the stored
+    trajectory's runs, joined label by label, then those ``_gathered``
+    regroups while integrating and from the stored runs, with ``sizes[p]``
+    samples per chunk."""
     def by_label(chunks):
         out = {}
         for p, samples, X in chunks:  # each chunk is read before the next overwrites it
             out.setdefault(p, []).append((samples.tolist(), X.tobytes()))
         return out
 
-    ref = by_label(dynamics._label_chunks(simulate(sc), sc.protocol, lambda p, d: sizes[p]))
+    traj = simulate(sc)
+    ref = {}
+    for p in dict.fromkeys(traj.active_index):
+        sel = np.concatenate([np.arange(a, b) for q, a, b in traj.runs if q == p])
+        ref[p] = [(sel[k : k + sizes[p]].tolist(), traj.blocks()[sel[k : k + sizes[p]]].tobytes())
+                  for k in range(0, sel.size, sizes[p])]
     times, runs = dynamics._schedule(sc)
-    got = by_label(dynamics._gathered(dynamics._sample_chunks(sc, times, runs),
-                                      lambda p, d: sizes[p]))
-    return ref, got
+    size = lambda p, d: sizes[p]  # noqa: E731
+    got = by_label(dynamics._gathered(dynamics._sample_chunks(sc, times, runs), size))
+    stored = by_label(dynamics._gathered(dynamics._run_chunks(traj, sc.protocol), size))
+    return ref, got, stored
 
 
 class TestStepPropagator:
@@ -1158,34 +1167,35 @@ class TestSampleChunks:
 
     @pytest.mark.parametrize("elements", [None, 50])
     def test_gathered_chunks_are_the_label_walkers(self, elements, monkeypatch):
-        # The streamed validator's chunks, regrouped per label from the
-        # integrator's, are those the label walker cuts from the stored states
-        # while the label buffers fit in 2 * _CHUNK_ELEMENTS states. At 50
+        # The validator's chunks, regrouped per label from the integrator's
+        # or the stored runs, are each label's samples cut in order while
+        # the label buffers fit in 2 * _CHUNK_ELEMENTS states. At 50
         # elements the integrator splits its runs into 5-sample chunks.
         sc = propagator_case("SignedConsensus", 2, True, seed=4)
         if elements:
             monkeypatch.setattr(dynamics, "_CHUNK_ELEMENTS", elements)
         sizes = {"a": 3, "b": 1, "c": 5}  # 90 states at n * d = 10
-        ref, got = gathered_and_walked(sc, sizes)
-        assert got == ref
+        ref, got, stored = gathered_and_walked(sc, sizes)
+        assert got == ref and stored == ref
 
     @pytest.mark.parametrize("elements", [1, 50])
     def test_gathered_chunks_past_the_bound_keep_each_labels_order(self, elements,
                                                                    monkeypatch):
         # 110 states of label buffers pass the 100 that 50 elements allow, and
         # at 1 element one buffer is held at a time: part-filled buffers go to
-        # the validator early, each label's samples still in the walker's order.
+        # the validator early, each label's samples still in order.
         sc = propagator_case("SignedConsensus", 2, True, seed=4)
         monkeypatch.setattr(dynamics, "_CHUNK_ELEMENTS", elements)
         sizes = {"a": 3, "b": 1, "c": 7}
-        ref, got = gathered_and_walked(sc, sizes)
+        ref, got, stored = gathered_and_walked(sc, sizes)
 
         def joined(chunks):
             return {p: (sum((s for s, _ in cs), []), b"".join(x for _, x in cs))
                     for p, cs in chunks.items()}
 
-        assert joined(got) == joined(ref) and got != ref
-        assert all(0 < len(samples) <= sizes[p] for p, cs in got.items() for samples, _ in cs)
+        assert joined(got) == joined(ref) == joined(stored) and got != ref
+        assert all(0 < len(samples) <= sizes[p]
+                   for chunks in (got, stored) for p, cs in chunks.items() for samples, _ in cs)
 
     @pytest.mark.parametrize("kind", ["SignedConsensus", "RotatedConsensus"])
     def test_rebuilt_step_matrices_give_the_same_states(self, kind, monkeypatch):

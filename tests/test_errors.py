@@ -1,6 +1,6 @@
-"""The numeric-argument rule: ``errors.real``, ``errors.integer`` and
-``errors.reals``, and every entry point that checks a number or an array
-through them.
+"""The argument rules: ``errors.real``, ``errors.integer``, ``errors.reals``
+and ``errors.member``, and every entry point that checks a number, an array
+or an Enum choice through them.
 
 Each entry point refuses a boolean, a string, NaN, an infinity and an int no
 float can hold with ``DomainError`` (``ConfigError`` at its ``$.…`` path for
@@ -8,7 +8,8 @@ float can hold with ``DomainError`` (``ConfigError`` at its ``$.…`` path for
 numpy scalar or a ``Fraction`` as for the equal float. Each array argument
 refuses a NaN or infinite entry, a boolean or string array, ragged nesting
 and a wrong shape the same way, and gives the same result for a list of ints
-as for the equal float array.
+as for the equal float array. Each Enum argument takes a member or its
+value alike and refuses anything else, None included where it means nothing.
 """
 
 import math
@@ -22,12 +23,13 @@ import pytest
 
 from compass_consensus import metrics
 from compass_consensus.dynamics import (
+    Assumption,
     Trajectory,
     empirical_gamma_margin,
     simulate,
     validate_feasibility,
 )
-from compass_consensus.errors import ConfigError, DomainError, integer, real, reals
+from compass_consensus.errors import ConfigError, DomainError, integer, member, real, reals
 from compass_consensus.geometry import (
     ConeQuery,
     Hyperrectangle,
@@ -46,7 +48,8 @@ from compass_consensus.graphs import (
     signal_from_json,
     union_graph,
 )
-from compass_consensus.protocols import ProtocolSpec
+from compass_consensus.metrics import MonitorMode
+from compass_consensus.protocols import ProtocolKind, ProtocolSpec
 from compass_consensus.scenario import scenario_from_dict
 from compass_consensus.vicsek import VicsekState, complete_neighbors, vicsek_step
 
@@ -383,6 +386,59 @@ class TestReals:
         assert reals("x", np.zeros((0, 3)), (None, 3)).shape == (0, 3)
         with pytest.raises(DomainError, match=r"shape \(any, 3\) .* got shape \(2, 2\)$"):
             reals("x", np.zeros((2, 2)), (None, 3))
+
+
+class TestMember:
+    @pytest.mark.parametrize("value", [Assumption.GAMMA_STRICT, "GammaStrict"])
+    def test_accepts_a_member_or_its_value(self, value):
+        assert member("assumption", value, Assumption) is Assumption.GAMMA_STRICT
+
+    @pytest.mark.parametrize("value", [None, True, 5, "gammastrict", ["GammaStrict"],
+                                       MonitorMode.COOPERATIVE_BOX])
+    def test_refuses_with_the_name_choices_and_value(self, value):
+        with pytest.raises(DomainError) as err:
+            member("assumption", value, Assumption)
+        assert str(err.value) == ("assumption must be one of ['GammaStrict', "
+                                  f"'RelativeInterior', 'SignedGammaStrict'], got {value!r}")
+
+
+# Enum argument: (call with the value, a member it takes, the name its error
+# gives, ConfigError path or None, whether None turns it off).
+SIGNED_PAIR = {"g": SignedDigraph(2, [(1, 2, -1), (2, 1, 1)])}
+CHOICES = {
+    "validate-assumption": (lambda x: [str(v) for v in validate_feasibility(
+        TRAJ, SPEC, x, gamma=2.0)], Assumption.GAMMA_STRICT, "assumption", None, False),
+    "report-monitor_mode": (lambda x: (lambda r: (r.monitor_mode, r.to_json_dict()))(
+        metrics.build_report(TRAJ, monitor_mode=x)), MonitorMode.SIGNED_SQUARE,
+        "monitor_mode", None, True),
+    "monitor-mode": (lambda x: [str(v) for v in metrics.monotonicity_monitor(TRAJ, x, 1e-3)],
+                     MonitorMode.COOPERATIVE_BOX, "mode", None, False),
+    "spec-kind": (lambda x: ProtocolSpec(x, SIGNED_PAIR, 1.0).operator("g").tolist(),
+                  ProtocolKind.SIGNED_CONSENSUS, "kind", None, False),
+    "config-assumption": (lambda x: scenario_result(assumption=x), Assumption.RELATIVE_INTERIOR,
+                          "assumption", "$.validation.assumption", True),
+    "config-monitor_mode": (lambda x: scenario_result(monitor_mode=x), MonitorMode.SIGNED_SQUARE,
+                            "monitor_mode", "$.monitors.mode", True),
+}
+
+BAD_CHOICES = [None, True, 5, "gammastrict", "signed_square"]
+REFUSALS = [(key, bad) for key, (*_, off) in CHOICES.items() for bad in BAD_CHOICES
+            if not (off and bad is None)]
+
+
+@pytest.mark.parametrize("key, bad", REFUSALS, ids=[f"{key}-{bad!r}" for key, bad in REFUSALS])
+def test_enum_arguments_refuse_what_is_not_a_choice(key, bad):
+    call, _good, name, path, _off = CHOICES[key]
+    with pytest.raises(DomainError, match=f"{name} must be one of .*, got {bad!r}$") as err:
+        call(bad)
+    assert getattr(err.value, "field", None) == path
+
+
+@pytest.mark.parametrize("call, good, name, path, off", CHOICES.values(), ids=list(CHOICES))
+def test_enum_arguments_take_a_member_or_its_value(call, good, name, path, off):
+    assert call(good.value) == call(good)
+    if off:  # None: no check or monitor, not an error
+        call(None)
 
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "compass_consensus"

@@ -9,7 +9,12 @@ from scipy.linalg import expm
 from compass_consensus import dynamics
 from compass_consensus.dynamics import Trajectory, simulate
 from compass_consensus.errors import DomainError
-from compass_consensus.graphs import SignedDigraph, SwitchingSignal
+from compass_consensus.graphs import (
+    ConnectivityMode,
+    SignedDigraph,
+    SwitchingSignal,
+    check_uniform_joint_connectivity,
+)
 from compass_consensus import metrics
 from compass_consensus.metrics import (
     MonitorMode,
@@ -206,6 +211,27 @@ class TestFitExponentialRate:
         coarse, fine = map_error(0.01, 1), map_error(0.005, 1)
         assert coarse <= 1e-8 and 10 <= coarse / fine <= 22
         assert map_error(0.01, 7) <= 1e-8
+
+    @pytest.mark.parametrize("case", FLOQUET)
+    def test_rate_bound_is_below_the_floquet_rate(self, case):
+        # beta* bounds the decay rate of every schedule jointly connected over
+        # windows of T, so it must not exceed lambda* = -ln rho_2(Phi) / P of
+        # this one. The window is the longest dwell and a little more; gamma is
+        # the least weight (the spec's); L* = L+ = max_p ||L_p||_inf, a
+        # Lipschitz constant of every field. beta* ~ exp(-n L* T') is tiny,
+        # so the check is weak, but it holds the formula to a real rate.
+        spec, signal, phi = self.floquet_case(case)
+        n = phi.shape[0]
+        rho = sorted(np.abs(np.linalg.eigvals(phi)), reverse=True)
+        lam_star = -math.log(rho[1]) / signal.period
+        switch, period = self.FLOQUET[case][1:3]
+        window = max(switch, period - switch) + 0.01
+        assert check_uniform_joint_connectivity(signal, spec.family, window,
+                                                ConnectivityMode.QUASI_STRONG).ok
+        lipschitz = max(float(np.abs(spec.operator(p)).sum(axis=1).max()) for p in spec.family)
+        t_bar = t_bar_from_window(n, window, signal.tau_d)
+        bound = rate_bound(n, 1, t_bar, spec.gamma, signal.tau_d, lipschitz, lipschitz)
+        assert 0 < bound.beta_star <= lam_star
 
     def test_floor_truncation_flagged(self):
         t = np.linspace(0.0, 10.0, 200)

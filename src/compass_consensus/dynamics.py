@@ -49,7 +49,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator
 import numpy as np
 
 from .errors import DivergenceError, DomainError, member, real, reals
-from .graphs import SwitchingSignal
+from .graphs import SwitchingSignal, _node_count
 from .protocols import ProtocolKind, ProtocolSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -293,9 +293,7 @@ def _run_chunks(
     have produced."""
     if traj.n != spec.n:
         raise DomainError(f"trajectory has n={traj.n} but the protocol has n={spec.n}")
-    for p, _a, _b in traj.runs:
-        if p not in spec.family:
-            raise DomainError(f"active index {p!r} is not in the graph family")
+    _node_count(spec.family, [p for p, _a, _b in traj.runs])
     X = traj.blocks()
     for p, a, b in traj.runs:
         yield p, np.arange(a, b), X[a:b]

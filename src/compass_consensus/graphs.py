@@ -12,6 +12,7 @@ tests the union graph at the window starts where it can lose arcs.
 from __future__ import annotations
 
 import bisect
+import math
 from enum import Enum
 from itertools import count, groupby
 from typing import Any, Iterable, Iterator, Mapping
@@ -85,12 +86,13 @@ class SignedDigraph(_Record):
                 raise DomainError(f"arc ({j},{i}) appears with conflicting signs")
             norm[(j, i)] = s
         arcs = frozenset((j, i, s) for (j, i), s in norm.items())
-        self.__dict__.update(n=n, arcs=arcs, allow_self_loops=allow_self_loops)
+        in_arcs = tuple(sorted([(i - 1, j - 1, s) for (j, i), s in norm.items() if j != i]))
+        self.__dict__.update(n=n, arcs=arcs, allow_self_loops=allow_self_loops, _in_arcs=in_arcs)
 
     def in_arcs(self) -> list[tuple[int, int, int]]:
-        """Every node's in-neighbours N_i without i, built on each call: arcs
-        (head i, tail j, sign) on nodes 0..n-1, sorted by head then tail."""
-        return sorted([(i - 1, j - 1, s) for j, i, s in self.arcs if j != i])
+        """Every node's in-neighbours N_i without i, kept outside the fields:
+        arcs (head i, tail j, sign) on nodes 0..n-1, sorted by head then tail."""
+        return list(self._in_arcs)
 
     def out_adjacency(self) -> list[list[int]]:
         """Successor lists indexed 0..n-1 (self-loops dropped)."""
@@ -203,7 +205,7 @@ class SwitchingSignal(_Record):
     periodic signal repeats with period ``horizon_end - pieces[0].start``.
     The constructor raises DomainError unless start times are finite and
     nondecreasing, ``tau_d`` is positive and finite, and ``horizon_end`` is
-    finite and past the last start.
+    finite and past the last start, a finite span from the first.
     """
 
     pieces: tuple[tuple[float, Any], ...]
@@ -230,6 +232,7 @@ class SwitchingSignal(_Record):
         horizon_end = real("horizon_end", horizon_end)
         if not times[-1] < horizon_end:
             raise DomainError("horizon_end must be finite and exceed the last piece start")
+        real("span horizon_end - t0", horizon_end - times[0])
         self.__dict__.update(pieces=pieces, tau_d=tau_d, horizon_end=horizon_end, periodic=periodic)
 
     @property
@@ -258,6 +261,16 @@ class SwitchingSignal(_Record):
                 tiled = list(map((k * self.period).__add__, starts))
                 yield list(zip(tiled, tiled[1:] + [end], labels))
 
+    def _readable(self, name: str, t: float) -> None:
+        """DomainError unless the copy holding t can be read: an aperiodic
+        signal has none past horizon_end, and a periodic one's copies cannot
+        be told apart where t + period rounds to t or t - t0 overflows."""
+        if not self.periodic and t > self.horizon_end:
+            raise DomainError(f"{name}={t} is past the horizon_end {self.horizon_end} of the signal")
+        if self.periodic and (t + self.period == t or t - self.t0 == math.inf):
+            raise DomainError(f"{name}={t} is too far from t0={self.t0} to tell apart the "
+                              f"periodic copies of period {self.period}")
+
     def active_index(self, t: float) -> Any:
         """Family index active at time t (right-continuous), in O(pieces): the
         label of the segment of ``segments`` holding t, read from the same
@@ -265,8 +278,7 @@ class SwitchingSignal(_Record):
         t = real("t", t)
         if t < self.t0:
             raise DomainError(f"t={t} is before the signal start {self.t0}")
-        if t > self.horizon_end and not self.periodic:
-            raise DomainError(f"t={t} is past the horizon_end {self.horizon_end} of the signal")
+        self._readable("t", t)
         segs = next(self._copies(t))
         return segs[bisect.bisect_right(segs, t, key=lambda seg: seg[0]) - 1][2]
 
@@ -279,8 +291,7 @@ class SwitchingSignal(_Record):
         t_end; ``active_index`` and ``union_graph`` read the same copies.
         """
         t_end = real("t_end", t_end)
-        if t_end > self.horizon_end and not self.periodic:
-            raise DomainError("t_end exceeds the horizon of an aperiodic signal")
+        self._readable("t_end", t_end)
         segs: list[tuple[float, float, Any]] = []
         for copy in self._copies(self.t0):
             segs += copy
@@ -331,17 +342,17 @@ def validate_switching_signal(signal: SwitchingSignal) -> list[DwellViolation]:
     ]
 
 
-def _node_count(signal: SwitchingSignal, family: Mapping[Any, SignedDigraph]) -> int:
-    """Node count of the graphs the signal uses; DomainError if a label is
-    missing or two sizes differ, whether or not some window mixes them."""
-    labels = dict.fromkeys([p for _t, p in signal.pieces])  # in order of first use
+def _node_count(family: Mapping[Any, SignedDigraph], labels: Iterable) -> int:
+    """Node count of the graphs ``labels`` name (0 for none); DomainError
+    naming the first label not in ``family``, or the sizes if two differ."""
+    labels = dict.fromkeys(labels)  # in order of first use
     for p in labels:
         if p not in family:
-            raise DomainError(f"signal label {p!r} is not in the graph family")
+            raise DomainError(f"label {p!r} is not in the graph family")
     ns = {family[p].n for p in labels}
     if len(ns) > 1:
         raise DomainError(f"family graphs disagree on node count: {sorted(ns)}")
-    return ns.pop()
+    return ns.pop() if ns else 0
 
 
 def union_graph(
@@ -365,7 +376,8 @@ def union_graph(
         raise DomainError(
             f"[{t1}, {t2}) outside signal horizon [{signal.t0}, {signal.horizon_end}]"
         )
-    n = _node_count(signal, family)
+    signal._readable("t1", t1)
+    n = _node_count(family, [p for _t, p in signal.pieces])
     every = {p for _t, p in signal.pieces}
     labels: set = set()
     for copy in signal._copies(t1):
@@ -426,7 +438,7 @@ def check_uniform_joint_connectivity(
     before the sweep.
     """
     T = real("window length T", T, above=0)
-    n = _node_count(signal, family)
+    n = _node_count(family, [p for _t, p in signal.pieces])
     t0 = signal.t0
     if signal.periodic:
         last_start = t0 + signal.period

@@ -25,7 +25,7 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import DomainError, member, real
-from .graphs import SignedDigraph
+from .graphs import SignedDigraph, _node_count
 
 
 class ProtocolKind(Enum):
@@ -114,10 +114,7 @@ class ProtocolSpec:
         self.kind = member("kind", self.kind, ProtocolKind)
         if not self.family:
             raise DomainError("protocol needs a nonempty graph family")
-        ns = {g.n for g in self.family.values()}
-        if len(ns) > 1:
-            raise DomainError("family graphs disagree on node count")
-        self.n = ns.pop()
+        self.n = _node_count(self.family, self.family)
         self.gamma = real("gamma", self.gamma, above=0)
         weights = self.weights.values() if isinstance(self.weights, Mapping) else [self.weights]
         for w in weights:

@@ -23,6 +23,7 @@ from .errors import DomainError, integer, member, real, reals
 from .graphs import (
     SignedDigraph,
     SwitchingSignal,
+    _node_count,
     graph_args,
     graph_to_json,
     signal_args,
@@ -62,17 +63,11 @@ class ScenarioConfig:
         self.initial_states = _json.build(
             reals, "$.agents.initial_states", "initial_states", self.initial_states, (n, d)
         )
-        for name, g in family.items():
-            if g.n != n:
-                raise _json.fail(
-                    f"graph {name!r} has n={g.n}, agents declare n={n}",
-                    _json.path("$.graphs", str(name)),
-                )
-        for t, idx in signal.pieces:
-            if idx not in family:
-                raise _json.fail(
-                    f"piece at t={t} references unknown graph {idx!r}", "$.signal.pieces"
-                )
+        if self.protocol.n != n:  # the protocol's graphs share one node count
+            name = next(iter(family))
+            raise _json.fail(f"graph {name!r} has n={self.protocol.n}, agents declare n={n}",
+                             _json.path("$.graphs", str(name)))
+        _json.build(_node_count, "$.signal.pieces", family, [p for _t, p in signal.pieces])
         dwell = validate_switching_signal(signal)
         if dwell:
             raise _json.fail(f"dwell violations: {'; '.join(map(str, dwell))}", "$.signal")
@@ -81,20 +76,7 @@ class ScenarioConfig:
         except DomainError as exc:
             raise _json.fail(str(exc), "$.protocol.rotation") from exc
         for section, key, name, rule in _SETTINGS:
-            at, value = f"$.{section}.{key}", getattr(self, name)
-            if rule is int:
-                value = _json.build(integer, at, name, value)
-                if value < 1:
-                    raise _json.fail(f"must be at least 1, got {value}", at)
-            elif isinstance(rule, dict) and (value is not None or _DEFAULTS[name] is not None):
-                checked = _json.build(real, at, name, value, rule.get("above"), rule.get("minimum"))
-                if _DEFAULTS[name] is not None:  # a null-default number is kept as given
-                    value = checked
-            elif rule is str:
-                _json.string(value, at, min_len=1)
-            elif value is not None:  # an Enum: a member or its value, stored as the member
-                value = _json.build(member, at, name, value, rule)
-            setattr(self, name, value)
+            setattr(self, name, _setting(name, rule, getattr(self, name), f"$.{section}.{key}"))
         at = "$.integrator.t_end"
         if not signal.t0 < self.t_end:
             raise _json.fail(f"t_end must exceed the signal start {signal.t0}", at)
@@ -122,6 +104,24 @@ _SETTINGS = (
     ("outputs", "downsample", "downsample", int),
 )
 _KINDS = ("WeightedConsensus", "RotatedConsensus", "SignedConsensus")
+
+
+def _setting(name: str, rule: Any, value: Any, at: str) -> Any:
+    """The value to store for the setting ``name`` under its ``_SETTINGS``
+    rule, or ConfigError at ``at``."""
+    if rule is int:
+        value = _json.build(integer, at, name, value)
+        if value < 1:
+            raise _json.fail(f"must be at least 1, got {value}", at)
+    elif isinstance(rule, dict) and (value is not None or _DEFAULTS[name] is not None):
+        checked = _json.build(real, at, name, value, rule.get("above"), rule.get("minimum"))
+        if _DEFAULTS[name] is not None:  # a null-default number is kept as given
+            value = checked
+    elif rule is str:
+        _json.string(value, at, min_len=1)
+    elif value is not None:  # an Enum: a member or its value, stored as the member
+        value = _json.build(member, at, name, value, rule)
+    return value
 
 
 def scenario_from_dict(cfg: Mapping, seed_override: int | None = None) -> ScenarioConfig:
@@ -217,21 +217,12 @@ def _settings(cfg: Mapping) -> dict:
                   required=[k for k, default in keys if default is MISSING])
     settings = {}
     for section, key, name, rule in _SETTINGS:
-        at, entries = f"$.{section}", cfg.get(section, {})
-        if key not in entries:
-            continue
-        value = entries[key]
-        if isinstance(rule, dict):
-            if value is not None or _DEFAULTS[name] is not None:
-                _json.number(value, at, key, **rule)  # ScenarioConfig makes it a float
-        elif rule is int:
-            value = _json.integer(value, at, key, minimum=1)
-        elif rule is str:
-            _json.string(value, at, key, min_len=1)
-        else:
-            value = _json.enum(value, (*(m.value for m in rule), None), at, key)
-            value = rule(value) if value else None
-        settings[name] = value
+        at, entries = f"$.{section}.{key}", cfg.get(section, {})
+        if key in entries:
+            value = entries[key]
+            if rule is int:  # JSON may write a count as 2.0
+                value = _json.integer(value, at, minimum=1)
+            settings[name] = _setting(name, rule, value, at)
     return settings
 
 

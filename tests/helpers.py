@@ -118,6 +118,31 @@ def signed_ring_family_4():
     return {"g1": g1, "g2": g2}
 
 
+def structural_gauge(n, arcs):
+    """A gauge sigma in {1, -1}^n (index i - 1 for node i) with
+    sigma_j * sigma_i == s on every signed arc (j, i, s), from a 2-colouring
+    of the arcs taken as undirected edges; None if none exists, that is, if
+    the arcs are not structurally balanced."""
+    adj = [[] for _ in range(n)]
+    for j, i, s in arcs:
+        adj[j - 1].append((i - 1, s))
+        adj[i - 1].append((j - 1, s))
+    sigma = [0] * n
+    for root in range(n):
+        if sigma[root]:
+            continue
+        sigma[root], stack = 1, [root]
+        while stack:
+            u = stack.pop()
+            for w, s in adj[u]:
+                if not sigma[w]:
+                    sigma[w] = s * sigma[u]
+                    stack.append(w)
+                elif sigma[w] != s * sigma[u]:
+                    return None
+    return sigma
+
+
 def dense_local_hull_bounds(X, spec, p, signed):
     """Reference supporting-box bounds over dense (m, n, n, d) masked arrays.
 

@@ -741,6 +741,29 @@ def test_pieces_out_of_order_exit_2_at_signal(tmp_path, capsys):
     assert captured.err == "parse error: " + message and captured.out == ""
 
 
+@pytest.mark.parametrize("periodic", [False, True])
+def test_signal_span_past_the_float_range_exit_2_at_signal(tmp_path, capsys, periodic):
+    # horizon_end - t0 was inf: dump-config echoed the signal, and run read
+    # NaN segment bounds and exited 1 with a ValueError traceback.
+    cfg = consensus_config(t_end=1.0)
+    cfg["graphs"]["f"] = {"n": 2, "arcs": [[1, 2, 1]]}
+    cfg["signal"] = {"tau_d": 1.0, "pieces": [[-1e308, "f"], [0.0, "g"]],
+                     "horizon_end": 1e308, "periodic": periodic}
+    message = ("$.signal: span horizon_end - t0 must be finite (numbers, not booleans or "
+               "strings), got inf\n")
+    path = write_json(tmp_path / "c.json", cfg)
+    out = tmp_path / "out"
+    for argv in (["dump-config", path], ["run", path, "--out-dir", str(out)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config error: " + message and captured.out == ""
+    assert not out.exists()
+    path = write_json(tmp_path / "g.json", {"graphs": cfg["graphs"], "signal": cfg["signal"]})
+    assert main(["check-graphs", path, "--window", "1.0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "parse error: " + message and captured.out == ""
+
+
 class TestRotationConfig:
     def test_shared_angle_set_when_n_equals_plane_count(self, tmp_path, capsys):
         path = write_json(tmp_path / "rot.json", rotated_config(3, 3, [0.1, 0.2, 0.3]))

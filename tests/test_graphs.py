@@ -1,15 +1,21 @@
 import bisect
 import copy
 import math
+import os
 import pickle
+import re
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import compass_consensus
 from compass_consensus.errors import DomainError, InsufficientHorizonError
 from compass_consensus.graphs import (
     ConnectivityMode,
@@ -38,6 +44,8 @@ from helpers import (
     v0_union_graph,
     v1_union_graph,
 )
+
+SRC = Path(compass_consensus.__file__).parents[1]
 
 
 def closure_oracle(g: SignedDigraph) -> np.ndarray:
@@ -127,10 +135,16 @@ class TestInArcs:
         want = [sorted(i - 1 for j, i, _s in g.arcs if j == u + 1 and i != j) for u in range(g.n)]
         assert [sorted(succ) for succ in g.out_adjacency()] == want
 
-    def test_table_is_not_stored(self, case):
+    def test_table_is_stored_once_outside_the_fields(self, case):
+        # Sorted when the graph is built, not on each call. Each call returns
+        # its own list, and equality, hash and repr read the fields only.
         g = in_arcs_cases()[case]
-        g.in_arcs()
-        assert set(vars(g)) == {"n", "arcs", "allow_self_loops"}
+        table = g.in_arcs()
+        table.append(None)
+        assert g.in_arcs() == table[:-1]
+        assert set(vars(g)) == {"n", "arcs", "allow_self_loops", "_in_arcs"}
+        twin = SignedDigraph(g.n, sorted(g.arcs, reverse=True), g.allow_self_loops)
+        assert twin == g and hash(twin) == hash(g) and "_in_arcs" not in repr(g)
 
 
 class TestConnectivity:
@@ -416,15 +430,58 @@ class TestCompiledSchedule:
         ([(False, "a"), (True, "b")], 0.1, 2.0, "not booleans"),
         ([(0.0, "a")], True, 2.0, "not booleans"),
         ([(0.0, "a")], 0.1, True, "not booleans"),
+        ([(-1e308, "a"), (0.0, "b")], 1.0, 1e308, "span horizon_end - t0 must be finite"),
     ], ids=["nan-start", "infinite-start", "out-of-order", "nan-dwell", "infinite-dwell",
-            "infinite-horizon", "nan-horizon", "bool-start", "bool-dwell", "bool-horizon"])
+            "infinite-horizon", "nan-horizon", "bool-start", "bool-dwell", "bool-horizon",
+            "infinite-span"])
     def test_schedules_its_readers_cannot_handle_rejected(
         self, pieces, tau_d, horizon_end, match
     ):
         # Readers assume these invariants: without them segments() returns NaN
         # bounds, and active_index() and the checker answer for no schedule.
-        with pytest.raises(DomainError, match=match):
-            SwitchingSignal(pieces, tau_d=tau_d, horizon_end=horizon_end)
+        # An infinite span made segments() return NaN starts, active_index()
+        # the wrong label and union_graph() a graph with no arcs.
+        for periodic in (False, True):
+            with pytest.raises(DomainError, match=match):
+                SwitchingSignal(pieces, tau_d=tau_d, horizon_end=horizon_end, periodic=periodic)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is Linux's address-space cap")
+    @pytest.mark.parametrize("call", [
+        "sig.active_index(1e22)",
+        "sig.active_index(1e300)",
+        "sig.segments(1e300)",
+        "union_graph(sig, ALT, 1e300, math.nextafter(1e300, math.inf))",
+        "wide.active_index(1.7e308)",
+    ])
+    def test_periodic_copies_that_cannot_be_told_apart_refused(self, call):
+        # Where t + period rounds to t, _copies advanced one copy at a time:
+        # 0.3 s at 1e22 (and the answer read from collapsed pieces), no end at
+        # 1e300. Where t - t0 overflows, the copy count was int(nan). The
+        # child may map 1 GiB and run 10 s.
+        import resource
+
+        code = f"""if True:
+            import math
+            from compass_consensus.errors import DomainError
+            from compass_consensus.graphs import SignedDigraph, SwitchingSignal, union_graph
+            ALT = {{"a": SignedDigraph(2, [(1, 2)]), "b": SignedDigraph(2, [(2, 1)])}}
+            sig = SwitchingSignal([(0.0, "a"), (0.5, "b")], 0.5, 1.0, periodic=True)
+            wide = SwitchingSignal([(-1e308, "a"), (-1e308 + 5e299, "b")], 1e299,
+                                   -1e308 + 1e300, periodic=True)
+            try:
+                {call}
+            except DomainError as exc:
+                print(exc)
+        """
+        cap = 1 << 30
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=10,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert done.returncode == 0, done.stderr
+        assert re.fullmatch(r"t(1|_end)?=\S+ is too far from t0=\S+ to tell apart the periodic "
+                            r"copies of period \S+\n", done.stdout), done.stdout
 
     def test_active_index_at_every_decimal_switch(self):
         # 0.1 and 0.3 are inexact in binary, so t0 + (t - t0) % period puts

@@ -12,7 +12,11 @@ validator and the metrics must say:
 - not: the condensation has two source components, and with a distinct
   constant state on each V(t) never drops below their gap, the agreement
   verdict is false and every checked window fails;
-- signed, union strongly connected: the agents agree in absolute value.
+- signed, with random arc signs: one period's Floquet map Phi decides the
+  limit of the states (its simple top multiplier 1, or rho(Phi) < 1 and the
+  limit 0); on a strongly connected union rho(Phi) = 1 exactly when the
+  union is structurally balanced (Altafini), and the agents agree in
+  absolute value exactly when the limit is constant in absolute value.
 
 The tanh field of ``test_dynamics.TestNonlinearJointConnectivity`` runs on
 the same draws at its derived margin gamma = a_min tanh(D0) / D0.
@@ -41,12 +45,14 @@ from compass_consensus.metrics import (
 )
 from compass_consensus.protocols import ProtocolSpec
 from compass_consensus.scenario import ScenarioConfig
-from helpers import linear_system_matrix
+from helpers import linear_system_matrix, structural_gauge
 
 H = 0.05
 TAU_D = 0.5
 EPS = 1e-6
 TANH_T_END = 100.0  # the longest linear horizon also run with the tanh field
+LIMIT_TOL = 1e-5  # final states against the Floquet limit, per entry
+SLOWEST = 0.95  # a kept signed draw's slowest decaying multiplier is at most this
 
 
 def closure(n, arcs):
@@ -82,14 +88,19 @@ def periodic_families(draw):
     return n, d, arcs, weights, signs, dwells, draw(st.integers(0, 2**32 - 1))
 
 
-def decay_horizon(spec, dwells):
-    """A whole number of periods over which the linear field shrinks each
-    mode that decays at all by 1e10: from the eigenvalues of the period's
-    monodromy matrix, prod_p expm(A_p dwell_p), on one axis."""
+def monodromy(spec, dwells):
+    """The period's map prod_p expm(A_p dwell_p) on one axis."""
     phi = np.eye(spec.n)
     for p, dwell in dwells.items():
         phi = expm(linear_system_matrix(spec, p, 1) * dwell) @ phi
-    mu = np.abs(np.linalg.eigvals(phi))
+    return phi
+
+
+def decay_horizon(spec, dwells):
+    """A whole number of periods over which the linear field shrinks each
+    mode that decays at all by 1e10: from the eigenvalues of the period's
+    monodromy matrix, on one axis."""
+    mu = np.abs(np.linalg.eigvals(monodromy(spec, dwells)))
     rho = mu[mu < 1 - 1e-9].max(initial=0.0)
     periods = math.ceil(math.log(1e10) / -math.log(rho)) if rho > 0 else 1
     return periods * sum(dwells.values())
@@ -99,6 +110,53 @@ def run(spec, signal, x0, t_end, assumption=Assumption.GAMMA_STRICT):
     n, d = x0.shape
     return simulate(ScenarioConfig(n=n, d=d, initial_states=x0, protocol=spec, signal=signal,
                                    h=H, t_end=t_end, assumption=assumption))
+
+
+def floquet_limit(phi, x0):
+    """(lim_k phi^k x0 on each axis, rho(phi)): r (l . x0) / (l . r) when the
+    top multiplier is a simple 1 with right and left eigenvectors r and l, 0
+    when rho(phi) < 1; the limit is None unless every other multiplier is at
+    most SLOWEST, so that decay_horizon's run ends near it."""
+    mu, right = np.linalg.eig(phi)
+    order = np.argsort(-np.abs(mu))
+    rho = abs(mu[order[0]])
+    if rho <= SLOWEST:
+        return np.zeros_like(x0), rho
+    if abs(mu[order[0]] - 1) > 1e-9 or abs(mu[order[1]]) > SLOWEST:
+        return None, rho
+    mu_left, left = np.linalg.eig(phi.T)
+    r, l = right[:, order[0]].real, left[:, np.argmin(np.abs(mu_left - 1))].real
+    return np.outer(r, l @ x0) / (l @ r), rho
+
+
+def check_signed(n, arcs, weights, signs, dwells, signal, x0, strong):
+    """The signed theorem on one draw; returns the names of the checks made."""
+    union = {(j, i, signs[(j, i)]) for a in arcs.values() for j, i in a}
+    family = {p: SignedDigraph(n, [(j, i, signs[(j, i)]) for j, i in a]) for p, a in arcs.items()}
+    spec = ProtocolSpec(kind="SignedConsensus", family=family, gamma=min(weights.values()),
+                        weights=weights)
+    limit, rho = floquet_limit(monodromy(spec, dwells), x0)
+    names = []
+    if strong:  # Altafini: balanced exactly when a multiplier 1 survives
+        assert (abs(rho - 1) <= 1e-9) == (structural_gauge(n, union) is not None), rho
+        names.append("signed")
+    if limit is None and not strong:
+        return names
+    traj = run(spec, signal, x0, decay_horizon(spec, dwells), Assumption.SIGNED_GAMMA_STRICT)
+    assert traj.feasibility_violations == []
+    verdict = absolute_value_agreement(traj, tol=LIMIT_TOL)
+    if strong:
+        assert verdict.all()
+    if limit is not None:
+        assert np.abs(traj.blocks()[-1] - limit).max() <= LIMIT_TOL
+        # Per axis, where |limit| is clearly constant or clearly not.
+        spread = np.ptp(np.abs(limit), axis=0)
+        clear = (spread <= 1e-9) | (spread > 4 * LIMIT_TOL)
+        assert np.array_equal(verdict[clear], spread[clear] <= 1e-9), (verdict, spread)
+        names.append("signed limit 0" if rho <= SLOWEST else "signed limit")
+        if (spread > 4 * LIMIT_TOL).any():
+            names.append("signed |limit| not constant")
+    return names
 
 
 def tanh_spec(family, weights, gamma):
@@ -161,17 +219,14 @@ def check_draw(case):
             assert np.all(v >= 1.0 - 1e-9)
             assert not agreement_verdict(traj, EPS).achieved
 
-    if reach.all():  # strongly connected: the signed theorem
-        signed_family = {p: SignedDigraph(n, [(j, i, signs[(j, i)]) for j, i in a])
-                         for p, a in arcs.items()}
-        signed = ProtocolSpec(kind="SignedConsensus", family=signed_family, gamma=a_min,
-                              weights=weights)
-        traj = run(signed, signal, x0, decay_horizon(signed, dwells),
-                   Assumption.SIGNED_GAMMA_STRICT)
-        assert traj.feasibility_violations == []
-        assert absolute_value_agreement(traj, tol=1e-5).all()
-        return [name for name, _spec, _t in runs] + ["signed"]
-    return [name for name, _spec, _t in runs]
+    strong = bool(reach.all())
+    signed = check_signed(n, arcs, weights, signs, dwells, signal, x0, strong)
+    if strong:  # the same union signed by a random gauge: balanced by construction
+        sigma = rng.choice([-1, 1], size=n)
+        gauged = {(j, i): int(sigma[j - 1] * sigma[i - 1]) for j, i in signs}
+        signed += [f"{name}, gauged" for name in
+                   check_signed(n, arcs, weights, gauged, dwells, signal, x0, True)]
+    return [name for name, _spec, _t in runs] + signed
 
 
 def test_joint_connectivity_decides_agreement():
@@ -184,4 +239,5 @@ def test_joint_connectivity_decides_agreement():
 
     draw()
     assert min(seen[k] for k in ("connected", "split", "tanh connected", "tanh split",
-                                 "signed")) >= 5, seen
+                                 "signed", "signed limit", "signed limit 0",
+                                 "signed |limit| not constant", "signed limit, gauged")) >= 5, seen

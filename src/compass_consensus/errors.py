@@ -83,18 +83,19 @@ def integer(name: str, value: Any) -> int:
     raise DomainError(f"{name} must be an integer (not booleans), got {value!r}")
 
 
-def member(name: str, value: Any, choices: type) -> Any:
+def member(name: str, value: Any, choices: type, off: bool = False) -> Any:
     """``value``, a member of the Enum class ``choices`` or a member's value,
-    as the member; DomainError naming ``name`` for anything else (None and
-    booleans too)."""
-    if isinstance(value, choices):
+    as the member, or None if ``off`` (None turns the choice off); DomainError
+    naming ``name`` and the values it takes for anything else, booleans too."""
+    if isinstance(value, choices) or off and value is None:
         return value
     if not isinstance(value, bool):
         try:
             return choices(value)
         except (TypeError, ValueError):  # no member has that value
             pass
-    raise DomainError(f"{name} must be one of {[m.value for m in choices]}, got {value!r}")
+    values = [m.value for m in choices] + ([None] if off else [])
+    raise DomainError(f"{name} must be one of {values}, got {value!r}")
 
 
 def reals(name: str, value: Any, shape: tuple) -> Any:

@@ -232,7 +232,8 @@ class SwitchingSignal(_Record):
         horizon_end = real("horizon_end", horizon_end)
         if not times[-1] < horizon_end:
             raise DomainError("horizon_end must be finite and exceed the last piece start")
-        real("span horizon_end - t0", horizon_end - times[0])
+        if horizon_end - times[0] == math.inf:
+            raise DomainError("span horizon_end - t0 must be finite, got inf")
         self.__dict__.update(pieces=pieces, tau_d=tau_d, horizon_end=horizon_end, periodic=periodic)
 
     @property
@@ -262,9 +263,11 @@ class SwitchingSignal(_Record):
                 yield list(zip(tiled, tiled[1:] + [end], labels))
 
     def _readable(self, name: str, t: float) -> None:
-        """DomainError unless the copy holding t can be read: an aperiodic
-        signal has none past horizon_end, and a periodic one's copies cannot
-        be told apart where t + period rounds to t or t - t0 overflows."""
+        """DomainError unless the signal answers for t: it has no copy before
+        t0, an aperiodic one none past horizon_end, and a periodic one's copies
+        cannot be told apart where t + period rounds to t or t - t0 overflows."""
+        if t < self.t0:
+            raise DomainError(f"{name}={t} is before the signal start {self.t0}")
         if not self.periodic and t > self.horizon_end:
             raise DomainError(f"{name}={t} is past the horizon_end {self.horizon_end} of the signal")
         if self.periodic and (t + self.period == t or t - self.t0 == math.inf):
@@ -276,8 +279,6 @@ class SwitchingSignal(_Record):
         label of the segment of ``segments`` holding t, read from the same
         periodic copy, so the two agree at every switch instant."""
         t = real("t", t)
-        if t < self.t0:
-            raise DomainError(f"t={t} is before the signal start {self.t0}")
         self._readable("t", t)
         segs = next(self._copies(t))
         return segs[bisect.bisect_right(segs, t, key=lambda seg: seg[0]) - 1][2]
@@ -372,11 +373,9 @@ def union_graph(
     t1, t2 = real("t1", t1), real("t2", t2)
     if not t1 < t2:
         raise DomainError("need t1 < t2")
-    if t1 < signal.t0 or (not signal.periodic and t2 > signal.horizon_end):
-        raise DomainError(
-            f"[{t1}, {t2}) outside signal horizon [{signal.t0}, {signal.horizon_end}]"
-        )
     signal._readable("t1", t1)
+    if not signal.periodic:  # a far periodic t2 is read from the copies up to it
+        signal._readable("t2", t2)
     n = _node_count(family, [p for _t, p in signal.pieces])
     every = {p for _t, p in signal.pieces}
     labels: set = set()

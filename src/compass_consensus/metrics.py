@@ -486,7 +486,7 @@ def _report(ser: _Series, violations: list, eps_agreement, monitor_mode, tol_mon
         lam, r2, truncated = fit.lambda_hat, fit.r_squared, fit.truncated
     except DomainError:
         lam, r2, truncated = None, None, True
-    mode = None if monitor_mode is None else member("monitor_mode", monitor_mode, MonitorMode)
+    mode = member("monitor_mode", monitor_mode, MonitorMode, off=True)
     return AgreementReport(
         times=ser.times,
         lyapunov=ser.v,

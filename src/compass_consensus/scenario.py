@@ -80,8 +80,7 @@ class ScenarioConfig:
         at = "$.integrator.t_end"
         if not signal.t0 < self.t_end:
             raise _json.fail(f"t_end must exceed the signal start {signal.t0}", at)
-        if self.t_end > signal.horizon_end and not signal.periodic:
-            raise _json.fail("t_end exceeds horizon_end of an aperiodic signal", at)
+        _json.build(signal._readable, at, "t_end", self.t_end)
 
 
 _DEFAULTS = {f.name: f.default for f in fields(ScenarioConfig)}  # MISSING: a required setting
@@ -119,8 +118,8 @@ def _setting(name: str, rule: Any, value: Any, at: str) -> Any:
             value = checked
     elif rule is str:
         _json.string(value, at, min_len=1)
-    elif value is not None:  # an Enum: a member or its value, stored as the member
-        value = _json.build(member, at, name, value, rule)
+    elif not isinstance(rule, dict):  # an Enum: a member or its value, stored as the member
+        value = _json.build(member, at, name, value, rule, True)
     return value
 
 

@@ -516,9 +516,11 @@ class TestCompiledSchedule:
 
     def test_active_index_domain(self):
         sig = alternating_signal()
-        for t in (-0.5, float("inf"), float("nan")):
+        for t in (-1.0, -0.5, float("inf"), float("nan")):
             with pytest.raises(DomainError):
                 sig.active_index(t)
+            with pytest.raises(DomainError):  # segments() returned [] before t0
+                sig.segments(t)
         # Past the horizon of an aperiodic signal, as segments() refuses it too.
         sig = SwitchingSignal([(0.0, "a"), (1.0, "b")], tau_d=1.0, horizon_end=2.0)
         assert sig.active_index(2.0) == "b"

@@ -199,6 +199,8 @@ class TestCrossFieldChecks:
         (lambda c: c["signal"].update(pieces=[[0.0, "g"], [0.2, "g"]]), "$.signal"),
         (lambda c: c["integrator"].update(t_end=0.0), "$.integrator.t_end"),
         (lambda c: c["integrator"].update(t_end=11.0), "$.integrator.t_end"),
+        (lambda c: (c["signal"].update(periodic=True), c["integrator"].update(t_end=1e300)),
+         "$.integrator.t_end"),
         (lambda c: c.update(rotated_config(3, 2, [0.1, 0.2, 0.3, 0.4, 0.5])),
          "$.protocol.rotation"),
         (lambda c: c.update(rotated_config(3, 3, [[0.1, 0.2, 0.3]] * 2 + [[0.1]])),
@@ -206,7 +208,7 @@ class TestCrossFieldChecks:
         (lambda c: c["graphs"]["g"]["arcs"].append([1, 3, 1]), "$.graphs.g"),
         (lambda c: c["signal"].update(horizon_end=0.0), "$.signal"),
     ], ids=["state-shape", "graph-nodes", "unknown-label", "dwell", "t_end-before-start",
-            "t_end-past-horizon", "rotation-count", "rotation-shape", "arc-node", "horizon"])
+            "t_end-past-horizon", "periodic-t_end-too-far", "rotation-count", "rotation-shape", "arc-node", "horizon"])
     def test_config_path_of_each_failure(self, make, path):
         cfg = base_config()
         make(cfg)
